@@ -24,7 +24,6 @@
 #include "common/table.hh"
 #include "common/types.hh"
 #include "exec/parallel_sweep.hh"
-#include "exec/simd.hh"
 #include "exec/thread_pool.hh"
 #include "mtc/min_cache.hh"
 #include "obs/epoch_profiler.hh"
@@ -316,9 +315,8 @@ class JsonReport
             manifest_.set("partition", noPartition_ ? "off" : "on");
             // Execution provenance, same gate as the simulator
             // manifests: bench traces are always generated in
-            // process, and the SIMD tier is the runtime dispatch.
+            // process.
             manifest_.set("trace_format", "generated");
-            manifest_.set("simd_tier", simdTierName(simdTier()));
         }
         writeProfileManifest(manifest_, manifest_.omitTiming);
         JsonWriter w;

@@ -159,7 +159,7 @@ serialMrefsOnce(const Trace &t, const CacheConfig &cfg,
 }
 
 /**
- * One single-config pass through the set-partitioned SIMD ladder
+ * One single-config pass through the set-partitioned ladder
  * kernel at @p jobs workers — the path membw_sim takes for a plain
  * run at --jobs N.  The decode side is timed too: a real run pays
  * it, so excluding it would inflate the speedup.  Like membw_sim,
@@ -295,7 +295,7 @@ runThroughputHarness(const std::string &jsonPath, unsigned jobs,
                 row.parallelMrefs,
                 parallelMrefsOnce(t, cfg, jobs, min_runtime));
         // Single-config parallel scaling: ONE configuration through
-        // the set-partitioned SIMD ladder kernel at `jobs` workers,
+        // the set-partitioned ladder kernel at `jobs` workers,
         // against the serial per-reference simulator above.  This is
         // the headline the CI throughput gate watches (>= 3x on at
         // least two workloads).
@@ -428,7 +428,6 @@ runThroughputHarness(const std::string &jsonPath, unsigned jobs,
     // Numeric on purpose: this used to emit "jobs": "4" (a JSON
     // string), which broke tooling that compared it as a number.
     manifest.set("jobs", std::uint64_t{jobs});
-    manifest.set("simd_tier", std::string(simdTierName(simdTier())));
 
     JsonWriter w;
     w.beginObject();

@@ -95,25 +95,9 @@ Cache::Cache(const CacheConfig &config)
 void
 Cache::setBelow(DownstreamFn fetch, DownstreamFn writeback, void *ctx)
 {
-    shim_.reset();
     fetchBelow_ = fetch;
     writebackBelow_ = writeback;
     belowCtx_ = ctx;
-}
-
-void
-Cache::setBelow(FetchFn fetch, WritebackFn writeback)
-{
-    shim_ = std::make_unique<FnShim>(
-        FnShim{std::move(fetch), std::move(writeback)});
-    belowCtx_ = shim_.get();
-    fetchBelow_ = shim_->fetch ? [](void *ctx, Addr addr, Bytes bytes) {
-        static_cast<FnShim *>(ctx)->fetch(addr, bytes);
-    } : static_cast<DownstreamFn>(nullptr);
-    writebackBelow_ =
-        shim_->writeback ? [](void *ctx, Addr addr, Bytes bytes) {
-            static_cast<FnShim *>(ctx)->writeback(addr, bytes);
-        } : static_cast<DownstreamFn>(nullptr);
 }
 
 std::uint64_t

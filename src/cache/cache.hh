@@ -14,8 +14,6 @@
 #define MEMBW_CACHE_CACHE_HH
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -112,10 +110,6 @@ class Cache
      */
     using DownstreamFn = void (*)(void *ctx, Addr addr, Bytes bytes);
 
-    /** Legacy std::function hooks (tests, ad-hoc recorders). */
-    using FetchFn = std::function<void(Addr addr, Bytes bytes)>;
-    using WritebackFn = std::function<void(Addr addr, Bytes bytes)>;
-
     explicit Cache(const CacheConfig &config);
 
     /**
@@ -125,14 +119,6 @@ class Cache
      */
     void setBelow(DownstreamFn fetch, DownstreamFn writeback,
                   void *ctx);
-
-    /**
-     * Convenience overload for std::function callers.  Keeps the old
-     * capture-anything API for tests and one-off recorders at the
-     * cost of one std::function dispatch per downstream event; the
-     * hierarchy and the timing memory system use the raw form above.
-     */
-    void setBelow(FetchFn fetch, WritebackFn writeback);
 
     /**
      * Simulate one reference.  @p ref must not span a block boundary
@@ -261,13 +247,6 @@ class Cache
     void *belowCtx_ = nullptr;
     MemProbe *probe_ = nullptr;
     unsigned probeLevel_ = 0;
-    /** Storage behind the std::function setBelow() overload. */
-    struct FnShim
-    {
-        FetchFn fetch;
-        WritebackFn writeback;
-    };
-    std::unique_ptr<FnShim> shim_;
     bool inPrefetch_ = false;
 
     /** One Jouppi stream buffer: FIFO of prefetched blocks. */

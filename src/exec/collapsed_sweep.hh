@@ -39,7 +39,6 @@
 
 #include "cache/config.hh"
 #include "cache/hierarchy.hh"
-#include "exec/simd.hh"
 #include "trace/trace.hh"
 
 namespace membw {
@@ -73,9 +72,6 @@ struct CollapseOptions
      * is the escape hatch the partition_equivalence test diffs.
      */
     bool noPartition = false;
-
-    /** Probe tier for the ladder kernels (clamped to the host). */
-    SimdTier tier = simdTier();
 
     /**
      * Zero-copy source: when set, ladder BlockStreams borrow this

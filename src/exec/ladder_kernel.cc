@@ -7,125 +7,60 @@ namespace {
 
 template <bool Masked, bool Filtered>
 ChunkKernel
-pickKernel(unsigned ways, SimdTier tier)
+pickKernel(unsigned ways)
 {
-#if MEMBW_SIMD_X86
-    if (tier == SimdTier::Avx2) {
-        switch (ways) {
-        case 1:
-            return &runChunk<ScalarProbe, 1, Masked, Filtered>;
-        case 2:
-            return &runChunk<Sse2Probe, 2, Masked, Filtered>;
-        case 4:
-            return &runChunkAvx2<4, Masked, Filtered>;
-        case 8:
-            return &runChunkAvx2<8, Masked, Filtered>;
-        default:
-            return &runChunkAvx2<0, Masked, Filtered>;
-        }
-    }
-    if (tier == SimdTier::Sse2) {
-        switch (ways) {
-        case 1:
-            return &runChunk<ScalarProbe, 1, Masked, Filtered>;
-        case 2:
-            return &runChunk<Sse2Probe, 2, Masked, Filtered>;
-        case 4:
-            return &runChunk<Sse2Probe, 4, Masked, Filtered>;
-        case 8:
-            return &runChunk<Sse2Probe, 8, Masked, Filtered>;
-        default:
-            return &runChunk<Sse2Probe, 0, Masked, Filtered>;
-        }
-    }
-#endif
-    (void)tier;
     switch (ways) {
     case 1:
-        return &runChunk<ScalarProbe, 1, Masked, Filtered>;
+        return &runChunk<1, Masked, Filtered>;
     case 2:
-        return &runChunk<ScalarProbe, 2, Masked, Filtered>;
+        return &runChunk<2, Masked, Filtered>;
     case 4:
-        return &runChunk<ScalarProbe, 4, Masked, Filtered>;
+        return &runChunk<4, Masked, Filtered>;
     case 8:
-        return &runChunk<ScalarProbe, 8, Masked, Filtered>;
+        return &runChunk<8, Masked, Filtered>;
     default:
-        return &runChunk<ScalarProbe, 0, Masked, Filtered>;
+        return &runChunk<0, Masked, Filtered>;
     }
 }
 
 template <bool Masked, bool Filtered>
 WordKernel
-pickWordKernel(unsigned ways, SimdTier tier)
+pickWordKernel(unsigned ways)
 {
-#if MEMBW_SIMD_X86
-    if (tier == SimdTier::Avx2) {
-        switch (ways) {
-        case 1:
-            return &runWordChunk<ScalarProbe, 1, Masked, Filtered>;
-        case 2:
-            return &runWordChunk<Sse2Probe, 2, Masked, Filtered>;
-        case 4:
-            return &runWordChunkAvx2<4, Masked, Filtered>;
-        case 8:
-            return &runWordChunkAvx2<8, Masked, Filtered>;
-        default:
-            return &runWordChunkAvx2<0, Masked, Filtered>;
-        }
-    }
-    if (tier == SimdTier::Sse2) {
-        switch (ways) {
-        case 1:
-            return &runWordChunk<ScalarProbe, 1, Masked, Filtered>;
-        case 2:
-            return &runWordChunk<Sse2Probe, 2, Masked, Filtered>;
-        case 4:
-            return &runWordChunk<Sse2Probe, 4, Masked, Filtered>;
-        case 8:
-            return &runWordChunk<Sse2Probe, 8, Masked, Filtered>;
-        default:
-            return &runWordChunk<Sse2Probe, 0, Masked, Filtered>;
-        }
-    }
-#endif
-    (void)tier;
     switch (ways) {
     case 1:
-        return &runWordChunk<ScalarProbe, 1, Masked, Filtered>;
+        return &runWordChunk<1, Masked, Filtered>;
     case 2:
-        return &runWordChunk<ScalarProbe, 2, Masked, Filtered>;
+        return &runWordChunk<2, Masked, Filtered>;
     case 4:
-        return &runWordChunk<ScalarProbe, 4, Masked, Filtered>;
+        return &runWordChunk<4, Masked, Filtered>;
     case 8:
-        return &runWordChunk<ScalarProbe, 8, Masked, Filtered>;
+        return &runWordChunk<8, Masked, Filtered>;
     default:
-        return &runWordChunk<ScalarProbe, 0, Masked, Filtered>;
+        return &runWordChunk<0, Masked, Filtered>;
     }
 }
 
 } // namespace
 
 ChunkKernel
-selectKernel(unsigned ways, SimdTier tier, bool masked, bool filtered)
+selectKernel(unsigned ways, bool masked, bool filtered)
 {
-    tier = clampSimdTier(tier);
     if (masked)
-        return filtered ? pickKernel<true, true>(ways, tier)
-                        : pickKernel<true, false>(ways, tier);
-    return filtered ? pickKernel<false, true>(ways, tier)
-                    : pickKernel<false, false>(ways, tier);
+        return filtered ? pickKernel<true, true>(ways)
+                        : pickKernel<true, false>(ways);
+    return filtered ? pickKernel<false, true>(ways)
+                    : pickKernel<false, false>(ways);
 }
 
 WordKernel
-selectWordKernel(unsigned ways, SimdTier tier, bool masked,
-                 bool filtered)
+selectWordKernel(unsigned ways, bool masked, bool filtered)
 {
-    tier = clampSimdTier(tier);
     if (masked)
-        return filtered ? pickWordKernel<true, true>(ways, tier)
-                        : pickWordKernel<true, false>(ways, tier);
-    return filtered ? pickWordKernel<false, true>(ways, tier)
-                    : pickWordKernel<false, false>(ways, tier);
+        return filtered ? pickWordKernel<true, true>(ways)
+                        : pickWordKernel<true, false>(ways);
+    return filtered ? pickWordKernel<false, true>(ways)
+                    : pickWordKernel<false, false>(ways);
 }
 
 void

@@ -5,27 +5,21 @@
  * ladder_sweep.hh / time_partition.hh.
  *
  * The kernel body lives here as a function template monomorphized on
- * four axes:
+ * three axes:
  *
- *  - Probe  — the tag-compare engine (simd.hh: scalar / SSE2 / AVX2),
  *  - W      — the way count baked in at compile time for the hot
  *             geometries (1, 2, 4, 8; 0 keeps it a runtime value),
  *  - Masked — plain vs write-validate (per-word valid/dirty masks),
  *  - Filtered — whether the kernel skips references outside its
  *             owned set range (time-partitioned workers).
  *
- * selectKernel() maps a (ways, tier, masked, filtered) point to one
+ * selectKernel() maps a (ways, masked, filtered) point to one
  * stamped-out instantiation, chosen once per configuration so the
  * per-chunk call is a single indirect jump to straight-line code.
- * Every instantiation is counter-identical to every other — the
- * probes all report the lowest matching way and the accounting is
- * shared — which is what lets the equivalence tests demand byte-equal
- * results across tiers, way specializations, and partition counts.
- *
- * AVX2 instantiations are routed through a target("avx2") wrapper so
- * the probe inlines into the chunk loop (GCC/clang refuse to inline
- * across mismatched target attributes); the wrapper is only ever
- * selected after simdTier() has verified host support.
+ * Every instantiation is counter-identical to every other — the tag
+ * probe is one shared lowest-match scan and the accounting is shared
+ * — which is what lets the equivalence tests demand byte-equal
+ * results across way specializations and partition counts.
  */
 
 #ifndef MEMBW_EXEC_LADDER_KERNEL_HH
@@ -38,7 +32,6 @@
 #include "cache/cache.hh"
 #include "cache/config.hh"
 #include "cache/hierarchy.hh"
-#include "exec/simd.hh"
 #include "trace/block_stream.hh"
 
 namespace membw {
@@ -47,6 +40,19 @@ namespace ladder {
 /** Empty tag sentinel: block numbers are addr >> log2(block) with
  * block >= 4B, so ~0 can never collide with a real block number. */
 constexpr std::uint64_t tagInvalid = ~std::uint64_t{0};
+
+/** Tag probe: the lowest w < n with tags[w] == key, or n when absent.
+ * The lowest match matters for victim selection, which probes for the
+ * first free way with key == tagInvalid.  A plain scan suffices: the
+ * kernel's cost is the set row it touches, not the compares. */
+inline unsigned
+findWay(const std::uint64_t *tags, unsigned n, std::uint64_t key)
+{
+    for (unsigned w = 0; w < n; ++w)
+        if (tags[w] == key)
+            return w;
+    return n;
+}
 
 struct ConfigSim;
 
@@ -296,8 +302,7 @@ struct WordSource
  * reference lands in hits+misses, so loads = hits + misses - stores
  * and requestBytes = wordBytes * (hits + misses).
  */
-template <class Probe, unsigned W, bool Masked, bool Filtered,
-          class Source>
+template <unsigned W, bool Masked, bool Filtered, class Source>
 inline bool
 runChunkBody(ConfigSim &c, Source src, std::size_t begin,
              std::size_t end)
@@ -428,7 +433,7 @@ runChunkBody(ConfigSim &c, Source src, std::size_t begin,
     };
     auto allocate = [&](std::uint64_t bn,
                         std::uint64_t *row) -> unsigned {
-        unsigned v = Probe::find(row, n, tagInvalid);
+        unsigned v = findWay(row, n, tagInvalid);
         if (v >= n) {
             // Branchless min-scan: the lastUse ordering is as random
             // as the reference stream, so a compare-and-branch here
@@ -480,7 +485,7 @@ runChunkBody(ConfigSim &c, Source src, std::size_t begin,
             line + static_cast<std::size_t>(
                        Filtered ? set - setLo : set) *
                        stride;
-        const unsigned w = Probe::find(row, n, bn);
+        const unsigned w = findWay(row, n, bn);
         const bool hit = w < n;
         if constexpr (!Masked) {
             if (!src.store(i)) {
@@ -561,63 +566,34 @@ runChunkBody(ConfigSim &c, Source src, std::size_t begin,
     return true;
 }
 
-template <class Probe, unsigned W, bool Masked, bool Filtered>
+template <unsigned W, bool Masked, bool Filtered>
 void
 runChunk(ConfigSim &c, const BlockStream &s, std::size_t begin,
          std::size_t end)
 {
-    runChunkBody<Probe, W, Masked, Filtered>(c, StreamSource(s),
-                                             begin, end);
+    runChunkBody<W, Masked, Filtered>(c, StreamSource(s), begin, end);
 }
 
-template <class Probe, unsigned W, bool Masked, bool Filtered>
+template <unsigned W, bool Masked, bool Filtered>
 bool
 runWordChunk(ConfigSim &c, const MemRef *refs, std::size_t begin,
              std::size_t end)
 {
-    return runChunkBody<Probe, W, Masked, Filtered>(c, WordSource(refs),
-                                                    begin, end);
+    return runChunkBody<W, Masked, Filtered>(c, WordSource(refs), begin,
+                                             end);
 }
-
-#if MEMBW_SIMD_X86
-/** target("avx2") clones of runChunk/runWordChunk so Avx2Probe::find
- * inlines into the chunk loop; selected only after simdTier() has
- * confirmed AVX2. */
-template <unsigned W, bool Masked, bool Filtered>
-__attribute__((target("avx2"))) void
-runChunkAvx2(ConfigSim &c, const BlockStream &s, std::size_t begin,
-             std::size_t end)
-{
-    runChunkBody<Avx2Probe, W, Masked, Filtered>(c, StreamSource(s),
-                                                 begin, end);
-}
-
-template <unsigned W, bool Masked, bool Filtered>
-__attribute__((target("avx2"))) bool
-runWordChunkAvx2(ConfigSim &c, const MemRef *refs, std::size_t begin,
-                 std::size_t end)
-{
-    return runChunkBody<Avx2Probe, W, Masked, Filtered>(
-        c, WordSource(refs), begin, end);
-}
-#endif
 
 /**
- * The monomorphized kernel for one configuration point, with @p tier
- * clamped to the host's capability.  Way counts without a baked
- * specialization (3, 5, 6, 7, 9..16) get the runtime-way variant of
- * the widest applicable probe; 1-way configs always run scalar
- * (nothing to lane-parallelize) and 2-way configs cap at SSE2 (one
- * 128-bit compare covers the whole set).
+ * The monomorphized kernel for one configuration point.  Way counts
+ * without a baked specialization (3, 5, 6, 7, 9..16) get the
+ * runtime-way variant.
  */
-ChunkKernel selectKernel(unsigned ways, SimdTier tier, bool masked,
-                         bool filtered);
+ChunkKernel selectKernel(unsigned ways, bool masked, bool filtered);
 
 /** selectKernel's fused-decode twin: the same dispatch table over
  * runWordChunk instantiations (see WordSource for the validity
  * precondition). */
-WordKernel selectWordKernel(unsigned ways, SimdTier tier, bool masked,
-                            bool filtered);
+WordKernel selectWordKernel(unsigned ways, bool masked, bool filtered);
 
 /** Sum every additive counter of @p from into @p into.  The
  * stream-derived totals (accesses/loads/stores/requestBytes) are

@@ -50,7 +50,7 @@ ladderCollapsible(const BlockStream &stream,
 
 std::vector<TrafficResult>
 ladderSweep(const BlockStream &stream,
-            const std::vector<CacheConfig> &configs, SimdTier tier)
+            const std::vector<CacheConfig> &configs)
 {
     if (!ladderCollapsible(stream, configs))
         fatal("ladderSweep: configs are outside the one-pass regime "
@@ -60,7 +60,7 @@ ladderSweep(const BlockStream &stream,
     sims.reserve(configs.size());
     for (const CacheConfig &cfg : configs) {
         ladder::ConfigSim &sim = sims.emplace_back(cfg);
-        sim.kernel = ladder::selectKernel(sim.ways, tier, sim.masked,
+        sim.kernel = ladder::selectKernel(sim.ways, sim.masked,
                                           /*filtered=*/false);
     }
 
@@ -79,13 +79,6 @@ ladderSweep(const BlockStream &stream,
         out.push_back(ladder::ladderTraffic(stream, sim.stats));
     }
     return out;
-}
-
-std::vector<TrafficResult>
-ladderSweep(const BlockStream &stream,
-            const std::vector<CacheConfig> &configs)
-{
-    return ladderSweep(stream, configs, simdTier());
 }
 
 } // namespace membw

@@ -32,7 +32,6 @@
 
 #include "cache/config.hh"
 #include "cache/hierarchy.hh"
-#include "exec/simd.hh"
 #include "trace/block_stream.hh"
 
 namespace membw {
@@ -61,20 +60,10 @@ bool ladderCollapsible(const BlockStream &stream,
 /**
  * Traffic results for each config, in order, from a single chunked
  * pass over @p stream.  Precondition: ladderCollapsible().
- *
- * Runs the widest SIMD probe tier the host supports (simdTier());
- * the overload taking an explicit @p tier clamps it to the host
- * capability and exists for the tier-equivalence tests and for
- * MEMBW_SIMD=... A/B runs — every tier produces byte-identical
- * results.
  */
 std::vector<TrafficResult>
 ladderSweep(const BlockStream &stream,
             const std::vector<CacheConfig> &configs);
-
-std::vector<TrafficResult>
-ladderSweep(const BlockStream &stream,
-            const std::vector<CacheConfig> &configs, SimdTier tier);
 
 } // namespace membw
 

@@ -50,7 +50,6 @@
 #include "cache/config.hh"
 #include "cache/hierarchy.hh"
 #include "exec/ladder_sweep.hh"
-#include "exec/simd.hh"
 #include "trace/block_stream.hh"
 
 namespace membw {
@@ -68,10 +67,6 @@ struct PartitionOptions
      * split and simply runs serial.
      */
     unsigned parts = 0;
-
-    /** Probe tier (clamped to host capability); defaults to the
-     * widest supported. */
-    SimdTier tier = simdTier();
 
     /** Polled between cells; true stops scheduling (interrupt). */
     std::function<bool()> cancel;

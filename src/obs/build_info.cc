@@ -1,7 +1,5 @@
 #include "obs/build_info.hh"
 
-#include "obs/json.hh"
-
 // Injected by src/obs/CMakeLists.txt; the fallbacks keep non-CMake
 // consumers (clangd, fuzz drivers) compiling.
 #ifndef MEMBW_VERSION_STRING
@@ -23,11 +21,6 @@ buildInfo()
         MEMBW_VERSION_STRING,
         MEMBW_GIT_DESCRIBE,
         MEMBW_SANITIZE_NAME,
-#ifdef MEMBW_SIMD_ENABLED
-        true,
-#else
-        false,
-#endif
 #ifdef MEMBW_TRACING_ENABLED
         true,
 #else
@@ -56,18 +49,11 @@ formatVersionLine(std::string_view tool)
 }
 
 std::string
-formatBuildInfo(std::string_view tool, std::string_view runtimeSimdTier)
+formatBuildInfo(std::string_view tool)
 {
     const BuildInfo &b = buildInfo();
     const auto onoff = [](bool v) { return v ? "on" : "off"; };
     std::string out = formatVersionLine(tool);
-    out += "\n  simd:       ";
-    out += onoff(b.simd);
-    if (!runtimeSimdTier.empty()) {
-        out += " (runtime tier ";
-        out += runtimeSimdTier;
-        out += ")";
-    }
     out += "\n  tracing:    ";
     out += onoff(b.tracing);
     out += "\n  profiling:  ";
@@ -76,22 +62,6 @@ formatBuildInfo(std::string_view tool, std::string_view runtimeSimdTier)
     out += b.sanitizer;
     out += "\n";
     return out;
-}
-
-void
-writeBuildInfo(JsonWriter &w, std::string_view runtimeSimdTier)
-{
-    const BuildInfo &b = buildInfo();
-    w.beginObject();
-    w.field("version", b.version);
-    w.field("git_describe", b.gitDescribe);
-    w.field("simd", b.simd);
-    if (!runtimeSimdTier.empty())
-        w.field("simd_tier", runtimeSimdTier);
-    w.field("tracing", b.tracing);
-    w.field("profiling", b.profiling);
-    w.field("sanitizer", b.sanitizer);
-    w.endObject();
 }
 
 } // namespace membw

@@ -5,11 +5,8 @@
  *
  * Every long-lived deployment eventually asks "which binary is this?"
  * — the answer here is the git describe string, the compile-time
- * feature set (SIMD kernels, tracing probes, profiling hooks,
- * sanitizer), and the project version, all baked in at configure
- * time.  The *runtime* SIMD tier is deliberately not captured here:
- * obs sits below exec in the layering, so callers that know the tier
- * (the tools link exec) pass its name in.
+ * feature set (tracing probes, profiling hooks, sanitizer), and the
+ * project version, all baked in at configure time.
  */
 
 #ifndef MEMBW_OBS_BUILD_INFO_HH
@@ -20,15 +17,12 @@
 
 namespace membw {
 
-class JsonWriter;
-
 /** Compile-time build provenance, fixed at configure time. */
 struct BuildInfo
 {
     std::string_view version;     ///< project version (semver)
     std::string_view gitDescribe; ///< `git describe` or "unknown"
     std::string_view sanitizer;   ///< "none", "address", or "thread"
-    bool simd = false;            ///< SIMD ladder kernels compiled in
     bool tracing = false;         ///< span-tracing probes compiled in
     bool profiling = false;       ///< profiling hooks compiled in
 };
@@ -39,20 +33,8 @@ const BuildInfo &buildInfo();
 /** One-line banner for `--version`: "<tool> <version> (<describe>)". */
 std::string formatVersionLine(std::string_view tool);
 
-/**
- * Multi-line block for `--build-info`.  @p runtimeSimdTier is the
- * active dispatch tier ("scalar"/"sse2"/"avx2") as reported by the
- * caller, or empty to omit the line.
- */
-std::string formatBuildInfo(std::string_view tool,
-                            std::string_view runtimeSimdTier);
-
-/**
- * Emit the provenance as a JSON object value on @p w (the caller
- * supplies the surrounding key).  Used by the daemon `ping` response
- * so ops can confirm what is serving without shelling into the box.
- */
-void writeBuildInfo(JsonWriter &w, std::string_view runtimeSimdTier);
+/** Multi-line block for `--build-info`. */
+std::string formatBuildInfo(std::string_view tool);
 
 } // namespace membw
 

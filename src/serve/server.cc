@@ -11,7 +11,6 @@
 
 #include "cache/stack_distance.hh"
 #include "common/log.hh"
-#include "exec/simd.hh"
 #include "mtc/next_use.hh"
 #include "obs/build_info.hh"
 #include "obs/manifest.hh"
@@ -427,11 +426,6 @@ ServeServer::pingEnvelope() const
     std::string out = "{\"status\":\"ok\",\"op\":\"ping\"";
     out += ",\"version\":" + jsonEscape(b.version);
     out += ",\"git_describe\":" + jsonEscape(b.gitDescribe);
-    out += ",\"simd\":";
-    out += b.simd ? "true" : "false";
-    if (b.simd)
-        out += ",\"simd_tier\":" +
-               jsonEscape(simdTierName(simdTier()));
     out += ",\"tracing\":";
     out += b.tracing ? "true" : "false";
     out += ",\"profiling\":";

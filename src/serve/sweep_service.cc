@@ -3,7 +3,6 @@
 #include <cstdio>
 
 #include "common/log.hh"
-#include "exec/simd.hh"
 #include "obs/export.hh"
 #include "obs/json.hh"
 #include "obs/manifest.hh"
@@ -278,14 +277,11 @@ renderSweepStatsJson(const SweepRequest &req, std::size_t traceRefs,
     manifest.set("sweep_completed", std::to_string(o.usable));
     if (o.collapsed.mattsonPasses() > 0)
         manifest.set("fa_collapse", "stack-distance");
-    // Run attribution: how the trace reached the simulator and which
-    // probe tier executed.  Both describe this execution rather than
-    // the computed result, so — like wall_seconds — they are omitted
-    // under --stable-json.
-    if (!req.stableJson) {
+    // Run attribution: how the trace reached the simulator.  It
+    // describes this execution rather than the computed result, so —
+    // like wall_seconds — it is omitted under --stable-json.
+    if (!req.stableJson)
         manifest.set("trace_format", req.traceFormat);
-        manifest.set("simd_tier", simdTierName(simdTier()));
-    }
 
     JsonWriter w;
     w.beginObject();

@@ -302,17 +302,25 @@ TEST(Cache, PrefetchCountsSeparatelyFromDemand)
 TEST(Cache, BelowCallbacksSeeFillsAndWritebacks)
 {
     Cache cache(smallCache());
-    Bytes fetched = 0, written = 0;
+    struct Below
+    {
+        Bytes fetched = 0, written = 0;
+    } below;
     cache.setBelow(
-        [&](Addr, Bytes b) { fetched += b; },
-        [&](Addr, Bytes b) { written += b; });
+        [](void *ctx, Addr, Bytes b) {
+            static_cast<Below *>(ctx)->fetched += b;
+        },
+        [](void *ctx, Addr, Bytes b) {
+            static_cast<Below *>(ctx)->written += b;
+        },
+        &below);
     cache.access(st(0x000));
     cache.access(ld(0x200));
     cache.access(ld(0x400)); // evict dirty 0x000
-    EXPECT_EQ(fetched, 96u);
-    EXPECT_EQ(written, 32u);
+    EXPECT_EQ(below.fetched, 96u);
+    EXPECT_EQ(below.written, 32u);
     cache.flush();
-    EXPECT_EQ(written, 32u); // remaining blocks were clean
+    EXPECT_EQ(below.written, 32u); // remaining blocks were clean
 }
 
 TEST(Cache, FullyAssociativeUsesWholeCapacity)

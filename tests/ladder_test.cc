@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -16,7 +17,6 @@
 #include "common/rng.hh"
 #include "exec/collapsed_sweep.hh"
 #include "exec/ladder_sweep.hh"
-#include "exec/simd.hh"
 #include "exec/time_partition.hh"
 #include "trace/block_stream.hh"
 #include "trace/trace.hh"
@@ -112,14 +112,20 @@ TEST(BlockStream, FlagsBlockSpanningReferences)
 // Kernel equivalence against the direct simulator
 // ---------------------------------------------------------------
 
-TEST(LadderSweep, MatchesDirectSimulatorAcrossPolicyGrid)
+/**
+ * The full supported policy grid at one block size: sizes x
+ * associativities x every valid write/alloc pairing, kept only where
+ * ladderKernelSupported() admits the geometry.  At 32 B blocks the
+ * 3 KiB and 12 KiB sizes give 3-way caches power-of-two set counts
+ * (32 and 128 sets), so the runtime-way kernel (W == 0) runs on both
+ * an odd and a wide (16-way) geometry.
+ */
+std::vector<CacheConfig>
+policyGrid(Bytes blockBytes)
 {
-    // Sizes x associativities x every supported write/alloc pairing,
-    // all sharing one block size: the full one-pass regime.
-    const Trace trace = randomTrace(7, 20000);
     std::vector<CacheConfig> cfgs;
-    for (Bytes size : {1_KiB, 4_KiB, 16_KiB}) {
-        for (unsigned assoc : {1u, 2u, 4u, 8u}) {
+    for (Bytes size : {1_KiB, 3_KiB, 4_KiB, 12_KiB, 16_KiB}) {
+        for (unsigned assoc : {1u, 2u, 3u, 4u, 8u, 16u}) {
             for (WritePolicy wp :
                  {WritePolicy::WriteBack, WritePolicy::WriteThrough}) {
                 for (AllocPolicy ap : {AllocPolicy::WriteAllocate,
@@ -131,14 +137,30 @@ TEST(LadderSweep, MatchesDirectSimulatorAcrossPolicyGrid)
                     CacheConfig c;
                     c.size = size;
                     c.assoc = assoc;
-                    c.blockBytes = 32;
+                    c.blockBytes = blockBytes;
                     c.write = wp;
                     c.alloc = ap;
-                    cfgs.push_back(c);
+                    if (ladderKernelSupported(c))
+                        cfgs.push_back(c);
                 }
             }
         }
     }
+    return cfgs;
+}
+
+TEST(LadderSweep, MatchesDirectSimulatorAcrossPolicyGrid)
+{
+    const Trace trace = randomTrace(7, 20000);
+    const std::vector<CacheConfig> cfgs = policyGrid(32);
+
+    // Every way count must survive the guard, in particular 3 and 16,
+    // which only the runtime-way kernel runs.
+    std::map<unsigned, int> perWays;
+    for (const CacheConfig &c : cfgs)
+        perWays[c.assoc]++;
+    for (unsigned assoc : {1u, 2u, 3u, 4u, 8u, 16u})
+        EXPECT_GT(perWays[assoc], 0) << assoc << "-way";
 
     const BlockStream stream = buildBlockStream(trace, 32);
     ASSERT_TRUE(ladderCollapsible(stream, cfgs));
@@ -194,70 +216,6 @@ TEST(LadderSweep, MatchesDirectAcrossBlockSizesAndSeeds)
                     << label;
                 expectStatsEqual(onepass[i].l1, direct.l1, label);
             }
-        }
-    }
-}
-
-// ---------------------------------------------------------------
-// SIMD tier equivalence
-// ---------------------------------------------------------------
-
-/** The full supported policy grid at one block size (the same grid
- * the direct-equivalence test walks). */
-std::vector<CacheConfig>
-policyGrid(Bytes blockBytes)
-{
-    std::vector<CacheConfig> cfgs;
-    for (Bytes size : {1_KiB, 4_KiB, 16_KiB}) {
-        for (unsigned assoc : {1u, 2u, 3u, 4u, 8u, 16u}) {
-            for (WritePolicy wp :
-                 {WritePolicy::WriteBack, WritePolicy::WriteThrough}) {
-                for (AllocPolicy ap : {AllocPolicy::WriteAllocate,
-                                       AllocPolicy::WriteNoAllocate,
-                                       AllocPolicy::WriteValidate}) {
-                    if (ap == AllocPolicy::WriteValidate &&
-                        wp == WritePolicy::WriteThrough)
-                        continue; // invalid pairing
-                    CacheConfig c;
-                    c.size = size;
-                    c.assoc = assoc;
-                    c.blockBytes = blockBytes;
-                    c.write = wp;
-                    c.alloc = ap;
-                    if (ladderKernelSupported(c))
-                        cfgs.push_back(c);
-                }
-            }
-        }
-    }
-    return cfgs;
-}
-
-TEST(LadderSweep, SimdTiersMatchScalarAcrossPolicyGrid)
-{
-    // Every probe tier the host supports must reproduce the scalar
-    // kernel bit for bit across the policy grid, including the
-    // masked write-validate variant and the odd (3-way) geometry
-    // that exercises the probes' scalar tails.  On hosts without
-    // SSE2/AVX2 the clamp collapses the comparison to
-    // scalar-vs-scalar, which keeps the test meaningful under
-    // -DMEMBW_SIMD=OFF.
-    const Trace trace = randomTrace(29, 20000);
-    const std::vector<CacheConfig> cfgs = policyGrid(32);
-    const BlockStream stream = buildBlockStream(trace, 32);
-    ASSERT_TRUE(ladderCollapsible(stream, cfgs));
-
-    const auto scalar =
-        ladderSweep(stream, cfgs, SimdTier::Scalar);
-    for (SimdTier tier : {SimdTier::Sse2, SimdTier::Avx2}) {
-        const auto vec = ladderSweep(stream, cfgs, tier);
-        ASSERT_EQ(vec.size(), scalar.size());
-        for (std::size_t i = 0; i < cfgs.size(); ++i) {
-            const std::string label =
-                std::string(simdTierName(tier)) + " " +
-                cfgs[i].describe();
-            EXPECT_EQ(vec[i].pinBytes, scalar[i].pinBytes) << label;
-            expectStatsEqual(vec[i].l1, scalar[i].l1, label);
         }
     }
 }

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # End-to-end determinism check for intra-trace set partitioning: a
-# single-configuration run at --jobs 4 takes the set-partitioned SIMD
+# single-configuration run at --jobs 4 takes the set-partitioned
 # ladder path (exec/time_partition.hh) and must be byte-identical —
 # stdout and --stable-json stats — to the serial per-reference loop
 # (--jobs 1, or --no-partition at any jobs).  Ditto for sweeps routed

@@ -210,19 +210,30 @@ TEST_P(Conservation, FillsAndWritebacksBalance)
     cfg.blockBytes = 32;
     Cache cache(cfg);
 
-    Bytes cb_fetch = 0, cb_wb = 0;
-    cache.setBelow([&](Addr, Bytes b) { cb_fetch += b; },
-                   [&](Addr, Bytes b) { cb_wb += b; });
+    struct Below
+    {
+        Bytes fetched = 0, written = 0;
+    } below;
+    cache.setBelow(
+        [](void *ctx, Addr, Bytes b) {
+            static_cast<Below *>(ctx)->fetched += b;
+        },
+        [](void *ctx, Addr, Bytes b) {
+            static_cast<Below *>(ctx)->written += b;
+        },
+        &below);
     for (const MemRef &r : t)
         cache.access(r);
     cache.flush();
 
     const CacheStats &s = cache.stats();
     // Callback bytes match the counters exactly.
-    EXPECT_EQ(cb_fetch, s.demandFetchBytes + s.prefetchFetchBytes +
-                            s.partialFillBytes);
-    EXPECT_EQ(cb_wb, s.writebackBytes + s.flushWritebackBytes +
-                         s.writeThroughBytes);
+    EXPECT_EQ(below.fetched, s.demandFetchBytes +
+                                 s.prefetchFetchBytes +
+                                 s.partialFillBytes);
+    EXPECT_EQ(below.written, s.writebackBytes +
+                                 s.flushWritebackBytes +
+                                 s.writeThroughBytes);
     // Write-backs can never exceed fills for write-allocate.
     EXPECT_LE(s.writebackBytes + s.flushWritebackBytes,
               s.demandFetchBytes + s.prefetchFetchBytes);

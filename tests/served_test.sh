@@ -107,8 +107,8 @@ done
 for bin in "$SIM" "$DECOMPOSE" "$SERVED"; do
     "$bin" --version | grep -q " 1\." ||
         fail "$(basename "$bin") --version did not print a version"
-    "$bin" --build-info | grep -q "simd:" ||
-        fail "$(basename "$bin") --build-info missing the simd line"
+    "$bin" --build-info | grep -q "tracing:" ||
+        fail "$(basename "$bin") --build-info missing the tracing line"
 done
 start_daemon 1
 "$CLIENT" ping --socket "$SOCK" > "$WORK/ping.json" ||

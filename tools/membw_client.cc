@@ -26,7 +26,6 @@
 
 #include "common/log.hh"
 #include "common/parse.hh"
-#include "exec/simd.hh"
 #include "obs/build_info.hh"
 #include "obs/json.hh"
 #include "resilience/exit_codes.hh"
@@ -115,10 +114,8 @@ main(int argc, char **argv)
                             formatVersionLine("membw_client").c_str());
                 return exitOk;
             } else if (a == "--build-info") {
-                std::printf("%s", formatBuildInfo(
-                                      "membw_client",
-                                      simdTierName(simdTier()))
-                                      .c_str());
+                std::printf("%s",
+                            formatBuildInfo("membw_client").c_str());
                 return exitOk;
             } else if (a == "--socket") {
                 socketPath = need(i);

@@ -32,7 +32,6 @@
 #include "common/table.hh"
 #include "cpu/experiment.hh"
 #include "exec/parallel_sweep.hh"
-#include "exec/simd.hh"
 #include "exec/thread_pool.hh"
 #include "dram/dram.hh"
 #include "obs/build_info.hh"
@@ -119,8 +118,8 @@ usage(int code)
         "(default 65536)\n"
         "Provenance:\n"
         "  --version            print tool version and git describe\n"
-        "  --build-info         print build flags and runtime SIMD "
-        "tier\n\n"
+        "  --build-info         print build flags (tracing, profiling, "
+        "sanitizer)\n\n"
         "%s",
         exitCodeHelp);
     std::exit(code);
@@ -312,9 +311,7 @@ main(int argc, char **argv)
                 std::exit(exitOk);
             } else if (a == "--build-info") {
                 std::printf("%s",
-                            formatBuildInfo("membw_decompose",
-                                            simdTierName(simdTier()))
-                                .c_str());
+                            formatBuildInfo("membw_decompose").c_str());
                 std::exit(exitOk);
             } else if (a == "--workload")
                 workload = need(i);

@@ -19,7 +19,6 @@
 
 #include "common/log.hh"
 #include "common/parse.hh"
-#include "exec/simd.hh"
 #include "obs/build_info.hh"
 #include "resilience/exit_codes.hh"
 #include "resilience/fault_injection.hh"
@@ -80,10 +79,8 @@ main(int argc, char **argv)
                             formatVersionLine("membw_served").c_str());
                 return exitOk;
             } else if (a == "--build-info") {
-                std::printf("%s", formatBuildInfo(
-                                      "membw_served",
-                                      simdTierName(simdTier()))
-                                      .c_str());
+                std::printf("%s",
+                            formatBuildInfo("membw_served").c_str());
                 return exitOk;
             } else if (a == "--socket") {
                 opts.socketPath = need(i);

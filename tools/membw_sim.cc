@@ -37,7 +37,6 @@
 #include "exec/collapsed_sweep.hh"
 #include "exec/ladder_sweep.hh"
 #include "exec/parallel_sweep.hh"
-#include "exec/simd.hh"
 #include "exec/thread_pool.hh"
 #include "exec/time_partition.hh"
 #include "mtc/min_cache.hh"
@@ -172,8 +171,8 @@ usage(int code)
         "(default 65536)\n\n"
         "Provenance:\n"
         "  --version           print tool version and git describe\n"
-        "  --build-info        print build flags and runtime SIMD "
-        "tier\n\n"
+        "  --build-info        print build flags (tracing, profiling, "
+        "sanitizer)\n\n"
         "%s",
         exitCodeHelp);
     std::exit(code);
@@ -309,10 +308,7 @@ parse(int argc, char **argv)
                         formatVersionLine("membw_sim").c_str());
             std::exit(exitOk);
         } else if (a == "--build-info") {
-            std::printf("%s", formatBuildInfo(
-                                  "membw_sim",
-                                  simdTierName(simdTier()))
-                                  .c_str());
+            std::printf("%s", formatBuildInfo("membw_sim").c_str());
             std::exit(exitOk);
         } else if (a == "--list") {
             for (const auto &n : allWorkloadNames())
@@ -594,13 +590,11 @@ writeStatsJson(const Options &o, const RunState &state,
     }
     if (o.runMtc)
         manifest.set("mtc_config", canonicalMtc(o.l1.size).describe());
-    // Execution provenance (how the trace arrived, which SIMD tier
-    // served it) describes this run rather than what it computed, so
-    // it is omitted under --stable-json like wall_seconds.
-    if (!o.stableJson) {
+    // Execution provenance (how the trace arrived) describes this run
+    // rather than what it computed, so it is omitted under
+    // --stable-json like wall_seconds.
+    if (!o.stableJson)
         manifest.set("trace_format", o.traceFormat);
-        manifest.set("simd_tier", simdTierName(simdTier()));
-    }
     writeProfileManifest(manifest, o.stableJson);
 
     JsonWriter w;
