@@ -38,29 +38,24 @@
 
 namespace membw::bench {
 
-/** Trace-length scale from argv[1] or $MEMBW_SCALE (default given). */
-inline double
-scaleFromArgs(int argc, char **argv, double dflt)
-{
-    if (argc > 1) {
-        const double v = std::atof(argv[1]);
-        if (v > 0)
-            return v;
-    }
-    if (const char *env = std::getenv("MEMBW_SCALE")) {
-        const double v = std::atof(env);
-        if (v > 0)
-            return v;
-    }
-    return dflt;
-}
-
 /** CLI error: print and exit instead of unwinding through main. */
 [[noreturn]] inline void
 cliFatal(const std::string &msg)
 {
     std::fprintf(stderr, "fatal: %s\n", msg.c_str());
     std::exit(1);
+}
+
+/** Parse a trace-length scale from @p source (a flag, the positional
+ * argument, or $MEMBW_SCALE): a finite number > 0, else exit 1. */
+inline double
+parseScale(const std::string &text, const std::string &source)
+{
+    Result<double> v = tryParseDouble(text);
+    if (!v.ok() || v.value() <= 0)
+        cliFatal("bad " + source + " value '" + text +
+                 "': expected a finite number > 0");
+    return v.value();
 }
 
 /** Options shared by every bench driver. */
@@ -73,10 +68,6 @@ struct BenchOptions
     /** --no-collapse: force direct per-cell simulation instead of
      * the exact one-pass sweep engines (equivalence testing). */
     bool noCollapse = false;
-    /** --no-partition: keep the group-fan-out plan even when a
-     * single big config could spread one pass across every worker
-     * (exec/time_partition.hh).  Byte-identical either way. */
-    bool noPartition = false;
     std::string traceOut;  ///< --trace-out FILE (Chrome trace JSON)
     std::string seriesOut; ///< --series-out FILE (JSONL time series)
     std::string profileOut; ///< --profile-out FILE (epoch telemetry)
@@ -86,21 +77,19 @@ struct BenchOptions
 /**
  * Parse bench arguments: a bare positive number (legacy positional
  * scale), --scale S, --json FILE, --jobs N, --stable-json,
- * --no-collapse, --no-partition, --trace-out FILE, and
- * --series-out FILE.
- * $MEMBW_SCALE applies when no explicit scale is given.  Tracing and
- * the series sampler are armed here, so drivers need no extra setup.
+ * --no-collapse, --trace-out FILE, --series-out FILE,
+ * --profile-out FILE, and --profile-epoch N.
+ * $MEMBW_SCALE applies when no explicit scale is given; an empty
+ * value counts as unset.  Tracing and the series sampler are armed
+ * here, so drivers need no extra setup.
  */
 inline BenchOptions
 parseOptions(int argc, char **argv, double dfltScale)
 {
     BenchOptions o;
     o.scale = dfltScale;
-    if (const char *env = std::getenv("MEMBW_SCALE")) {
-        const double v = std::atof(env);
-        if (v > 0)
-            o.scale = v;
-    }
+    if (const char *env = std::getenv("MEMBW_SCALE"); env && *env)
+        o.scale = parseScale(env, "MEMBW_SCALE");
     for (int i = 1; i < argc; ++i) {
         const std::string a = argv[i];
         auto need = [&]() -> std::string {
@@ -109,9 +98,7 @@ parseOptions(int argc, char **argv, double dfltScale)
             return argv[++i];
         };
         if (a == "--scale") {
-            o.scale = std::atof(need().c_str());
-            if (o.scale <= 0)
-                cliFatal("bad --scale value");
+            o.scale = parseScale(need(), a);
         } else if (a == "--json") {
             o.jsonPath = need();
         } else if (a == "--jobs") {
@@ -125,8 +112,6 @@ parseOptions(int argc, char **argv, double dfltScale)
             o.stableJson = true;
         } else if (a == "--no-collapse") {
             o.noCollapse = true;
-        } else if (a == "--no-partition") {
-            o.noPartition = true;
         } else if (a == "--trace-out") {
             o.traceOut = need();
         } else if (a == "--series-out") {
@@ -138,16 +123,14 @@ parseOptions(int argc, char **argv, double dfltScale)
             if (!n.ok() || n.value() == 0)
                 cliFatal("bad --profile-epoch value");
             o.profileEpoch = n.value();
-        } else if (!a.empty() && a[0] != '-' &&
-                   std::atof(a.c_str()) > 0) {
-            o.scale = std::atof(a.c_str());
+        } else if (!a.empty() && a[0] != '-') {
+            o.scale = parseScale(a, "positional scale");
         } else {
             cliFatal("unknown bench flag '" + a +
                      "' (expected SCALE, --scale S, --json FILE, "
                      "--jobs N, --stable-json, --no-collapse, "
-                     "--no-partition, --trace-out FILE, "
-                     "--series-out FILE, --profile-out FILE, or "
-                     "--profile-epoch N)");
+                     "--trace-out FILE, --series-out FILE, "
+                     "--profile-out FILE, or --profile-epoch N)");
         }
     }
     if (o.profileEpoch && o.profileOut.empty())
@@ -268,7 +251,7 @@ class JsonReport
     JsonReport(std::string tool, std::string experiment,
                const BenchOptions &opt)
         : path_(opt.jsonPath), jobs_(opt.jobs),
-          noCollapse_(opt.noCollapse), noPartition_(opt.noPartition)
+          noCollapse_(opt.noCollapse)
     {
         manifest_.tool = std::move(tool);
         manifest_.experiment = std::move(experiment);
@@ -312,7 +295,6 @@ class JsonReport
         if (!manifest_.omitTiming) {
             manifest_.set("jobs", std::uint64_t{jobs_});
             manifest_.set("collapse", noCollapse_ ? "off" : "on");
-            manifest_.set("partition", noPartition_ ? "off" : "on");
             // Execution provenance, same gate as the simulator
             // manifests: bench traces are always generated in
             // process.
@@ -365,7 +347,6 @@ class JsonReport
     std::string path_;
     unsigned jobs_ = 1;
     bool noCollapse_ = false;
-    bool noPartition_ = false;
     RunManifest manifest_;
     WallTimer timer_;
     std::vector<std::pair<std::string, TextTable>> tables_;

@@ -93,9 +93,7 @@ main(int argc, char **argv)
                     cfgs.push_back(*cfg);
                 }
             }
-            collapsed = CollapsedSweep(
-                trace, cfgs,
-                CollapseOptions{opt.jobs, opt.noPartition});
+            collapsed = CollapsedSweep(trace, cfgs, opt.jobs);
         }
         const NextUseTable mtcNextUse =
             makeNextUseTable(trace, wordBytes);

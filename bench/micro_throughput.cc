@@ -1,12 +1,12 @@
 /**
  * @file
- * google-benchmark microbenchmarks of the simulators themselves:
- * accesses/second for the functional cache, the MIN cache, and the
- * timing model.  Useful for tracking simulator performance when
- * modifying the library.
+ * Throughput harness for the simulators themselves: Mrefs/s of the
+ * functional cache per workload, serial and with --jobs identical
+ * cells fanned through parallelSweep, the single-config
+ * set-partitioned ladder kernel, and the one-pass sweep engine
+ * against direct per-cell simulation.  --json FILE writes the
+ * BENCH_throughput.json document the CI throughput gate reads.
  */
-
-#include <benchmark/benchmark.h>
 
 #include <string>
 #include <vector>
@@ -14,99 +14,15 @@
 #include "bench/bench_util.hh"
 #include "cache/cache.hh"
 #include "cache/hierarchy.hh"
-#include "common/rng.hh"
-#include "cpu/experiment.hh"
 #include "exec/collapsed_sweep.hh"
 #include "exec/ladder_sweep.hh"
 #include "exec/time_partition.hh"
-#include "mtc/min_cache.hh"
 #include "trace/block_stream.hh"
 #include "workloads/workload.hh"
 
 namespace {
 
 using namespace membw;
-
-Trace
-syntheticTrace(std::size_t refs)
-{
-    Rng rng(1);
-    Trace t;
-    t.reserve(refs);
-    Addr cursor = 0;
-    for (std::size_t i = 0; i < refs; ++i) {
-        cursor = rng.chance(0.25) ? rng.below(1 << 16)
-                                  : (cursor + 1) & 0xffff;
-        t.append(cursor * wordBytes, wordBytes,
-                 rng.chance(0.3) ? RefKind::Store : RefKind::Load);
-    }
-    return t;
-}
-
-void
-BM_FunctionalCache(benchmark::State &state)
-{
-    const Trace t = syntheticTrace(1 << 16);
-    CacheConfig cfg;
-    cfg.size = static_cast<Bytes>(state.range(0));
-    cfg.assoc = 4;
-    cfg.blockBytes = 32;
-    for (auto _ : state) {
-        Cache cache(cfg);
-        for (const MemRef &r : t)
-            cache.access(r);
-        benchmark::DoNotOptimize(cache.stats().trafficBelow());
-    }
-    state.SetItemsProcessed(state.iterations() *
-                            static_cast<std::int64_t>(t.size()));
-}
-BENCHMARK(BM_FunctionalCache)->Arg(8_KiB)->Arg(64_KiB)->Arg(1_MiB);
-
-void
-BM_MinCache(benchmark::State &state)
-{
-    const Trace t = syntheticTrace(1 << 16);
-    for (auto _ : state) {
-        const MinCacheStats s = runMinCache(
-            t, canonicalMtc(static_cast<Bytes>(state.range(0))));
-        benchmark::DoNotOptimize(s.trafficBelow());
-    }
-    state.SetItemsProcessed(state.iterations() *
-                            static_cast<std::int64_t>(t.size()));
-}
-BENCHMARK(BM_MinCache)->Arg(8_KiB)->Arg(64_KiB);
-
-void
-BM_TimingModel(benchmark::State &state)
-{
-    WorkloadParams p;
-    p.scale = 0.05;
-    const auto run = makeWorkload("Swm")->run(p);
-    const InstrStream stream = InstrStream::fromRun(run);
-    const auto cfg =
-        makeExperiment(static_cast<char>('A' + state.range(0)),
-                       false);
-    for (auto _ : state) {
-        const CoreResult r = runFull(stream, cfg);
-        benchmark::DoNotOptimize(r.cycles);
-    }
-    state.SetItemsProcessed(state.iterations() *
-                            static_cast<std::int64_t>(stream.size()));
-}
-BENCHMARK(BM_TimingModel)->Arg(0)->Arg(3)->Arg(5); // A, D, F
-
-void
-BM_WorkloadGeneration(benchmark::State &state)
-{
-    auto w = makeWorkload("Compress");
-    WorkloadParams p;
-    p.scale = 0.1;
-    for (auto _ : state) {
-        const Trace t = w->trace(p);
-        benchmark::DoNotOptimize(t.size());
-    }
-}
-BENCHMARK(BM_WorkloadGeneration);
 
 /** Optimization sink for the hand-rolled harness below. */
 volatile std::uint64_t g_sink = 0;
@@ -224,14 +140,8 @@ parallelMrefsOnce(const Trace &t, const CacheConfig &cfg,
 }
 
 /**
- * Hand-rolled throughput harness behind --json: measures Mrefs/s of
- * the functional cache per workload, serial and with --jobs
- * identical cells fanned through parallelSweep (aggregate
- * throughput), plus the one-pass ladder kernel against direct
- * per-cell simulation over the Figure 4 cache-cell set, and writes
- * the BENCH_throughput.json artifact the CI perf-smoke step
- * archives.  Bypasses google-benchmark so the JSON shape is ours
- * and the run finishes in seconds.
+ * Measure every section, print one line each, and write the JSON
+ * document to @p jsonPath when it is non-empty.
  */
 int
 runThroughputHarness(const std::string &jsonPath, unsigned jobs,
@@ -367,53 +277,6 @@ runThroughputHarness(const std::string &jsonPath, unsigned jobs,
                 sweep_cfgs.size(), direct_s, onepass_s,
                 sweep_speedup);
 
-    // Exactness-vs-warm-up-window report: the approximate
-    // time-sliced estimator (time_partition.hh) over the Compress
-    // trace, per warm-up window — pin-traffic error against the
-    // exact kernel and the redundant warm-up replay the window
-    // costs.  Study data only; user-facing results always come from
-    // the exact set-partitioned path.
-    struct AccRow
-    {
-        std::size_t window = 0;
-        TimeSliceEstimate est;
-        double errPct = 0;
-    };
-    constexpr unsigned acc_slices = 8;
-    std::vector<AccRow> acc_rows;
-    std::uint64_t exact_pin = 0;
-    {
-        const BlockStream acc_stream =
-            buildBlockStream(sweep_trace, cfg.blockBytes);
-        if (ladderCollapsible(acc_stream, {cfg})) {
-            exact_pin = ladderSweep(acc_stream, {cfg})[0].pinBytes;
-            PartitionOptions popt;
-            popt.jobs = jobs;
-            for (const std::size_t wdw :
-                 {std::size_t{0}, std::size_t{1024},
-                  std::size_t{8192}, std::size_t{65536}}) {
-                AccRow r;
-                r.window = wdw;
-                r.est = timeSlicedLadderEstimate(
-                    acc_stream, cfg, acc_slices, wdw, popt);
-                r.errPct =
-                    exact_pin > 0
-                        ? 100.0 *
-                              (static_cast<double>(
-                                   r.est.result.pinBytes) -
-                               static_cast<double>(exact_pin)) /
-                              static_cast<double>(exact_pin)
-                        : 0.0;
-                std::printf("time-sliced (%u slices) warm-up %6zu: "
-                            "pin error %+.3f%% | warm-up replay "
-                            "%zu refs\n",
-                            acc_slices, r.window, r.errPct,
-                            r.est.warmupRefs);
-                acc_rows.push_back(r);
-            }
-        }
-    }
-
     RunManifest manifest;
     manifest.tool = "micro_throughput";
     manifest.experiment = "simulator throughput";
@@ -465,32 +328,16 @@ runThroughputHarness(const std::string &jsonPath, unsigned jobs,
     w.field("onepass_s", onepass_s);
     w.field("speedup", sweep_speedup);
     w.endObject();
-    if (!acc_rows.empty()) {
-        w.key("partition_accuracy");
-        w.beginObject();
-        w.field("workload", std::string("Compress"));
-        w.field("refs",
-                static_cast<std::uint64_t>(sweep_trace.size()));
-        w.field("slices", static_cast<std::uint64_t>(acc_slices));
-        w.field("exact_pin_bytes", exact_pin);
-        w.key("windows");
-        w.beginArray();
-        for (const AccRow &r : acc_rows) {
-            w.beginObject();
-            w.field("warmup_window",
-                    static_cast<std::uint64_t>(r.window));
-            w.field("pin_bytes", r.est.result.pinBytes);
-            w.field("pin_error_pct", r.errPct);
-            w.field("warmup_refs",
-                    static_cast<std::uint64_t>(r.est.warmupRefs));
-            w.endObject();
-        }
-        w.endArray();
-        w.endObject();
-    }
     w.endObject();
-    writeFileOrDie(jsonPath, w.str());
-    std::printf("wrote %s\n", jsonPath.c_str());
+    if (!jsonPath.empty()) {
+        try {
+            writeFileOrDie(jsonPath, w.str());
+        } catch (const FatalError &e) {
+            std::fprintf(stderr, "%s\n", e.what()); // "fatal: ..."
+            return 1;
+        }
+        std::printf("wrote %s\n", jsonPath.c_str());
+    }
     if (profilerActive()) {
         // No epoch runs (each pass rebuilds its cache), but the
         // probe-fed conflict heatmap from the serial passes is real.
@@ -502,65 +349,11 @@ runThroughputHarness(const std::string &jsonPath, unsigned jobs,
 
 } // namespace
 
-// Custom main instead of BENCHMARK_MAIN(): peel off --json FILE
-// (which switches to the hand-rolled Mrefs/s harness above), --jobs
-// N, and --scale S; anything else goes to the benchmark library.
 int
 main(int argc, char **argv)
 {
-    using namespace membw;
-    std::string json_path;
-    std::string profile_out;
-    std::uint64_t profile_epoch = 0;
-    unsigned jobs = defaultJobs();
-    double scale = 0.2;
-    std::vector<char *> args;
-    args.push_back(argv[0]);
-    for (int i = 1; i < argc; ++i) {
-        const std::string a = argv[i];
-        if (a == "--json" && i + 1 < argc) {
-            json_path = argv[++i];
-        } else if (a == "--jobs" && i + 1 < argc) {
-            auto r = tryParseJobs(argv[++i]);
-            if (!r.ok())
-                fatal("invalid value '" + std::string(argv[i]) +
-                      "' for --jobs: " + r.error().message +
-                      " (example: --jobs 4)");
-            jobs = r.value();
-        } else if (a == "--scale" && i + 1 < argc) {
-            auto r = tryParseDouble(argv[++i]);
-            if (!r.ok())
-                fatal("invalid value '" + std::string(argv[i]) +
-                      "' for --scale: " + r.error().message);
-            scale = r.value();
-        } else if (a == "--profile-out" && i + 1 < argc) {
-            profile_out = argv[++i];
-        } else if (a == "--profile-epoch" && i + 1 < argc) {
-            auto r = tryParseU64(argv[++i]);
-            if (!r.ok() || r.value() == 0)
-                fatal("invalid value '" + std::string(argv[i]) +
-                      "' for --profile-epoch");
-            profile_epoch = r.value();
-        } else {
-            args.push_back(argv[i]);
-        }
-    }
-    if (profile_epoch && profile_out.empty())
-        fatal("--profile-epoch requires --profile-out");
-    if (!profile_out.empty())
-        profilerInit(profile_out,
-                     profile_epoch ? profile_epoch : 65536);
-
-    if (!json_path.empty())
-        return runThroughputHarness(json_path, jobs, scale,
-                                    profile_out);
-
-    int bench_argc = static_cast<int>(args.size());
-    benchmark::Initialize(&bench_argc, args.data());
-    if (benchmark::ReportUnrecognizedArguments(bench_argc,
-                                               args.data()))
-        return 1;
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-    return 0;
+    const membw::bench::BenchOptions opt =
+        membw::bench::parseOptions(argc, argv, 0.2);
+    return runThroughputHarness(opt.jsonPath, opt.jobs, opt.scale,
+                                opt.profileOut);
 }

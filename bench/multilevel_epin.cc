@@ -82,9 +82,7 @@ main(int argc, char **argv)
                     cfgs.push_back(hierarchies[i][0]);
                 }
             }
-            collapsed = CollapsedSweep(
-                trace, cfgs,
-                CollapseOptions{opt.jobs, opt.noPartition});
+            collapsed = CollapsedSweep(trace, cfgs, opt.jobs);
         }
 
         // One cell per hierarchy depth, fanned across --jobs

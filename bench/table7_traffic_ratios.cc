@@ -54,9 +54,7 @@ main(int argc, char **argv)
             std::vector<CacheConfig> cfgs;
             for (Bytes s : sizes)
                 cfgs.push_back(bench::table7Cache(s));
-            collapsed = CollapsedSweep(
-                trace, cfgs,
-                CollapseOptions{opt.jobs, opt.noPartition});
+            collapsed = CollapsedSweep(trace, cfgs, opt.jobs);
         }
 
         // One cell per cache size, fanned across --jobs workers;

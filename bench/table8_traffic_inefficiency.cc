@@ -58,9 +58,7 @@ main(int argc, char **argv)
             std::vector<CacheConfig> cfgs;
             for (Bytes s : sizes)
                 cfgs.push_back(bench::table7Cache(s));
-            collapsed = CollapsedSweep(
-                trace, cfgs,
-                CollapseOptions{opt.jobs, opt.noPartition});
+            collapsed = CollapsedSweep(trace, cfgs, opt.jobs);
         }
         const NextUseTable mtcNextUse =
             makeNextUseTable(trace, wordBytes);

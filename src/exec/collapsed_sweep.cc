@@ -118,10 +118,8 @@ CollapsedSweep::CollapsedSweep(const Trace &trace,
     // exactly one group.  There the ladder groups run sequentially
     // through the set-partitioned kernel instead, which spreads ONE
     // pass over every worker and stays byte-identical to the serial
-    // kernel (see time_partition.hh).  --no-partition forces the
-    // group-fan-out plan for the equivalence diff.
-    const bool partition = !options.noPartition && jobs > 1 &&
-                           groups.size() < jobs;
+    // kernel (see time_partition.hh).
+    const bool partition = jobs > 1 && groups.size() < jobs;
 
     std::vector<std::vector<TrafficResult>> passResults;
     std::vector<char> partitioned(groups.size(), 0);

@@ -21,10 +21,12 @@
  *
  * Intended use in a parallelSweep() caller: construct the planner
  * *before* the per-cell fan-out (group passes themselves fan across
- * @p jobs workers), then each cell either consumes its precomputed
- * TrafficResult or simulates directly.  Precomputed results are
- * index-addressed, so cell accounting (ordering, --sigterm-after
- * truncation, stats publication) is unchanged.
+ * the jobs workers, or — with fewer groups than workers — each
+ * ladder pass is set-partitioned across them), then each cell
+ * either consumes its precomputed TrafficResult or simulates
+ * directly.  Precomputed results are index-addressed, so cell
+ * accounting (ordering, --sigterm-after truncation, stats
+ * publication) is unchanged.
  */
 
 #ifndef MEMBW_EXEC_COLLAPSED_SWEEP_HH
@@ -64,14 +66,6 @@ struct CollapseOptions
 {
     /** Worker threads shared by group fan-out and set partitioning. */
     unsigned jobs = 1;
-
-    /**
-     * Disable intra-trace set partitioning (--no-partition): group
-     * passes still fan across jobs, but each ladder pass runs the
-     * serial kernel.  Results are byte-identical either way — this
-     * is the escape hatch the partition_equivalence test diffs.
-     */
-    bool noPartition = false;
 
     /**
      * Zero-copy source: when set, ladder BlockStreams borrow this
@@ -125,12 +119,12 @@ class CollapsedSweep
                    unsigned jobs);
 
     /**
-     * As above with full options.  When partitioning is allowed
-     * (jobs > 1, !noPartition) and there are fewer groups than
-     * workers, ladder groups run the exact set-partitioned kernel
-     * (exec/time_partition.hh) so a single big configuration still
-     * uses every worker; results stay byte-identical to the serial
-     * plan at any setting.
+     * As above with full options.  With jobs > 1 and fewer groups
+     * than workers, ladder groups run the exact set-partitioned
+     * kernel (exec/time_partition.hh) so a single big configuration
+     * still uses every worker; otherwise the groups fan across the
+     * workers.  Results are byte-identical to the serial plan either
+     * way.
      */
     CollapsedSweep(const Trace &trace,
                    const std::vector<CacheConfig> &configs,

@@ -199,62 +199,4 @@ partitionedLadderRunWord(const Trace &trace, const CacheConfig &cfg,
     return WordRunOutcome::Done;
 }
 
-TimeSliceEstimate
-timeSlicedLadderEstimate(const BlockStream &stream,
-                         const CacheConfig &cfg, unsigned slices,
-                         std::size_t warmupWindow,
-                         const PartitionOptions &opts)
-{
-    std::vector<CacheConfig> configs{cfg};
-    if (!ladderCollapsible(stream, configs))
-        fatal("timeSlicedLadderEstimate: config is outside the "
-              "one-pass regime");
-    slices = std::max(slices, 1u);
-    if (slices > stream.refs && stream.refs > 0)
-        slices = static_cast<unsigned>(stream.refs);
-
-    TimeSliceEstimate est;
-    est.slices = slices;
-    est.warmupWindow = warmupWindow;
-
-    const std::size_t len =
-        stream.refs ? (stream.refs + slices - 1) / slices : 0;
-    struct SliceOut
-    {
-        CacheStats stats;
-        std::size_t warmupRefs = 0;
-    };
-    std::vector<SliceOut> outs = parallelSweep(
-        slices, opts.jobs, [&](std::size_t sl) {
-            const std::size_t begin = std::min(sl * len, stream.refs);
-            const std::size_t end =
-                std::min(begin + len, stream.refs);
-            const std::size_t warmBegin =
-                begin > warmupWindow ? begin - warmupWindow : 0;
-
-            ladder::ConfigSim sim(cfg);
-            sim.kernel = ladder::selectKernel(sim.ways, sim.masked,
-                                              /*filtered=*/false);
-            // Reconstruct state from the warm-up window, then zero
-            // the counters so only the owned slice is counted.
-            sim.kernel(sim, stream, warmBegin, begin);
-            sim.stats = CacheStats{};
-            sim.kernel(sim, stream, begin, end);
-            if (sl + 1 == slices)
-                sim.flush(); // final state approximates the real end
-            SliceOut out;
-            out.stats = sim.stats;
-            out.warmupRefs = begin - warmBegin;
-            return out;
-        });
-
-    CacheStats merged;
-    for (const SliceOut &out : outs) {
-        ladder::mergeStats(merged, out.stats);
-        est.warmupRefs += out.warmupRefs;
-    }
-    est.result = ladder::ladderTraffic(stream, merged);
-    return est;
-}
-
 } // namespace membw

@@ -4,38 +4,21 @@
  * configuration (or a handful) scale across ThreadPool workers
  * instead of only scaling across many sweep cells.
  *
- * Two strategies live here:
- *
- * **Set partitioning (exact, the production path).**  The sets of a
- * set-associative cache never interact — a reference touches exactly
- * the set its block number indexes, and LRU state, dirty masks and
- * every traffic counter are per-set.  So the set index range is
- * split across workers; each worker scans the whole reference stream
- * but simulates only its owned sets (the Filtered kernel variant in
- * ladder_kernel.hh), and the per-worker CacheStats are summed in
- * part order.  Each worker's private LRU sequence counter preserves
- * the per-set reference order — the only order LRU decisions depend
- * on — and integer sums are associative, so the merged result is
- * byte-identical to the serial kernel at ANY worker/partition count.
- * That is what lets the --no-partition escape hatch demand a byte
- * diff, not a tolerance.  The cost model: every worker still streams
- * the decode arrays (read bandwidth is shared), but tag/LRU state
- * per worker shrinks by the partition factor, and the skip test is
- * one subtract+compare per reference.
- *
- * **Time slicing with warm-up windows (approximate, the study
- * path).**  Sampled-simulation style: the trace is cut into S time
- * slices; each worker cold-starts, replays a warm-up window of W
- * references before its slice to reconstruct cache state, zeroes its
- * counters, then counts its own slice (the last slice also flushes).
- * Cold-start state is the only approximation, so W >= trace length
- * degenerates to the exact serial result — the property the unit
- * tests pin — and the error shrinks monotonically-in-expectation as
- * W grows while redundant replay work grows as S*W.
- * timeSlicedLadderEstimate() exists to *measure* that trade-off (the
- * exactness-vs-warm-up-window report in micro_throughput and
- * docs/performance.md); results routed to users always come from the
- * exact set-partitioned path.
+ * The sets of a set-associative cache never interact — a reference
+ * touches exactly the set its block number indexes, and LRU state,
+ * dirty masks and every traffic counter are per-set.  So the set
+ * index range is split across workers; each worker scans the whole
+ * reference stream but simulates only its owned sets (the Filtered
+ * kernel variant in ladder_kernel.hh), and the per-worker CacheStats
+ * are summed in part order.  Each worker's private LRU sequence
+ * counter preserves the per-set reference order — the only order LRU
+ * decisions depend on — and integer sums are associative, so the
+ * merged result is byte-identical to the serial kernel at ANY
+ * worker/partition count, which the partition_equivalence test
+ * checks as a byte diff against --jobs 1.  The cost model: every
+ * worker still streams the decode arrays (read bandwidth is shared),
+ * but tag/LRU state per worker shrinks by the partition factor, and
+ * the skip test is one subtract+compare per reference.
  */
 
 #ifndef MEMBW_EXEC_TIME_PARTITION_HH
@@ -127,33 +110,6 @@ WordRunOutcome
 partitionedLadderRunWord(const Trace &trace, const CacheConfig &cfg,
                          const PartitionOptions &opts,
                          TrafficResult &result);
-
-/** Outcome of one time-sliced approximate run. */
-struct TimeSliceEstimate
-{
-    /** Approximate traffic result (exact when warmupWindow covers
-     * the whole stream). */
-    TrafficResult result;
-
-    std::size_t slices = 0;
-    std::size_t warmupWindow = 0; ///< requested W, in references
-
-    /** Redundant warm-up references actually replayed across all
-     * slices (the extra work the approximation costs). */
-    std::size_t warmupRefs = 0;
-};
-
-/**
- * Time-sliced warm-up-window estimator for ONE config (see file
- * header).  Exactness property: warmupWindow >= stream.refs makes
- * the result byte-identical to ladderSweep().  Precondition:
- * ladderCollapsible(stream, {cfg}); slices >= 1.
- */
-TimeSliceEstimate
-timeSlicedLadderEstimate(const BlockStream &stream,
-                         const CacheConfig &cfg, unsigned slices,
-                         std::size_t warmupWindow,
-                         const PartitionOptions &opts);
 
 } // namespace membw
 

@@ -136,10 +136,9 @@ parseSweepFields(const JsonValue &doc)
 {
     checkKnownFields(
         doc, {"op", "workload", "label", "scale", "seed", "sizes",
-              "blocks", "mtc", "stable", "no_collapse", "no_partition",
-              "watchdog", "size", "assoc", "block", "sector", "repl",
-              "write", "alloc", "prefetch", "stream_buffers",
-              "stream_depth"});
+              "blocks", "mtc", "stable", "no_collapse", "watchdog",
+              "size", "assoc", "block", "sector", "repl", "write",
+              "alloc", "prefetch", "stream_buffers", "stream_depth"});
     SweepRequest req;
     req.workload = stringField(doc, "workload", "");
     if (req.workload.empty())
@@ -154,7 +153,6 @@ parseSweepFields(const JsonValue &doc)
     req.runMtc = boolField(doc, "mtc", false);
     req.stableJson = boolField(doc, "stable", false);
     req.noCollapse = boolField(doc, "no_collapse", false);
-    req.noPartition = boolField(doc, "no_partition", false);
     req.eventBudget = u64Field(doc, "watchdog", req.eventBudget);
 
     req.l1.size = sizeField(doc, "size", req.l1.size);

@@ -28,9 +28,9 @@
  *
  * Full sweep-request schema (defaults match the membw_sim flags):
  *   workload (required), scale, seed, sizes (required, "1K,64K"),
- *   blocks ("32,64"), mtc, stable, no_collapse, no_partition,
- *   watchdog, size, assoc, block, sector, repl ("lru|fifo|random"),
- *   write ("wb|wt"), alloc ("wa|wna|wv"), prefetch, stream_buffers,
+ *   blocks ("32,64"), mtc, stable, no_collapse, watchdog, size,
+ *   assoc, block, sector, repl ("lru|fifo|random"), write
+ *   ("wb|wt"), alloc ("wa|wna|wv"), prefetch, stream_buffers,
  *   stream_depth.
  * Full decompose-request schema:
  *   workload (required), experiment ("A".."F"), spec95, scale, seed,

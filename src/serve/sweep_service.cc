@@ -61,7 +61,6 @@ sweepRequestKey(const SweepRequest &req)
     key += req.runMtc ? "mtc" : "-";
     key += req.stableJson ? "|stable" : "|full";
     key += req.noCollapse ? "|nocollapse" : "|collapse";
-    key += req.noPartition ? "|nopartition" : "|partition";
     key += '|';
     key += std::to_string(req.eventBudget);
     return key;
@@ -116,7 +115,6 @@ executeSweep(const SweepRequest &req, const Trace &trace,
             cfgs.push_back(sweepConfigFor(req, blocks, i));
         CollapseOptions copt;
         copt.jobs = opts.jobs;
-        copt.noPartition = req.noPartition;
         copt.mapped = opts.mapped;
         copt.pool = opts.pool;
         copt.streamProvider = opts.streamProvider;

@@ -60,7 +60,6 @@ struct SweepRequest
     std::vector<Bytes> blocks; ///< empty = {l1.blockBytes}
     bool stableJson = false;
     bool noCollapse = false;
-    bool noPartition = false;
     std::uint64_t eventBudget = 1'000'000;
     /** Manifest attribution (satellite of PR 9): how the trace
      * reached the simulator — "generated", "binary", or "mmap".

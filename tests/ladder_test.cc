@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cache/hierarchy.hh"
@@ -221,7 +222,7 @@ TEST(LadderSweep, MatchesDirectAcrossBlockSizesAndSeeds)
 }
 
 // ---------------------------------------------------------------
-// Set-partitioned and time-sliced parallel kernels
+// Set-partitioned parallel kernel
 // ---------------------------------------------------------------
 
 TEST(TimePartition, PartitionedMatchesSerialAtAnyPartsAndJobs)
@@ -378,56 +379,6 @@ TEST(TimePartition, InterruptReportsNoResults)
     opts.cancel = [] { return true; }; // cancelled before any cell
     EXPECT_FALSE(
         partitionedLadderRun(stream, cfg, opts).has_value());
-}
-
-TEST(TimePartition, TimeSlicedIsExactWhenWarmupCoversTrace)
-{
-    const Trace trace = randomTrace(43, 10000);
-    const BlockStream stream = buildBlockStream(trace, 32);
-    CacheConfig cfg;
-    cfg.size = 4_KiB;
-    cfg.assoc = 4;
-    cfg.blockBytes = 32;
-    const auto exact = ladderSweep(stream, {cfg});
-
-    for (unsigned slices : {1u, 4u, 7u}) {
-        PartitionOptions opts;
-        opts.jobs = 2;
-        const TimeSliceEstimate est = timeSlicedLadderEstimate(
-            stream, cfg, slices, stream.refs, opts);
-        expectStatsEqual(est.result.l1, exact[0].l1,
-                         "slices=" + std::to_string(slices));
-    }
-
-    // One slice needs no warm-up to be exact (it IS the serial run).
-    const TimeSliceEstimate one =
-        timeSlicedLadderEstimate(stream, cfg, 1, 0, {});
-    expectStatsEqual(one.result.l1, exact[0].l1, "single slice");
-    EXPECT_EQ(one.warmupRefs, 0u);
-}
-
-TEST(TimePartition, TimeSlicedColdStartOnlyLosesHits)
-{
-    // With a short warm-up window the totals stay exact but the
-    // cold-start slices can only turn hits into misses (LRU content
-    // reconstructed from a suffix is a subset of the true content).
-    const Trace trace = randomTrace(47, 10000);
-    const BlockStream stream = buildBlockStream(trace, 32);
-    CacheConfig cfg;
-    cfg.size = 4_KiB;
-    cfg.assoc = 4;
-    cfg.blockBytes = 32;
-    const auto exact = ladderSweep(stream, {cfg});
-
-    PartitionOptions opts;
-    opts.jobs = 2;
-    const TimeSliceEstimate est =
-        timeSlicedLadderEstimate(stream, cfg, 8, 256, opts);
-    EXPECT_EQ(est.result.l1.accesses, exact[0].l1.accesses);
-    EXPECT_EQ(est.result.l1.requestBytes,
-              exact[0].l1.requestBytes);
-    EXPECT_GE(est.result.l1.misses, exact[0].l1.misses);
-    EXPECT_EQ(est.warmupRefs, 7u * 256u);
 }
 
 // ---------------------------------------------------------------
@@ -633,15 +584,29 @@ TEST(CollapsedSweep, ResultsAreJobsIndependent)
         }
     }
     const CollapsedSweep serial(trace, cfgs, 1);
-    const CollapsedSweep parallel(trace, cfgs, 4);
-    ASSERT_EQ(serial.covered(), parallel.covered());
-    for (std::size_t i = 0; i < cfgs.size(); ++i) {
-        ASSERT_TRUE(serial.has(i));
-        ASSERT_TRUE(parallel.has(i));
-        EXPECT_EQ(serial.result(i).pinBytes,
-                  parallel.result(i).pinBytes);
-        expectStatsEqual(serial.result(i).l1, parallel.result(i).l1,
-                         cfgs[i].describe());
+    EXPECT_EQ(serial.ladderPasses(), 2u);
+    EXPECT_EQ(serial.partitionedPasses(), 0u);
+
+    // Two ladder groups (one per block size): jobs 2 fans the groups
+    // across the workers; jobs 4 leaves workers idle under fan-out,
+    // so both groups run set-partitioned instead.
+    for (const auto &[jobs, partitioned] :
+         {std::pair{2u, 0u}, std::pair{4u, 2u}}) {
+        const CollapsedSweep parallel(trace, cfgs, jobs);
+        const std::string plan = "jobs=" + std::to_string(jobs);
+        EXPECT_EQ(parallel.ladderPasses(), 2u) << plan;
+        EXPECT_EQ(parallel.partitionedPasses(), partitioned) << plan;
+        ASSERT_EQ(serial.covered(), parallel.covered()) << plan;
+        for (std::size_t i = 0; i < cfgs.size(); ++i) {
+            ASSERT_TRUE(serial.has(i));
+            ASSERT_TRUE(parallel.has(i)) << plan;
+            EXPECT_EQ(serial.result(i).pinBytes,
+                      parallel.result(i).pinBytes)
+                << plan;
+            expectStatsEqual(serial.result(i).l1,
+                             parallel.result(i).l1,
+                             plan + " " + cfgs[i].describe());
+        }
     }
 }
 

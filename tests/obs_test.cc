@@ -9,7 +9,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <string>
+#include <vector>
 
 #include "bench/bench_util.hh"
 #include "cache/hierarchy.hh"
@@ -384,6 +386,58 @@ TEST(BenchReport, TableCellsMatchJsonRecords)
     // ...and non-numeric cells stay strings.
     EXPECT_TRUE(row.at("note").isString());
     EXPECT_EQ(row.at("note").asString(), "<<<");
+}
+
+// ---------------------------------------------------------------
+// Bench options: the trace-length scale
+// ---------------------------------------------------------------
+
+/** parseOptions over @p args (argv[0] supplied). */
+bench::BenchOptions
+parseBenchArgs(std::vector<std::string> args)
+{
+    args.insert(args.begin(), "bench");
+    std::vector<char *> argv;
+    for (std::string &a : args)
+        argv.push_back(a.data());
+    return bench::parseOptions(static_cast<int>(argv.size()),
+                               argv.data(), 1.0);
+}
+
+TEST(BenchOptions, ParsesScaleFromEverySource)
+{
+    ::unsetenv("MEMBW_SCALE");
+    EXPECT_DOUBLE_EQ(parseBenchArgs({}).scale, 1.0);
+    EXPECT_DOUBLE_EQ(parseBenchArgs({"--scale", "0.5"}).scale, 0.5);
+    EXPECT_DOUBLE_EQ(parseBenchArgs({"0.25"}).scale, 0.25);
+    ::setenv("MEMBW_SCALE", "0.3", 1);
+    EXPECT_DOUBLE_EQ(parseBenchArgs({}).scale, 0.3);
+    EXPECT_DOUBLE_EQ(parseBenchArgs({"--scale", "2"}).scale, 2.0);
+    ::setenv("MEMBW_SCALE", "", 1); // empty counts as unset
+    EXPECT_DOUBLE_EQ(parseBenchArgs({}).scale, 1.0);
+    ::unsetenv("MEMBW_SCALE");
+}
+
+TEST(BenchOptions, RejectsMalformedScale)
+{
+    ::unsetenv("MEMBW_SCALE");
+    const auto exits = ::testing::ExitedWithCode(1);
+    EXPECT_EXIT(parseBenchArgs({"--scale", "0.5x"}), exits,
+                "bad --scale value '0.5x'");
+    EXPECT_EXIT(parseBenchArgs({"--scale", "nan"}), exits,
+                "bad --scale value 'nan'");
+    EXPECT_EXIT(parseBenchArgs({"--scale", "0"}), exits,
+                "bad --scale value '0'");
+    EXPECT_EXIT(parseBenchArgs({"--scale"}), exits,
+                "missing value for --scale");
+    EXPECT_EXIT(parseBenchArgs({"1e400"}), exits,
+                "bad positional scale value '1e400'");
+    EXPECT_EXIT(parseBenchArgs({"0.5x"}), exits,
+                "bad positional scale value '0.5x'");
+    ::setenv("MEMBW_SCALE", "fast", 1);
+    EXPECT_EXIT(parseBenchArgs({}), exits,
+                "bad MEMBW_SCALE value 'fast'");
+    ::unsetenv("MEMBW_SCALE");
 }
 
 } // namespace

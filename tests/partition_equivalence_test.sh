@@ -3,11 +3,14 @@
 # single-configuration run at --jobs 4 takes the set-partitioned
 # ladder path (exec/time_partition.hh) and must be byte-identical —
 # stdout and --stable-json stats — to the serial per-reference loop
-# (--jobs 1, or --no-partition at any jobs).  Ditto for sweeps routed
-# through CollapsedSweep and the bench drivers.  Also checks that the
-# per-reference flags (--sigterm-after, --checkpoint/--resume) force
-# the serial path and keep their exact semantics at --jobs 4, and
-# that mmap-format traces feed the same results zero-copy.
+# at --jobs 1.  Ditto for sweeps routed through CollapsedSweep and the
+# bench drivers, where --jobs 4 takes the set-partitioned plan for
+# table7 (one ladder group) and the group fan-out plan for fig4 (six
+# groups), so both plans are diffed against --jobs 1.  Also checks
+# that the per-reference flags (--sigterm-after, --checkpoint/
+# --resume) force the serial path and keep their exact semantics at
+# --jobs 4, and that mmap-format traces feed the same results
+# zero-copy.
 #
 # Usage: partition_equivalence_test.sh <membw_sim> \
 #            <fig4_traffic_curves> <table7_traffic_ratios>
@@ -46,17 +49,10 @@ check_single() { # name flags...
     "$SIM" "$@" --jobs 4 --stats-json "$name.p4.json" \
         > "$name.p4.txt" 2> "$name.p4.err" ||
         fail "$name --jobs 4 failed"
-    "$SIM" "$@" --jobs 4 --no-partition \
-        --stats-json "$name.np4.json" > "$name.np4.txt" 2>/dev/null ||
-        fail "$name --jobs 4 --no-partition failed"
     cmp -s "$name.ref.txt" "$name.p4.txt" ||
         fail "$name stdout differs: --jobs 1 vs --jobs 4"
     cmp -s "$name.ref.json" "$name.p4.json" ||
         fail "$name stats JSON differs: --jobs 1 vs --jobs 4"
-    cmp -s "$name.ref.txt" "$name.np4.txt" ||
-        fail "$name stdout differs: --jobs 1 vs --no-partition"
-    cmp -s "$name.ref.json" "$name.np4.json" ||
-        fail "$name stats JSON differs: --jobs 1 vs --no-partition"
     # The --jobs 4 run must actually have taken the partitioned path,
     # otherwise this test is vacuous (the announce goes to stderr so
     # stdout stays byte-identical).
@@ -104,21 +100,17 @@ diff <(sed 's/t\.mbwm/TRACE/' ms4.json) \
      <(sed 's/t\.raw/TRACE/' ms1.json) > /dev/null ||
     fail "mmap sweep stats differ from raw serial sweep"
 
-# --- sweep mode: partitioned group passes vs fan-out ---------------
+# --- sweep mode: partitioned group pass vs serial -----------------
 SWEEP=(--workload Compress --scale 0.05 --sweep-sizes 4K,64K
        --sweep-blocks 32 --stable-json)
 "$SIM" "${SWEEP[@]}" --jobs 1 --stats-json w1.json > w1.txt 2>/dev/null ||
     fail "sweep --jobs 1 failed"
 "$SIM" "${SWEEP[@]}" --jobs 4 --stats-json w4.json > w4.txt 2>/dev/null ||
     fail "sweep --jobs 4 failed"
-"$SIM" "${SWEEP[@]}" --jobs 4 --no-partition --stats-json wn4.json \
-    > wn4.txt 2>/dev/null || fail "sweep --no-partition failed"
 cmp -s w1.txt w4.txt ||
     fail "sweep stdout differs between --jobs 1 and --jobs 4"
 cmp -s w1.json w4.json ||
     fail "sweep stats differ between --jobs 1 and --jobs 4"
-cmp -s w1.json wn4.json ||
-    fail "sweep stats differ under --no-partition"
 
 # --- per-reference flags force the serial path ---------------------
 # --sigterm-after must drain at exactly the same reference at any
@@ -153,17 +145,10 @@ check_bench() { # name binary
         > "$name.1.txt" 2>/dev/null || fail "$name --jobs 1 failed"
     "$bin" --scale 0.02 --jobs 4 --stable-json --json "$name.4.json" \
         > "$name.4.txt" 2>/dev/null || fail "$name --jobs 4 failed"
-    "$bin" --scale 0.02 --jobs 4 --no-partition --stable-json \
-        --json "$name.n4.json" > "$name.n4.txt" 2>/dev/null ||
-        fail "$name --no-partition failed"
     cmp -s "$name.1.txt" "$name.4.txt" ||
         fail "$name stdout differs between --jobs 1 and 4"
     cmp -s "$name.1.json" "$name.4.json" ||
         fail "$name JSON differs between --jobs 1 and 4"
-    cmp -s "$name.1.txt" "$name.n4.txt" ||
-        fail "$name stdout differs under --no-partition"
-    cmp -s "$name.1.json" "$name.n4.json" ||
-        fail "$name JSON differs under --no-partition"
 }
 
 check_bench fig4 "$FIG4"

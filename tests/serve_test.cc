@@ -250,6 +250,7 @@ TEST(RequestBroker, CoalescesIdenticalInflightRequests)
 
     constexpr int kClients = 6;
     std::vector<std::thread> clients;
+    std::atomic<int> submitted{0};
     std::atomic<int> matched{0};
     for (int i = 0; i < kClients; ++i)
         clients.emplace_back([&] {
@@ -257,10 +258,16 @@ TEST(RequestBroker, CoalescesIdenticalInflightRequests)
                 ++computes;
                 return std::string("shared");
             });
+            ++submitted;
             EXPECT_FALSE(s.busy);
             if (!s.busy && RequestBroker::wait(s.job) == "shared")
                 ++matched;
         });
+    // Release the blocker only once every client has submitted;
+    // releasing earlier lets the shared job finish before a slow
+    // client thread arrives, which then runs it a second time.
+    while (submitted.load() < kClients)
+        std::this_thread::yield();
     release = true;
     for (auto &t : clients)
         t.join();
@@ -330,6 +337,11 @@ TEST(ServeProtocol, RejectsUnknownFieldsAndOps)
     EXPECT_THROW(parseServeRequest(
                      "{\"op\":\"sweep\",\"workload\":\"Compress\","
                      "\"sizes\":\"1K\",\"typo_field\":1}"),
+                 FatalError);
+    // A field the schema has dropped is just another unknown field.
+    EXPECT_THROW(parseServeRequest(
+                     "{\"op\":\"sweep\",\"workload\":\"Compress\","
+                     "\"sizes\":\"1K\",\"no_partition\":true}"),
                  FatalError);
     EXPECT_THROW(parseServeRequest("not json at all"), FatalError);
 }

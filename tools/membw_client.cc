@@ -51,7 +51,7 @@ usage(const char *argv0)
         "Sweep options (mirror membw_sim):\n"
         "  --workload NAME --sizes LIST [--blocks LIST] [--mtc]\n"
         "  [--scale F] [--seed N] [--label NAME] [--stable-json]\n"
-        "  [--no-collapse] [--no-partition] [--watchdog N]\n"
+        "  [--no-collapse] [--watchdog N]\n"
         "  [--size BYTES] [--assoc N] [--block BYTES] [--sector BYTES]\n"
         "  [--repl lru|fifo|random] [--write wb|wt] [--alloc wa|wna|wv]\n"
         "  [--prefetch] [--stream-buffers N] [--stream-depth N]\n\n"
@@ -196,8 +196,6 @@ main(int argc, char **argv)
                 jsonField(fields, "stable", "true");
             } else if (a == "--no-collapse") {
                 jsonField(fields, "no_collapse", "true");
-            } else if (a == "--no-partition") {
-                jsonField(fields, "no_partition", "true");
             } else if (a == "--prefetch") {
                 jsonField(fields, "prefetch", "true");
             } else if (a == "--spec95") {

@@ -116,12 +116,6 @@ usage(int code)
         "  --no-collapse       force direct per-cell simulation "
         "(disable the\n"
         "                      exact one-pass sweep engines)\n"
-        "  --no-partition      disable intra-trace set partitioning "
-        "(the exact\n"
-        "                      parallel ladder kernel used when one "
-        "config has\n"
-        "                      more workers than passes).  Output is\n"
-        "                      byte-identical either way.\n"
         "  --sweep-blocks LIST comma-separated block sizes "
         "(default: --block)\n"
         "  --jobs N            sweep workers (default: hardware "
@@ -255,7 +249,6 @@ struct Options
     CacheConfig l2;
     bool runMtc = false;
     bool noCollapse = false;
-    bool noPartition = false;
     double pinBandwidthMBs = 800.0;
     std::vector<Bytes> sweepSizes;  ///< non-empty = sweep mode
     std::vector<Bytes> sweepBlocks; ///< default: the single --block
@@ -391,8 +384,6 @@ parse(int argc, char **argv)
             o.runMtc = true;
         } else if (a == "--no-collapse") {
             o.noCollapse = true;
-        } else if (a == "--no-partition") {
-            o.noPartition = true;
         } else if (a == "--sweep-sizes") {
             o.sweepSizes = sizeListFlag(a, need(i));
         } else if (a == "--sweep-blocks") {
@@ -689,7 +680,6 @@ runSweep(const Options &o, const Trace &trace,
     req.blocks = o.sweepBlocks;
     req.stableJson = o.stableJson;
     req.noCollapse = o.noCollapse;
-    req.noPartition = o.noPartition;
     req.eventBudget = o.eventBudget;
     req.traceFormat = o.traceFormat;
 
@@ -941,8 +931,7 @@ main(int argc, char **argv)
         // per-reference obligations, the hierarchy phase runs the
         // exact set-partitioned ladder kernel (time_partition.hh)
         // instead of the per-reference loop below — byte-identical
-        // output at any --jobs value; --no-partition forces the loop
-        // for the equivalence diff.  Flags that observe or persist
+        // output at any --jobs value.  Flags that observe or persist
         // per-reference state need the loop and keep the serial path.
         const bool perRefState =
             !o.checkpoint.empty() || !o.resume.empty() ||
@@ -950,8 +939,7 @@ main(int argc, char **argv)
             !o.profileOut.empty() || !o.seriesOut.empty() ||
             !o.faultInject.empty();
         if (state.phase == phaseHierarchy && o.jobs > 1 &&
-            !o.noPartition && !perRefState && !o.haveL2 &&
-            ladderKernelSupported(o.l1)) {
+            !perRefState && !o.haveL2 && ladderKernelSupported(o.l1)) {
             // All-word traces (the QPT recording invariant — every
             // generated workload qualifies) replay fused straight
             // off the MemRef array; the fused kernels validate the
