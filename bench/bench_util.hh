@@ -51,8 +51,8 @@ cliFatal(const std::string &msg)
 inline double
 parseScale(const std::string &text, const std::string &source)
 {
-    Result<double> v = tryParseDouble(text);
-    if (!v.ok() || v.value() <= 0)
+    Result<double> v = tryParseScale(text);
+    if (!v.ok())
         cliFatal("bad " + source + " value '" + text +
                  "': expected a finite number > 0");
     return v.value();

@@ -2,6 +2,7 @@
 
 #include <cerrno>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <limits>
 
@@ -92,6 +93,28 @@ tryParseDouble(const std::string &text)
         return makeError(Errc::BadValue,
                          "'" + text + "' is not a finite number");
     return v;
+}
+
+Result<double>
+tryParseScale(double value)
+{
+    if (!std::isfinite(value) || value <= 0) {
+        char text[32];
+        std::snprintf(text, sizeof(text), "%g", value);
+        return makeError(Errc::BadValue,
+                         std::string("scale ") + text +
+                             " is not a finite number > 0");
+    }
+    return value;
+}
+
+Result<double>
+tryParseScale(const std::string &text)
+{
+    Result<double> v = tryParseDouble(text);
+    if (!v.ok())
+        return v;
+    return tryParseScale(v.value());
 }
 
 Result<unsigned>

@@ -53,6 +53,16 @@ Result<std::int64_t> tryParseInt(const std::string &text,
 Result<double> tryParseDouble(const std::string &text);
 
 /**
+ * Check a trace-length scale: finite and > 0.  Generators multiply
+ * their reference target by it and convert the product to an
+ * unsigned count: zero simulates nothing and a negative product is
+ * undefined behaviour.  The text form also rejects what
+ * tryParseDouble() rejects.
+ */
+Result<double> tryParseScale(double value);
+Result<double> tryParseScale(const std::string &text);
+
+/**
  * Parse a --jobs worker count: an integer in [1, maxParallelJobs].
  * 0 ("run nothing"?) and oversubscribed counts are classified
  * errors, so every tool reports them identically.

@@ -12,7 +12,6 @@
 #include "exec/time_partition.hh"
 #include "obs/trace_span.hh"
 #include "trace/block_stream.hh"
-#include "trace/trace_mmap.hh"
 
 namespace membw {
 
@@ -99,9 +98,7 @@ CollapsedSweep::CollapsedSweep(const Trace &trace,
         if (options.streamProvider)
             return options.streamProvider(blockBytes);
         return std::make_shared<const BlockStream>(
-            options.mapped
-                ? buildBlockStream(*options.mapped, blockBytes)
-                : buildBlockStream(trace, blockBytes));
+            buildBlockStream(trace, blockBytes));
     };
     auto runMattson = [&](const Group &g) -> std::vector<TrafficResult> {
         if (!faLruCollapsible(trace, g.configs))

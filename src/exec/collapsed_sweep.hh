@@ -45,7 +45,6 @@
 
 namespace membw {
 
-struct MappedTrace;
 struct BlockStream;
 class StackDistanceProfile;
 class ThreadPool;
@@ -68,14 +67,6 @@ struct CollapseOptions
     unsigned jobs = 1;
 
     /**
-     * Zero-copy source: when set, ladder BlockStreams borrow this
-     * validated mapping (trace_mmap.hh) instead of decoding
-     * @p trace.  The two must describe the same references —
-     * @p trace is still used for Mattson group passes.
-     */
-    const MappedTrace *mapped = nullptr;
-
-    /**
      * Externally-owned worker pool for the group fan-out (see
      * SweepOptions::pool — the same serialization contract applies).
      * The set-partitioned kernel path still manages its own workers.
@@ -86,8 +77,7 @@ struct CollapseOptions
      * Artifact-cache hook: supply the decoded BlockStream for a block
      * size instead of decoding it fresh (the daemon memoizes streams
      * by trace CRC + block size).  Must return a stream equivalent to
-     * buildBlockStream(trace, blockBytes).  Overrides @p mapped for
-     * ladder passes when set.
+     * buildBlockStream(trace, blockBytes).
      */
     std::function<std::shared_ptr<const BlockStream>(Bytes blockBytes)>
         streamProvider;

@@ -212,10 +212,10 @@ struct StreamSource
     const std::uint64_t *wordMask;
 
     explicit StreamSource(const BlockStream &s)
-        : blockNum(s.blockNum),
-          isStore(s.isStore),
-          size(s.size),
-          wordMask(s.wordMask)
+        : blockNum(s.blockNum.data()),
+          isStore(s.isStore.data()),
+          size(s.size.data()),
+          wordMask(s.wordMask.data())
     {
     }
 

@@ -65,6 +65,15 @@ doubleField(const JsonValue &doc, const char *key, double def)
     return v->number;
 }
 
+double
+scaleField(const JsonValue &doc, double def)
+{
+    Result<double> v = tryParseScale(doubleField(doc, "scale", def));
+    if (!v.ok())
+        fatal("request field 'scale': " + v.error().message);
+    return v.value();
+}
+
 std::uint64_t
 u64Field(const JsonValue &doc, const char *key, std::uint64_t def)
 {
@@ -144,7 +153,7 @@ parseSweepFields(const JsonValue &doc)
     if (req.workload.empty())
         fatal("sweep request requires a 'workload' field");
     req.label = stringField(doc, "label", "");
-    req.scale = doubleField(doc, "scale", req.scale);
+    req.scale = scaleField(doc, req.scale);
     req.seed = u64Field(doc, "seed", req.seed);
     req.sizes = sizeListField(doc, "sizes");
     if (req.sizes.empty())
@@ -215,7 +224,7 @@ parseDecomposeFields(const JsonValue &doc)
               "': expected a letter A-F");
     req.letter = letter[0];
     req.spec95 = boolField(doc, "spec95", false);
-    req.scale = doubleField(doc, "scale", req.scale);
+    req.scale = scaleField(doc, req.scale);
     req.seed = u64Field(doc, "seed", req.seed);
     req.stableJson = boolField(doc, "stable", false);
     req.watchdogCycles = u64Field(doc, "watchdog", req.watchdogCycles);

@@ -115,7 +115,6 @@ executeSweep(const SweepRequest &req, const Trace &trace,
             cfgs.push_back(sweepConfigFor(req, blocks, i));
         CollapseOptions copt;
         copt.jobs = opts.jobs;
-        copt.mapped = opts.mapped;
         copt.pool = opts.pool;
         copt.streamProvider = opts.streamProvider;
         copt.profileProvider = opts.profileProvider;

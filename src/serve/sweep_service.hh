@@ -42,7 +42,6 @@
 
 namespace membw {
 
-struct MappedTrace;
 class ThreadPool;
 
 /** Everything that identifies a sweep computation (the result-cache
@@ -62,7 +61,7 @@ struct SweepRequest
     bool noCollapse = false;
     std::uint64_t eventBudget = 1'000'000;
     /** Manifest attribution (satellite of PR 9): how the trace
-     * reached the simulator — "generated", "binary", or "mmap".
+     * reached the simulator — "generated" or "binary".
      * Omitted from --stable-json output, so not part of the result
      * identity. */
     std::string traceFormat = "generated";
@@ -101,8 +100,6 @@ struct SweepExecOptions
     /** Shared pool (see SweepOptions::pool); jobs is ignored for the
      * fan-out when set. */
     ThreadPool *pool = nullptr;
-    /** Zero-copy trace mapping for ladder BlockStreams. */
-    const MappedTrace *mapped = nullptr;
     /** Poll to stop scheduling cells (membw_sim wires
      * shutdownRequested(); the daemon leaves it unset). */
     std::function<bool()> cancel;

@@ -22,20 +22,20 @@ buildBlockStream(const Trace &trace, Bytes blockBytes)
     s.blockBytes = blockBytes;
     s.blockShift = floorLog2(blockBytes);
     s.refs = trace.size();
-    s.blockNumStore.resize(s.refs);
-    s.isStoreStore.resize(s.refs);
-    s.sizeStore.resize(s.refs);
-    s.wordMaskStore.resize(s.refs);
+    s.blockNum.resize(s.refs);
+    s.isStore.resize(s.refs);
+    s.size.resize(s.refs);
+    s.wordMask.resize(s.refs);
 
     // Raw-pointer stores into the pre-sized arrays: the four
     // per-reference push_backs (capacity check each) were a
     // measurable fraction of a decode that otherwise runs at memory
     // speed, and this loop sits on the timed path of every
     // partitioned pass.
-    std::uint64_t *const bnOut = s.blockNumStore.data();
-    std::uint8_t *const stOut = s.isStoreStore.data();
-    std::uint16_t *const szOut = s.sizeStore.data();
-    std::uint64_t *const wmOut = s.wordMaskStore.data();
+    std::uint64_t *const bnOut = s.blockNum.data();
+    std::uint8_t *const stOut = s.isStore.data();
+    std::uint16_t *const szOut = s.size.data();
+    std::uint64_t *const wmOut = s.wordMask.data();
     const unsigned shift = s.blockShift;
     std::uint64_t stores = 0;
     std::uint64_t requestBytes = 0;
@@ -85,11 +85,6 @@ buildBlockStream(const Trace &trace, Bytes blockBytes)
     s.loads = s.refs - stores;
     s.requestBytes = requestBytes;
     s.spansBlock = spansBlock;
-
-    s.blockNum = s.blockNumStore.data();
-    s.isStore = s.isStoreStore.data();
-    s.size = s.sizeStore.data();
-    s.wordMask = s.wordMaskStore.data();
     return s;
 }
 

@@ -11,16 +11,6 @@
  * sweep cell iterates flat arrays in L2-resident chunks instead of
  * pulling each MemRef through the polymorphic per-access hot loop.
  *
- * The four arrays are exposed as raw read-only views so they can
- * either own their storage (the decode path fills the *Store
- * vectors) or borrow it from an mmap'd trace file whose on-disk
- * layout already matches (trace/trace_mmap.*): the kind and size
- * arrays of the mmap format are byte-compatible with isStore/size,
- * so those two never get copied or decoded on that path, and
- * keepAlive pins the mapping for the stream's lifetime.  Views into
- * owned vectors survive moves (the heap buffers transfer), but
- * copying would leave them dangling, so BlockStream is move-only.
- *
  * The decode also records the two trace properties the one-pass
  * sweep guards need (does any reference span a block boundary? are
  * there stores?) so eligibility checks are O(1) instead of another
@@ -31,7 +21,6 @@
 #define MEMBW_TRACE_BLOCK_STREAM_HH
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "common/types.hh"
@@ -60,26 +49,11 @@ struct BlockStream
      * simulator treats that as fatal; one-pass kernels must too). */
     bool spansBlock = false;
 
-    /** Read-only views over the decode arrays (owned or borrowed). */
-    const std::uint64_t *blockNum = nullptr; ///< addr >> blockShift
-    const std::uint8_t *isStore = nullptr;   ///< 0 = load, 1 = store
-    const std::uint16_t *size = nullptr;     ///< request bytes (<= block)
-    const std::uint64_t *wordMask = nullptr; ///< words touched in block
-
-    /** Owned backing storage; empty for a view that borrows. */
-    std::vector<std::uint64_t> blockNumStore;
-    std::vector<std::uint8_t> isStoreStore;
-    std::vector<std::uint16_t> sizeStore;
-    std::vector<std::uint64_t> wordMaskStore;
-
-    /** Pins a borrowed mapping (trace_mmap) for the view lifetime. */
-    std::shared_ptr<const void> keepAlive;
-
-    BlockStream() = default;
-    BlockStream(BlockStream &&) = default;
-    BlockStream &operator=(BlockStream &&) = default;
-    BlockStream(const BlockStream &) = delete;
-    BlockStream &operator=(const BlockStream &) = delete;
+    /** The decode arrays, one entry per reference. */
+    std::vector<std::uint64_t> blockNum; ///< addr >> blockShift
+    std::vector<std::uint8_t> isStore;   ///< 0 = load, 1 = store
+    std::vector<std::uint16_t> size;     ///< request bytes (<= block)
+    std::vector<std::uint64_t> wordMask; ///< words touched in block
 };
 
 /**

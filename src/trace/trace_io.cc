@@ -1,10 +1,7 @@
 #include "trace/trace_io.hh"
 
-#include "trace/trace_mmap.hh"
-
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -19,9 +16,7 @@ namespace membw {
 namespace {
 
 constexpr std::uint32_t traceMagic = 0x4d425754; // "MBWT"
-constexpr std::uint32_t versionRaw = 1;
-constexpr std::uint32_t versionCompact = 2;
-constexpr std::size_t rawRecordBytes = 16;
+constexpr std::uint32_t traceVersion = 2;
 constexpr std::size_t traceHeaderBytes = 16;
 
 struct FileCloser
@@ -29,15 +24,6 @@ struct FileCloser
     void operator()(std::FILE *f) const { if (f) std::fclose(f); }
 };
 using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
-
-struct PackedRef
-{
-    std::uint64_t addr;
-    std::uint32_t size;
-    std::uint32_t kind;
-};
-static_assert(sizeof(PackedRef) == rawRecordBytes,
-              "raw trace records are 16 bytes on disk");
 
 std::uint64_t
 zigzag(std::int64_t v)
@@ -80,16 +66,6 @@ struct Cursor
     std::size_t pos = 0;
 
     std::size_t remaining() const { return size - pos; }
-
-    bool
-    take(void *out, std::size_t n)
-    {
-        if (n > remaining())
-            return false;
-        std::memcpy(out, data + pos, n);
-        pos += n;
-        return true;
-    }
 
     /** Little-endian fixed-width read; false on truncation. */
     bool
@@ -149,15 +125,10 @@ refInvalid(Addr addr, Bytes size)
 } // namespace
 
 void
-saveTrace(const Trace &trace, const std::string &path,
-          TraceFormat format)
+saveTrace(const Trace &trace, const std::string &path)
 {
     MEMBW_SPAN_D("trace.save",
                  "refs=" + std::to_string(trace.size()));
-    if (format == TraceFormat::Mmap) {
-        saveTraceMmap(trace, path);
-        return;
-    }
 
     // Streamed through GuardedFile: records go to '<path>.tmp' and
     // the file only appears under its real name after a clean commit,
@@ -165,25 +136,12 @@ saveTrace(const Trace &trace, const std::string &path,
     GuardedFile out;
     (void)out.open(path).orDie();
 
-    const std::uint32_t header[2] = {
-        traceMagic,
-        format == TraceFormat::Raw ? versionRaw : versionCompact};
+    const std::uint32_t header[2] = {traceMagic, traceVersion};
     const std::uint64_t count = trace.size();
     (void)out.write(header, sizeof(header)).orDie();
     (void)out.write(&count, sizeof(count)).orDie();
 
-    if (format == TraceFormat::Raw) {
-        for (const MemRef &r : trace) {
-            const PackedRef p{r.addr,
-                              static_cast<std::uint32_t>(r.size),
-                              static_cast<std::uint32_t>(r.kind)};
-            (void)out.write(&p, sizeof(p)).orDie();
-        }
-        (void)out.commit().orDie();
-        return;
-    }
-
-    // Compact: per record a control varint
+    // Per record a control varint
     //   bit0: store, bit1: size != wordBytes (varint size follows),
     //   bits2..: zigzag word-delta from the previous address.
     Addr prev = 0;
@@ -226,33 +184,17 @@ parseTrace(const std::uint8_t *data, std::size_t size,
     if (magic != traceMagic)
         return makeError(Errc::BadMagic,
                          "'" + origin + "' is not a membw trace");
-    if (version != versionRaw && version != versionCompact)
+    if (version != traceVersion)
         return makeError(Errc::BadVersion,
                          "trace '" + origin +
                              "' has unsupported version " +
                              std::to_string(version) +
-                             " (this build reads 1 and 2)");
+                             " (this build reads 2)");
 
-    // Truncation / overflow guard BEFORE any allocation: a raw
-    // record is 16 bytes and a compact record at least 1, so the
-    // record count bounds below must hold for the file to be whole.
-    // Dividing (rather than multiplying) sidesteps count*16 overflow.
+    // Truncation guard BEFORE any allocation: every record takes at
+    // least one byte, so a whole file has at least count body bytes.
     const std::size_t body = in.remaining();
-    if (version == versionRaw) {
-        if (count > body / rawRecordBytes)
-            return makeError(
-                Errc::Truncated,
-                "trace '" + origin + "' declares " +
-                    std::to_string(count) + " records (" +
-                    std::to_string(count) + " * 16 bytes) but only " +
-                    std::to_string(body) + " bytes follow the header");
-        if (count * rawRecordBytes != body)
-            return makeError(
-                Errc::Corrupt,
-                "trace '" + origin + "' carries " +
-                    std::to_string(body - count * rawRecordBytes) +
-                    " trailing bytes after the declared records");
-    } else if (count > body) {
+    if (count > body)
         return makeError(
             Errc::Truncated,
             "trace '" + origin + "' declares " +
@@ -260,29 +202,10 @@ parseTrace(const std::uint8_t *data, std::size_t size,
                 " compact records but only " + std::to_string(body) +
                 " bytes follow the header (each record needs at "
                 "least one byte)");
-    }
 
     Trace trace;
     // Safe: count is bounded by the bytes actually present.
     trace.reserve(static_cast<std::size_t>(count));
-
-    if (version == versionRaw) {
-        for (std::uint64_t i = 0; i < count; ++i) {
-            PackedRef p;
-            if (!in.take(&p, sizeof(p)))
-                return recordError(Errc::Truncated, origin, i,
-                                   "file ends inside the record");
-            if (p.kind > 1)
-                return recordError(Errc::Corrupt, origin, i,
-                                   "unknown reference kind " +
-                                       std::to_string(p.kind));
-            if (const char *why = refInvalid(p.addr, p.size))
-                return recordError(Errc::Corrupt, origin, i, why);
-            trace.append(p.addr, p.size,
-                         static_cast<RefKind>(p.kind));
-        }
-        return trace;
-    }
 
     Addr prev = 0;
     for (std::uint64_t i = 0; i < count; ++i) {
@@ -352,16 +275,6 @@ tryLoadTrace(const std::string &path)
         std::fread(image.data(), image.size(), 1, f.get()) != 1)
         return makeError(Errc::IoError,
                          "cannot read '" + path + "'");
-    // The mmap format is sniffed here so loadTrace() transparently
-    // accepts all three encodings; zero-copy callers that want to
-    // keep the mapping use tryLoadMappedTrace() directly.
-    if (isMmapTrace(image.data(), image.size())) {
-        Result<MappedTrace> mapped =
-            parseMmapTrace(image.data(), image.size(), path);
-        if (!mapped)
-            return mapped.error();
-        return mapped.value().materialize();
-    }
     return parseTrace(image.data(), image.size(), path);
 }
 
@@ -369,12 +282,6 @@ Trace
 loadTrace(const std::string &path)
 {
     return tryLoadTrace(path).orDie();
-}
-
-const char *
-traceRefInvalid(Addr addr, Bytes size)
-{
-    return refInvalid(addr, size);
 }
 
 std::uint32_t

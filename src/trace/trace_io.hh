@@ -3,6 +3,13 @@
  * Binary save/load for traces so long workload generations can be
  * cached between tool invocations.
  *
+ * There is one on-disk format ("MBWT", version 2): a 16-byte header
+ * (magic, version, record count) followed by one varint-compact
+ * record per reference — a zigzag word-delta from the previous
+ * address with the store bit folded in, or, for the rare reference
+ * that is not one aligned word, the raw address and size.  SPEC-like
+ * traces take ~2.4 bytes per reference.
+ *
  * Loading is hardened against untrusted bytes: the parser works over
  * an in-memory image with every read bounds-checked, classifies
  * failures (bad magic / unsupported version / truncation / corrupt
@@ -24,24 +31,15 @@
 
 namespace membw {
 
-/** On-disk encodings. */
-enum class TraceFormat
-{
-    Raw,     ///< packed 16-byte records; trivially seekable
-    Compact, ///< zigzag-varint address deltas; ~2 bytes/reference
-    Mmap,    ///< aligned SoA columns, zero-copy loadable (trace_mmap.hh)
-};
-
 /** Largest single-reference size the loader accepts, in bytes. */
 constexpr Bytes maxTraceRefBytes = 4096;
 
 /**
  * Write @p trace to @p path in the membw binary format
- * (magic "MBWT", version, count, then records in @p format).
+ * (magic "MBWT", version 2, count, then compact records).
  * Throws FatalError on I/O failure.
  */
-void saveTrace(const Trace &trace, const std::string &path,
-               TraceFormat format = TraceFormat::Raw);
+void saveTrace(const Trace &trace, const std::string &path);
 
 /**
  * Parse a trace image from memory.  @p origin names the source in
@@ -55,7 +53,7 @@ Result<Trace> parseTrace(const std::uint8_t *data, std::size_t size,
 Result<Trace> tryLoadTrace(const std::string &path);
 
 /**
- * Read a trace previously written by saveTrace() (either format).
+ * Read a trace previously written by saveTrace().
  * Boundary wrapper over tryLoadTrace(): throws FatalError carrying
  * the classified reason.
  */
@@ -67,15 +65,6 @@ Trace loadTrace(const std::string &path);
  * store it so --resume can prove it is replaying the same input.
  */
 std::uint32_t traceCrc32(const Trace &trace);
-
-/**
- * Shared validity check for a decoded (addr, size) pair: returns a
- * static reason string when the reference is implausible (zero
- * bytes, larger than maxTraceRefBytes, wraps the address space),
- * null when it is fine.  Every trace parser classifies through this
- * so the formats agree on what "corrupt" means.
- */
-const char *traceRefInvalid(Addr addr, Bytes size);
 
 } // namespace membw
 

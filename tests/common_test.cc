@@ -1,15 +1,18 @@
 /**
  * @file
- * Unit tests for src/common: bit ops, RNG, statistics, tables.
+ * Unit tests for src/common: bit ops, RNG, statistics, tables,
+ * scale parsing.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "common/bitops.hh"
 #include "common/log.hh"
+#include "common/parse.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
 #include "common/table.hh"
@@ -156,6 +159,26 @@ TEST(Table, RendersAlignedColumns)
 TEST(Log, FatalThrows)
 {
     EXPECT_THROW(fatal("boom"), FatalError);
+}
+
+TEST(Parse, ScaleIsFiniteAndPositive)
+{
+    for (const char *good : {"1", "0.05", "2.5", "1e-3"}) {
+        const Result<double> v = tryParseScale(std::string(good));
+        ASSERT_TRUE(v.ok()) << good;
+        EXPECT_EQ(v.value(), std::stod(good));
+    }
+    for (const char *bad : {"0", "-1", "-0.001", "-0", "nan", "inf",
+                            "1e400", "0.5x", ""}) {
+        const Result<double> v = tryParseScale(std::string(bad));
+        ASSERT_FALSE(v.ok()) << bad;
+        EXPECT_EQ(v.error().code, Errc::BadValue) << bad;
+    }
+    EXPECT_TRUE(tryParseScale(0.25).ok());
+    EXPECT_FALSE(tryParseScale(0.0).ok());
+    EXPECT_FALSE(tryParseScale(-1.0).ok());
+    EXPECT_FALSE(tryParseScale(std::nan("")).ok());
+    EXPECT_FALSE(tryParseScale(HUGE_VAL).ok());
 }
 
 } // namespace

@@ -14,7 +14,6 @@
 #include <cstdlib>
 
 #include "trace/trace_io.hh"
-#include "trace/trace_mmap.hh"
 
 #include "standalone_driver.hh"
 
@@ -22,30 +21,6 @@ extern "C" int
 LLVMFuzzerTestOneInput(const std::uint8_t *data, std::size_t size)
 {
     using namespace membw;
-
-    // The mmap-format parser shares the oracle: classify or accept,
-    // never abort, and accepted views must satisfy the same
-    // invariants (its validator rejects anything traceRefInvalid
-    // would).  Magic-sniffed like loadTrace() does.
-    if (isMmapTrace(data, size)) {
-        const auto mapped = parseMmapTrace(data, size, "<fuzz>");
-        if (!mapped.ok()) {
-            if (mapped.error().code == Errc::Ok ||
-                mapped.error().message.empty())
-                std::abort();
-        } else {
-            const Trace trace = mapped.value().materialize();
-            for (const MemRef &ref : trace) {
-                if (ref.size == 0 || ref.size > maxTraceRefBytes)
-                    std::abort();
-                if (ref.addr > ~Addr{0} - (ref.size - 1))
-                    std::abort();
-            }
-            if (traceCrc32(trace) != mapped.value().contentCrc)
-                std::abort(); // header CRC lied about the content
-        }
-        return 0;
-    }
 
     const auto result = parseTrace(data, size, "<fuzz>");
     if (!result.ok()) {

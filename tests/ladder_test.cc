@@ -87,14 +87,9 @@ TEST(BlockStream, DecodesBlockNumbersKindsAndMasks)
     EXPECT_EQ(s.requestBytes, 20u);
     EXPECT_FALSE(s.spansBlock);
 
-    EXPECT_EQ(std::vector<std::uint64_t>(s.blockNum,
-                                         s.blockNum + s.refs),
-              (std::vector<std::uint64_t>{0, 1, 1, 0}));
-    EXPECT_EQ(
-        std::vector<std::uint8_t>(s.isStore, s.isStore + s.refs),
-        (std::vector<std::uint8_t>{0, 1, 0, 1}));
-    EXPECT_EQ(std::vector<std::uint64_t>(s.wordMask,
-                                         s.wordMask + s.refs),
+    EXPECT_EQ(s.blockNum, (std::vector<std::uint64_t>{0, 1, 1, 0}));
+    EXPECT_EQ(s.isStore, (std::vector<std::uint8_t>{0, 1, 0, 1}));
+    EXPECT_EQ(s.wordMask,
               (std::vector<std::uint64_t>{0x1, 0x4, 0x80, 0xc}));
 }
 

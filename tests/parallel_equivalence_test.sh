@@ -67,6 +67,8 @@ expect_exit 1 "$SIM" "${SWEEP[@]}" --jobs 0
 expect_exit 1 "$SIM" "${SWEEP[@]}" --jobs 999
 expect_exit 1 "$SIM" "${SWEEP[@]}" --checkpoint ck.bin
 expect_exit 1 "$SIM" "${SWEEP[@]}" --l2-size 1M
+expect_exit 1 "$SIM" "${SWEEP[@]}" --scale -1
+expect_exit 1 "$SIM" "${SWEEP[@]}" --scale 0
 
 # --- membw_decompose --experiment all: jobs 1 vs jobs 4 ------------
 DALL=(--workload Swm --experiment all --scale 0.05 --stable-json)
@@ -83,6 +85,8 @@ grep -q '"A.decomp.t_p"' d1.json ||
     fail "decompose all stats JSON lacks per-experiment groups"
 expect_exit 1 "$DECOMP" "${DALL[@]}" --checkpoint dck.bin
 expect_exit 1 "$DECOMP" "${DALL[@]}" --sigterm-after 100
+expect_exit 1 "$DECOMP" "${DALL[@]}" --scale -1
+expect_exit 1 "$DECOMP" "${DALL[@]}" --scale 0
 
 # --- bench sweeps: jobs 1 vs jobs 4 --------------------------------
 "$FIG4" --scale 0.02 --jobs 1 --stable-json --json f1.json > f1.txt 2>/dev/null ||

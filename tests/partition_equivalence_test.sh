@@ -9,8 +9,8 @@
 # groups), so both plans are diffed against --jobs 1.  Also checks
 # that the per-reference flags (--sigterm-after, --checkpoint/
 # --resume) force the serial path and keep their exact semantics at
-# --jobs 4, and that mmap-format traces feed the same results
-# zero-copy.
+# --jobs 4, and that a saved-and-loaded trace gives the results of
+# the generated one.
 #
 # Usage: partition_equivalence_test.sh <membw_sim> \
 #            <fig4_traffic_curves> <table7_traffic_ratios>
@@ -65,40 +65,34 @@ check_single plain --workload Swm --scale 0.05 --size 64K --assoc 4 \
 check_single masked --workload Compress --scale 0.05 --size 16K \
     --assoc 8 --block 32 --write wb --alloc wv --mtc --stable-json
 
-# --- mmap traces feed identical results zero-copy ------------------
+# --- loaded traces take the generated-trace path -------------------
+# A saved trace, loaded back, must give the results of the trace it
+# was generated from, through both the partitioned single-config plan
+# and the sweep plan at --jobs 4.  --scale is repeated on the loaded
+# runs so the manifests differ only in the workload field, which
+# names the trace file; stdout differs only in its trace-source line.
 GEN=(--workload Li --scale 0.05)
-"$SIM" "${GEN[@]}" --save-trace t.mbwm --trace-format mmap \
-    > /dev/null 2>&1 || fail "mmap trace save failed"
-"$SIM" "${GEN[@]}" --save-trace t.raw --trace-format raw \
-    > /dev/null 2>&1 || fail "raw trace save failed"
-CFG=(--size 64K --assoc 4 --block 32 --stable-json)
-"$SIM" --load-trace t.mbwm "${CFG[@]}" --jobs 4 \
-    --stats-json m4.json > m4.txt 2>/dev/null ||
-    fail "mmap-trace run failed"
-"$SIM" --load-trace t.raw "${CFG[@]}" --jobs 1 \
-    --stats-json r1.json > r1.txt 2>/dev/null ||
-    fail "raw-trace run failed"
-# The manifest records the trace path, so normalize the filename
-# before diffing; everything else must match byte for byte.
-diff <(sed 's/t\.mbwm/TRACE/' m4.json) \
-     <(sed 's/t\.raw/TRACE/' r1.json) > /dev/null ||
-    fail "mmap --jobs 4 stats differ from raw --jobs 1"
-diff <(grep -v '^trace: ' m4.txt) <(grep -v '^trace: ' r1.txt) \
-    > /dev/null ||
-    fail "mmap --jobs 4 stdout differs from raw --jobs 1"
-
-# Sweep mode over the mmap trace exercises the zero-copy BlockStream
-# borrow inside CollapsedSweep.
-MSWEEP=(--sweep-sizes 4K,64K --sweep-blocks 32 --stable-json)
-"$SIM" --load-trace t.mbwm "${MSWEEP[@]}" --jobs 4 \
-    --stats-json ms4.json > /dev/null 2>&1 ||
-    fail "mmap sweep --jobs 4 failed"
-"$SIM" --load-trace t.raw "${MSWEEP[@]}" --jobs 1 \
-    --stats-json ms1.json > /dev/null 2>&1 ||
-    fail "raw sweep --jobs 1 failed"
-diff <(sed 's/t\.mbwm/TRACE/' ms4.json) \
-     <(sed 's/t\.raw/TRACE/' ms1.json) > /dev/null ||
-    fail "mmap sweep stats differ from raw serial sweep"
+"$SIM" "${GEN[@]}" --save-trace t.mbwt > /dev/null 2>&1 ||
+    fail "trace save failed"
+check_loaded() { # name flags...
+    local name="$1"
+    shift
+    "$SIM" "${GEN[@]}" "$@" --jobs 1 --stats-json "$name.g1.json" \
+        > "$name.g1.txt" 2>/dev/null || fail "generated $name failed"
+    "$SIM" --load-trace t.mbwt --scale 0.05 "$@" --jobs 4 \
+        --stats-json "$name.l4.json" > "$name.l4.txt" 2> "$name.l4.err" ||
+        fail "loaded $name --jobs 4 failed"
+    diff <(sed 's/"workload": "t\.mbwt"/"workload": "Li"/' \
+               "$name.l4.json") "$name.g1.json" > /dev/null ||
+        fail "loaded $name --jobs 4 stats differ from generated --jobs 1"
+    diff <(grep -v '^trace: ' "$name.l4.txt") \
+         <(grep -v '^workload: ' "$name.g1.txt") > /dev/null ||
+        fail "loaded $name --jobs 4 stdout differs from generated --jobs 1"
+}
+check_loaded single --size 64K --assoc 4 --block 32 --stable-json
+grep -q "set-partitioned hierarchy pass" single.l4.err ||
+    fail "loaded single --jobs 4 did not take the partitioned path"
+check_loaded sweep --sweep-sizes 4K,64K --sweep-blocks 32 --stable-json
 
 # --- sweep mode: partitioned group pass vs serial -----------------
 SWEEP=(--workload Compress --scale 0.05 --sweep-sizes 4K,64K

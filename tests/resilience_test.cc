@@ -602,6 +602,23 @@ TEST(FaultPlan, DisarmedPlanInjectsNothing)
         EXPECT_FALSE(MEMBW_FAULT_POINT("io-write"));
 }
 
+TEST(FaultPlan, AllocFaultFailsTraceLoad)
+{
+    PlanGuard guard;
+    ASSERT_TRUE(armFaultPlan("alloc:at=1").ok());
+    Trace t;
+    t.append(0x1000, 4, RefKind::Load);
+    const std::string path =
+        testing::TempDir() + "membw_alloc_fault.mbwt";
+    saveTrace(t, path);
+    const auto r = tryLoadTrace(path);
+    std::remove(path.c_str());
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.error().code, Errc::IoError);
+    EXPECT_NE(r.error().message.find("(injected)"), std::string::npos)
+        << r.error().message;
+}
+
 // ---------------------------------------------------------------
 // GuardedFile: atomic commit and injected-failure behaviour
 // ---------------------------------------------------------------
@@ -613,7 +630,13 @@ struct TmpDir
     fs2::path dir;
     TmpDir()
     {
-        dir = fs2::temp_directory_path() / "membw_guarded_test";
+        // One directory per test: ctest runs each test in its own
+        // process, concurrently, and they must not share scratch.
+        const testing::TestInfo *test =
+            testing::UnitTest::GetInstance()->current_test_info();
+        dir = fs2::temp_directory_path() /
+              (std::string("membw_") + test->test_suite_name() + "." +
+               test->name());
         fs2::remove_all(dir);
         fs2::create_directories(dir);
     }

@@ -343,6 +343,23 @@ TEST(ServeProtocol, RejectsUnknownFieldsAndOps)
                      "{\"op\":\"sweep\",\"workload\":\"Compress\","
                      "\"sizes\":\"1K\",\"no_partition\":true}"),
                  FatalError);
+    // A scale must be > 0: generators multiply their reference
+    // target by it.
+    for (const char *scale : {"-1", "0"}) {
+        EXPECT_THROW(parseServeRequest(
+                         std::string("{\"op\":\"sweep\",\"workload\":"
+                                     "\"Compress\",\"sizes\":\"1K\","
+                                     "\"scale\":") +
+                         scale + "}"),
+                     FatalError)
+            << scale;
+        EXPECT_THROW(parseServeRequest(
+                         std::string("{\"op\":\"decompose\",\"workload\":"
+                                     "\"Compress\",\"scale\":") +
+                         scale + "}"),
+                     FatalError)
+            << scale;
+    }
     EXPECT_THROW(parseServeRequest("not json at all"), FatalError);
 }
 

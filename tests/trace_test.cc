@@ -16,7 +16,6 @@
 #include "trace/recorder.hh"
 #include "trace/trace.hh"
 #include "trace/trace_io.hh"
-#include "trace/trace_mmap.hh"
 
 namespace membw {
 namespace {
@@ -178,36 +177,12 @@ TEST(TraceIo, CompactRoundTrip)
 
     const std::string path =
         testing::TempDir() + "membw_trace_compact.bin";
-    saveTrace(t, path, TraceFormat::Compact);
+    saveTrace(t, path);
     const Trace back = loadTrace(path);
     ASSERT_EQ(back.size(), t.size());
     for (std::size_t i = 0; i < t.size(); ++i)
         EXPECT_TRUE(back[i] == t[i]) << i;
     std::remove(path.c_str());
-}
-
-TEST(TraceIo, CompactIsMuchSmallerThanRaw)
-{
-    Trace t;
-    for (Addr a = 0; a < 40000; a += 4)
-        t.append(0x10000 + a, 4, RefKind::Load);
-
-    const std::string raw = testing::TempDir() + "membw_raw.bin";
-    const std::string compact =
-        testing::TempDir() + "membw_compact.bin";
-    saveTrace(t, raw, TraceFormat::Raw);
-    saveTrace(t, compact, TraceFormat::Compact);
-
-    auto size_of = [](const std::string &p) {
-        std::FILE *f = std::fopen(p.c_str(), "rb");
-        std::fseek(f, 0, SEEK_END);
-        const long n = std::ftell(f);
-        std::fclose(f);
-        return n;
-    };
-    EXPECT_LT(size_of(compact) * 5, size_of(raw));
-    std::remove(raw.c_str());
-    std::remove(compact.c_str());
 }
 
 TEST(TraceIo, MissingFileFails)
@@ -252,10 +227,47 @@ traceHeader(std::uint32_t magic, std::uint32_t version,
 
 constexpr std::uint32_t kMagic = 0x4d425754; // "MBWT"
 
+/** Append @p v to @p image as a little-endian base-128 varint. */
+void
+putVarint(std::vector<std::uint8_t> &image, std::uint64_t v)
+{
+    do {
+        const std::uint8_t low = v & 0x7f;
+        v >>= 7;
+        image.push_back(v ? low | 0x80 : low);
+    } while (v);
+}
+
+/** Append an odd-size escape record: control, address, size. */
+void
+putOddRecord(std::vector<std::uint8_t> &image, Addr addr,
+             std::uint64_t size)
+{
+    image.push_back(0x02); // control: odd-size load
+    putVarint(image, addr);
+    putVarint(image, size);
+}
+
 Errc
 parseCode(const std::vector<std::uint8_t> &image)
 {
     return parseTrace(image.data(), image.size(), "<unit>").code();
+}
+
+std::vector<std::uint8_t>
+slurp(const std::string &path)
+{
+    std::FILE *f = std::fopen(path.c_str(), "rb");
+    EXPECT_NE(f, nullptr) << path;
+    std::fseek(f, 0, SEEK_END);
+    const long n = std::ftell(f);
+    std::rewind(f);
+    std::vector<std::uint8_t> bytes(static_cast<std::size_t>(n));
+    if (!bytes.empty()) {
+        EXPECT_EQ(std::fread(bytes.data(), bytes.size(), 1, f), 1u);
+    }
+    std::fclose(f);
+    return bytes;
 }
 
 } // namespace
@@ -270,39 +282,41 @@ TEST(TraceIoHardened, ClassifiesTruncatedHeader)
 TEST(TraceIoHardened, ClassifiesBadVersion)
 {
     EXPECT_EQ(parseCode(traceHeader(kMagic, 99, 0)), Errc::BadVersion);
+    // Version 1 (16-byte raw records) is no longer read.
+    EXPECT_EQ(parseCode(traceHeader(kMagic, 1, 0)), Errc::BadVersion);
+    EXPECT_EQ(parseCode(traceHeader(kMagic, 2, 0)), Errc::Ok);
 }
 
 TEST(TraceIoHardened, HugeCountIsRejectedBeforeAllocation)
 {
     // A hostile header declaring 2^60 records over an empty body must
     // be rejected by arithmetic, not by attempting the allocation.
-    auto image = traceHeader(kMagic, 1, 1ull << 60);
-    EXPECT_EQ(parseCode(image), Errc::Truncated);
+    EXPECT_EQ(parseCode(traceHeader(kMagic, 2, 1ull << 60)),
+              Errc::Truncated);
 
-    // Same count with a multiply-overflow-friendly value: count * 16
-    // wraps to a small number, which the division-based check must
-    // still catch.
-    auto wrap = traceHeader(kMagic, 1, (1ull << 60) + 1);
-    wrap.resize(wrap.size() + 16, 0);
-    EXPECT_EQ(parseCode(wrap), Errc::Truncated);
+    // The largest count over a one-record body: still rejected
+    // before the reserve.
+    auto wide = traceHeader(kMagic, 2, ~std::uint64_t{0});
+    wide.push_back(0x20);
+    EXPECT_EQ(parseCode(wide), Errc::Truncated);
 }
 
 TEST(TraceIoHardened, ClassifiesTruncatedBody)
 {
-    // Declares 2 raw records but carries only one and a half.
-    auto image = traceHeader(kMagic, 1, 2);
-    image.resize(image.size() + 24, 0);
-    image[16] = 0x10; // record 0: addr 0x10, needs valid size/kind
-    image[24] = 4;    // size 4
+    // Declares 2 records and carries enough bytes to pass the
+    // allocation guard, but record 1 ends inside its address varint.
+    auto image = traceHeader(kMagic, 2, 2);
+    image.push_back(0x20); // record 0: load at 0x10
+    image.push_back(0x02); // record 1: odd-size escape...
+    image.push_back(0x80); // ...whose address never ends
+    image.push_back(0x80);
     EXPECT_EQ(parseCode(image), Errc::Truncated);
 }
 
 TEST(TraceIoHardened, ClassifiesTrailingGarbage)
 {
-    auto image = traceHeader(kMagic, 1, 1);
-    image.resize(image.size() + 16, 0);
-    image[16] = 0x10;
-    image[24] = 4;
+    auto image = traceHeader(kMagic, 2, 1);
+    image.push_back(0x20); // load at 0x10
     ASSERT_EQ(parseCode(image), Errc::Ok);
     image.push_back(0xcc); // one stray byte after the records
     EXPECT_EQ(parseCode(image), Errc::Corrupt);
@@ -310,27 +324,18 @@ TEST(TraceIoHardened, ClassifiesTrailingGarbage)
 
 TEST(TraceIoHardened, ClassifiesCorruptRecords)
 {
-    // Unknown reference kind.
-    auto badKind = traceHeader(kMagic, 1, 1);
-    badKind.resize(badKind.size() + 16, 0);
-    badKind[16] = 0x10;
-    badKind[24] = 4;
-    badKind[28] = 7; // kind 7
-    EXPECT_EQ(parseCode(badKind), Errc::Corrupt);
-
+    auto corrupt = [](Addr addr, std::uint64_t size) {
+        auto image = traceHeader(kMagic, 2, 1);
+        putOddRecord(image, addr, size);
+        return parseCode(image);
+    };
+    ASSERT_EQ(corrupt(0x10, 12), Errc::Ok);
     // Zero-byte reference.
-    auto zeroSize = traceHeader(kMagic, 1, 1);
-    zeroSize.resize(zeroSize.size() + 16, 0);
-    zeroSize[16] = 0x10;
-    EXPECT_EQ(parseCode(zeroSize), Errc::Corrupt);
-
+    EXPECT_EQ(corrupt(0x10, 0), Errc::Corrupt);
     // Implausibly large reference.
-    auto hugeRef = traceHeader(kMagic, 1, 1);
-    hugeRef.resize(hugeRef.size() + 16, 0);
-    hugeRef[24] = 0xff;
-    hugeRef[25] = 0xff;
-    hugeRef[26] = 0x01; // size 0x1ffff > maxTraceRefBytes
-    EXPECT_EQ(parseCode(hugeRef), Errc::Corrupt);
+    EXPECT_EQ(corrupt(0x10, maxTraceRefBytes + 1), Errc::Corrupt);
+    // Reference that wraps the address space.
+    EXPECT_EQ(corrupt(~Addr{0}, 8), Errc::Corrupt);
 }
 
 TEST(TraceIoHardened, ClassifiesCompactTruncationAndGarbage)
@@ -350,13 +355,6 @@ TEST(TraceIoHardened, ClassifiesCompactTruncationAndGarbage)
         wide.push_back(0x80);
     wide.push_back(0x01);
     EXPECT_EQ(parseCode(wide), Errc::Corrupt);
-
-    // Odd-size escape (control bit1) with a zero-byte size.
-    auto zero = traceHeader(kMagic, 2, 1);
-    zero.push_back(0x02); // control: odd-size load
-    zero.push_back(0x10); // addr 0x10
-    zero.push_back(0x00); // size 0
-    EXPECT_EQ(parseCode(zero), Errc::Corrupt);
 }
 
 TEST(TraceIoHardened, ParserNeverThrowsOnHostileBytes)
@@ -369,26 +367,10 @@ TEST(TraceIoHardened, ParserNeverThrowsOnHostileBytes)
                  i % 2 ? RefKind::Store : RefKind::Load);
     const std::string path =
         testing::TempDir() + "membw_mutate.bin";
-    saveTrace(t, path, TraceFormat::Compact);
-    Trace loaded = loadTrace(path);
+    saveTrace(t, path);
+    const std::vector<std::uint8_t> image = slurp(path);
     std::remove(path.c_str());
-
-    std::vector<std::uint8_t> image;
-    {
-        // Rebuild the compact image in memory via a save/read cycle.
-        const std::string p2 =
-            testing::TempDir() + "membw_mutate2.bin";
-        saveTrace(loaded, p2, TraceFormat::Compact);
-        std::FILE *f = std::fopen(p2.c_str(), "rb");
-        ASSERT_NE(f, nullptr);
-        std::fseek(f, 0, SEEK_END);
-        image.resize(static_cast<std::size_t>(std::ftell(f)));
-        std::rewind(f);
-        ASSERT_EQ(std::fread(image.data(), 1, image.size(), f),
-                  image.size());
-        std::fclose(f);
-        std::remove(p2.c_str());
-    }
+    ASSERT_EQ(parseCode(image), Errc::Ok);
 
     std::uint64_t accepted = 0;
     for (std::size_t pos = 0; pos < image.size(); ++pos) {
@@ -413,261 +395,16 @@ TEST(TraceIoHardened, CrcIsContentNotEncoding)
         a += (i % 5 == 0) ? 4096 : 4;
         t.append(a, 4, i % 3 ? RefKind::Load : RefKind::Store);
     }
-    const std::string raw = testing::TempDir() + "membw_crc_raw.bin";
-    const std::string compact =
-        testing::TempDir() + "membw_crc_c.bin";
-    saveTrace(t, raw, TraceFormat::Raw);
-    saveTrace(t, compact, TraceFormat::Compact);
+    t.append(0x123457, 12, RefKind::Store); // odd-size escape record
+    const std::string path = testing::TempDir() + "membw_crc.bin";
+    saveTrace(t, path);
     const std::uint32_t direct = traceCrc32(t);
-    EXPECT_EQ(traceCrc32(loadTrace(raw)), direct);
-    EXPECT_EQ(traceCrc32(loadTrace(compact)), direct);
-    std::remove(raw.c_str());
-    std::remove(compact.c_str());
+    EXPECT_EQ(traceCrc32(loadTrace(path)), direct);
+    std::remove(path.c_str());
 
     Trace other = t;
     other.append(0x9999, 4, RefKind::Load);
     EXPECT_NE(traceCrc32(other), direct);
-}
-
-// ---------------------------------------------------------------
-// Mmap (zero-copy) trace format
-// ---------------------------------------------------------------
-
-namespace {
-
-std::vector<std::uint8_t>
-slurp(const std::string &path)
-{
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    EXPECT_NE(f, nullptr) << path;
-    std::fseek(f, 0, SEEK_END);
-    const long n = std::ftell(f);
-    std::rewind(f);
-    std::vector<std::uint8_t> bytes(static_cast<std::size_t>(n));
-    if (!bytes.empty())
-        EXPECT_EQ(std::fread(bytes.data(), bytes.size(), 1, f), 1u);
-    std::fclose(f);
-    return bytes;
-}
-
-void
-spit(const std::string &path, const std::vector<std::uint8_t> &bytes)
-{
-    std::FILE *f = std::fopen(path.c_str(), "wb");
-    ASSERT_NE(f, nullptr) << path;
-    if (!bytes.empty())
-        ASSERT_EQ(std::fwrite(bytes.data(), bytes.size(), 1, f), 1u);
-    std::fclose(f);
-}
-
-Trace
-mixedTrace()
-{
-    Trace t;
-    Addr a = 0x10000;
-    for (int i = 0; i < 400; ++i) {
-        a += (i % 7 == 0) ? 0x4000 : 4;
-        t.append(a, 4, i % 3 == 0 ? RefKind::Store : RefKind::Load);
-    }
-    t.append(0x123457, 12, RefKind::Load); // odd size + alignment
-    return t;
-}
-
-} // namespace
-
-TEST(TraceMmap, RoundTripMatchesEveryLoader)
-{
-    const Trace t = mixedTrace();
-    const std::string path =
-        testing::TempDir() + "membw_trace_mmap.bin";
-    saveTrace(t, path, TraceFormat::Mmap);
-
-    // The generic loader sniffs the magic and decodes transparently.
-    const Trace viaLoader = loadTrace(path);
-    ASSERT_EQ(viaLoader.size(), t.size());
-    for (std::size_t i = 0; i < t.size(); ++i)
-        EXPECT_TRUE(viaLoader[i] == t[i]) << i;
-
-    // The zero-copy loader exposes the same references and carries
-    // the encoding-independent content CRC.
-    auto mapped = tryLoadMappedTrace(path);
-    ASSERT_TRUE(mapped.ok()) << mapped.error().describe();
-    const MappedTrace &m = mapped.value();
-    EXPECT_EQ(m.refs, t.size());
-    EXPECT_FALSE(m.allWordRefs); // the 12-byte reference
-    EXPECT_EQ(m.contentCrc, traceCrc32(t));
-    const Trace back = m.materialize();
-    for (std::size_t i = 0; i < t.size(); ++i)
-        EXPECT_TRUE(back[i] == t[i]) << i;
-    std::remove(path.c_str());
-}
-
-TEST(TraceMmap, ZeroCopyBlockStreamMatchesDecodedStream)
-{
-    // All-word trace: the fast path that borrows the size column.
-    Rng rng(71);
-    Trace t;
-    for (int i = 0; i < 3000; ++i)
-        t.append(rng.below(1 << 14) * wordBytes, wordBytes,
-                 rng.chance(0.4) ? RefKind::Store : RefKind::Load);
-
-    const std::string path =
-        testing::TempDir() + "membw_trace_mmap_bs.bin";
-    saveTrace(t, path, TraceFormat::Mmap);
-    auto mapped = tryLoadMappedTrace(path);
-    ASSERT_TRUE(mapped.ok()) << mapped.error().describe();
-    EXPECT_TRUE(mapped.value().allWordRefs);
-
-    for (Bytes block : {8u, 32u, 128u}) {
-        const BlockStream decoded = buildBlockStream(t, block);
-        const BlockStream view =
-            buildBlockStream(mapped.value(), block);
-        ASSERT_EQ(view.refs, decoded.refs);
-        EXPECT_EQ(view.loads, decoded.loads);
-        EXPECT_EQ(view.stores, decoded.stores);
-        EXPECT_EQ(view.requestBytes, decoded.requestBytes);
-        EXPECT_EQ(view.spansBlock, decoded.spansBlock);
-        // The kind and size columns are borrowed, not copied.
-        EXPECT_TRUE(view.isStoreStore.empty());
-        EXPECT_TRUE(view.sizeStore.empty());
-        EXPECT_EQ(static_cast<const void *>(view.size),
-                  static_cast<const void *>(mapped.value().size));
-        for (std::size_t i = 0; i < decoded.refs; ++i) {
-            ASSERT_EQ(view.blockNum[i], decoded.blockNum[i]) << i;
-            ASSERT_EQ(view.isStore[i], decoded.isStore[i]) << i;
-            ASSERT_EQ(view.size[i], decoded.size[i]) << i;
-            ASSERT_EQ(view.wordMask[i], decoded.wordMask[i]) << i;
-        }
-    }
-
-    // Mixed-size traces take the clamping path but stay identical.
-    const Trace mixed = mixedTrace();
-    const std::string path2 =
-        testing::TempDir() + "membw_trace_mmap_bs2.bin";
-    saveTrace(mixed, path2, TraceFormat::Mmap);
-    auto mapped2 = tryLoadMappedTrace(path2);
-    ASSERT_TRUE(mapped2.ok());
-    const BlockStream decoded = buildBlockStream(mixed, 32);
-    const BlockStream view = buildBlockStream(mapped2.value(), 32);
-    ASSERT_EQ(view.refs, decoded.refs);
-    EXPECT_EQ(view.spansBlock, decoded.spansBlock);
-    for (std::size_t i = 0; i < decoded.refs; ++i) {
-        ASSERT_EQ(view.blockNum[i], decoded.blockNum[i]) << i;
-        ASSERT_EQ(view.isStore[i], decoded.isStore[i]) << i;
-        ASSERT_EQ(view.size[i], decoded.size[i]) << i;
-        ASSERT_EQ(view.wordMask[i], decoded.wordMask[i]) << i;
-    }
-    std::remove(path.c_str());
-    std::remove(path2.c_str());
-}
-
-TEST(TraceMmapHardened, ClassifiesHeaderDamage)
-{
-    const Trace t = mixedTrace();
-    const std::string path =
-        testing::TempDir() + "membw_trace_mmap_bad.bin";
-    saveTrace(t, path, TraceFormat::Mmap);
-    const std::vector<std::uint8_t> good = slurp(path);
-    ASSERT_TRUE(isMmapTrace(good.data(), good.size()));
-    ASSERT_TRUE(
-        parseMmapTrace(good.data(), good.size(), "<test>").ok());
-
-    auto codeFor = [&](std::vector<std::uint8_t> img) {
-        return parseMmapTrace(img.data(), img.size(), "<test>")
-            .code();
-    };
-
-    // Magic / version / header truncation.
-    {
-        std::vector<std::uint8_t> img = good;
-        img[0] ^= 0xff;
-        EXPECT_EQ(codeFor(img), Errc::BadMagic);
-        EXPECT_FALSE(isMmapTrace(img.data(), img.size()));
-    }
-    {
-        std::vector<std::uint8_t> img = good;
-        img[4] = 99;
-        EXPECT_EQ(codeFor(img), Errc::BadVersion);
-    }
-    EXPECT_EQ(codeFor({good.begin(), good.begin() + 3}),
-              Errc::Truncated);
-    EXPECT_EQ(codeFor({good.begin(), good.begin() + 20}),
-              Errc::Truncated);
-
-    // Truncated columns / trailing garbage / flipped payload byte.
-    EXPECT_EQ(codeFor({good.begin(), good.end() - 64}),
-              Errc::Truncated);
-    {
-        std::vector<std::uint8_t> img = good;
-        img.push_back(0);
-        EXPECT_EQ(codeFor(img), Errc::Corrupt);
-    }
-    {
-        std::vector<std::uint8_t> img = good;
-        img[img.size() / 2] ^= 0x40;
-        EXPECT_EQ(codeFor(img), Errc::Corrupt);
-    }
-
-    // Header totals disagreeing with the columns (the payload CRC
-    // does not cover the header, so this must be caught by the
-    // cross-check).
-    {
-        std::vector<std::uint8_t> img = good;
-        img[16] ^= 1; // loads count
-        EXPECT_EQ(codeFor(img), Errc::Corrupt);
-    }
-    {
-        std::vector<std::uint8_t> img = good;
-        img[48] |= 1; // claim allWordRefs on a non-word trace
-        EXPECT_EQ(codeFor(img), Errc::Corrupt);
-    }
-    {
-        std::vector<std::uint8_t> img = good;
-        img[49] |= 0x80; // unknown flag bit
-        EXPECT_EQ(codeFor(img), Errc::Corrupt);
-    }
-
-    // An implausible count classifies before any allocation.
-    {
-        std::vector<std::uint8_t> img = good;
-        for (int i = 0; i < 8; ++i)
-            img[8 + i] = 0xff;
-        EXPECT_EQ(codeFor(img), Errc::TooLarge);
-    }
-
-    // The generic loader surfaces the classification too.
-    spit(path, {good.begin(), good.begin() + 20});
-    EXPECT_EQ(tryLoadTrace(path).code(), Errc::Truncated);
-    EXPECT_EQ(tryLoadMappedTrace(path).code(), Errc::Truncated);
-    std::remove(path.c_str());
-}
-
-TEST(TraceMmapHardened, ParserNeverThrowsOnHostileBytes)
-{
-    const Trace t = mixedTrace();
-    const std::string path =
-        testing::TempDir() + "membw_trace_mmap_fz.bin";
-    saveTrace(t, path, TraceFormat::Mmap);
-    const std::vector<std::uint8_t> good = slurp(path);
-    std::remove(path.c_str());
-
-    Rng rng(99);
-    std::size_t accepted = 0;
-    for (int round = 0; round < 400; ++round) {
-        std::vector<std::uint8_t> img = good;
-        const std::size_t flips = 1 + rng.below(8);
-        for (std::size_t f = 0; f < flips; ++f)
-            img[rng.below(img.size())] ^=
-                static_cast<std::uint8_t>(1 + rng.below(255));
-        const auto r = parseMmapTrace(img.data(), img.size(),
-                                      "<fuzz>");
-        if (r.ok())
-            accepted++;
-    }
-    // Sanity: damaged images are overwhelmingly rejected (flips in
-    // the reserved header bytes are the only unvalidated real
-    // estate, so acceptances stay rare).
-    EXPECT_LT(accepted, 40u);
 }
 
 } // namespace

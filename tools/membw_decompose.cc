@@ -154,9 +154,9 @@ countFlag(const std::string &flag, const std::string &value)
 }
 
 double
-doubleFlag(const std::string &flag, const std::string &value)
+scaleFlag(const std::string &flag, const std::string &value)
 {
-    auto r = tryParseDouble(value);
+    auto r = tryParseScale(value);
     if (!r.ok())
         badFlag(flag, value, r.error(), "0.5");
     return r.value();
@@ -326,7 +326,7 @@ main(int argc, char **argv)
             else if (a == "--spec95")
                 spec95 = true;
             else if (a == "--scale")
-                scale = doubleFlag(a, need(i));
+                scale = scaleFlag(a, need(i));
             else if (a == "--seed")
                 seed = countFlag(a, need(i));
             else if (a == "--mshrs")

@@ -10,6 +10,10 @@
  *   membw_sim --load-trace refs.mbwt --size 8K --mtc
  *   membw_sim --workload Eqntott --save-trace refs.mbwt
  *
+ * Saved traces use the one membw binary format (varint-compact,
+ * see trace/trace_io.hh); a loaded trace then runs exactly like a
+ * generated one.
+ *
  * Long runs are fault tolerant: --checkpoint/--checkpoint-every
  * snapshot the full simulation state at reference granularity,
  * --resume restarts from a snapshot (producing output byte-identical
@@ -57,7 +61,6 @@
 #include "serve/sweep_service.hh"
 #include "trace/block_stream.hh"
 #include "trace/trace_io.hh"
-#include "trace/trace_mmap.hh"
 #include "workloads/workload.hh"
 
 using namespace membw;
@@ -77,11 +80,8 @@ usage(int code)
         "Generation:\n"
         "  --scale S           trace-length scale (default 1.0)\n"
         "  --seed N            generation seed (default 42)\n"
-        "  --save-trace FILE   write the trace and exit\n"
-        "  --compact           use the varint-delta trace format\n"
-        "  --trace-format F    raw, compact, or mmap (zero-copy\n"
-        "                      columnar format; loaded without "
-        "decoding)\n\n"
+        "  --save-trace FILE   write the trace (varint-compact "
+        "binary) and exit\n\n"
         "L1 cache (defaults: 64K/1way/32B WB-WA LRU):\n"
         "  --size BYTES        e.g. 64K, 1M, 8192\n"
         "  --assoc N           0 = fully associative\n"
@@ -210,6 +210,15 @@ smallFlag(const std::string &flag, const std::string &value)
 }
 
 double
+scaleFlag(const std::string &flag, const std::string &value)
+{
+    auto r = tryParseScale(value);
+    if (!r.ok())
+        badFlag(flag, value, r.error(), "1.0");
+    return r.value();
+}
+
+double
 doubleFlag(const std::string &flag, const std::string &value)
 {
     auto r = tryParseDouble(value);
@@ -241,7 +250,6 @@ struct Options
     std::string workload;
     std::string loadTrace;
     std::string saveTrace;
-    TraceFormat format = TraceFormat::Raw;
     double scale = 1.0;
     std::uint64_t seed = 42;
     CacheConfig l1;
@@ -266,8 +274,8 @@ struct Options
     std::uint64_t eventBudget = 1'000'000;
     std::uint64_t sigtermAfter = 0;
     std::string faultInject;
-    /// How the trace reached the simulator ("generated", "binary",
-    /// or "mmap"); recorded in non-stable stats-JSON manifests.
+    /// How the trace reached the simulator ("generated" or
+    /// "binary"); recorded in non-stable stats-JSON manifests.
     std::string traceFormat = "generated";
 };
 
@@ -313,20 +321,8 @@ parse(int argc, char **argv)
             o.loadTrace = need(i);
         } else if (a == "--save-trace") {
             o.saveTrace = need(i);
-        } else if (a == "--compact") {
-            o.format = TraceFormat::Compact;
-        } else if (a == "--trace-format") {
-            const std::string v = need(i);
-            o.format = v == "raw"       ? TraceFormat::Raw
-                       : v == "compact" ? TraceFormat::Compact
-                       : v == "mmap"
-                           ? TraceFormat::Mmap
-                           : (fatal("invalid value '" + v +
-                                    "' for --trace-format: expected "
-                                    "raw, compact, or mmap"),
-                              TraceFormat::Raw);
         } else if (a == "--scale") {
-            o.scale = doubleFlag(a, need(i));
+            o.scale = scaleFlag(a, need(i));
         } else if (a == "--seed") {
             o.seed = countFlag(a, need(i));
         } else if (a == "--size") {
@@ -655,8 +651,7 @@ shutdownNow(const Options &o, const RunState &state, const Trace &trace,
  * exit codes.
  */
 int
-runSweep(const Options &o, const Trace &trace,
-         const MappedTrace *mapped)
+runSweep(const Options &o, const Trace &trace)
 {
     if (!o.checkpoint.empty() || !o.resume.empty())
         fatal("sweep mode does not support --checkpoint/--resume: "
@@ -704,7 +699,6 @@ runSweep(const Options &o, const Trace &trace,
 
     SweepExecOptions eopts;
     eopts.jobs = o.jobs;
-    eopts.mapped = mapped;
     // A latched SIGINT/SIGTERM stops scheduling further cells; the
     // daemon deliberately leaves this hook unset (drained requests
     // must not look interrupted), so the wiring lives here.
@@ -829,23 +823,13 @@ main(int argc, char **argv)
                 .setVerbose(logEnabled(LogLevel::Debug));
 
         Trace trace;
-        // Zero-copy path: an mmap-format trace stays mapped for the
-        // sweep engines (BlockStreams borrow its columns) and is
-        // materialized once for everything that walks MemRefs.
-        std::optional<MappedTrace> mapped;
         if (!o.loadTrace.empty()) {
-            auto m = tryLoadMappedTrace(o.loadTrace);
-            if (m.ok()) {
-                mapped = std::move(m.value());
-                trace = mapped->materialize();
-                o.traceFormat = "mmap";
-            } else if (m.error().code == Errc::BadMagic) {
-                trace = loadTrace(o.loadTrace); // raw/compact
-                o.traceFormat = "binary";
-            } else {
+            auto loaded = tryLoadTrace(o.loadTrace);
+            if (!loaded.ok())
                 fatal("cannot load trace '" + o.loadTrace +
-                      "': " + m.error().describe());
-            }
+                      "': " + loaded.error().describe());
+            trace = std::move(loaded.value());
+            o.traceFormat = "binary";
             std::printf("trace: %s (%zu refs)\n", o.loadTrace.c_str(),
                         trace.size());
         } else {
@@ -861,14 +845,13 @@ main(int argc, char **argv)
         }
 
         if (!o.saveTrace.empty()) {
-            saveTrace(trace, o.saveTrace, o.format);
+            saveTrace(trace, o.saveTrace);
             std::printf("saved trace to %s\n", o.saveTrace.c_str());
             return exitOk;
         }
 
         if (!o.sweepSizes.empty())
-            return runSweep(o, trace,
-                            mapped ? &*mapped : nullptr);
+            return runSweep(o, trace);
 
         std::vector<CacheConfig> levels{o.l1};
         if (o.haveL2)
@@ -966,8 +949,7 @@ main(int argc, char **argv)
                 break;
             case WordRunOutcome::NotAllWord: {
                 const BlockStream stream =
-                    mapped ? buildBlockStream(*mapped, o.l1.blockBytes)
-                           : buildBlockStream(trace, o.l1.blockBytes);
+                    buildBlockStream(trace, o.l1.blockBytes);
                 if (ladderCollapsible(stream, {o.l1})) {
                     eligible = true;
                     res = partitionedLadderRun(stream, o.l1, popt);
