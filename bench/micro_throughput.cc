@@ -3,9 +3,10 @@
  * Throughput harness for the simulators themselves: Mrefs/s of the
  * functional cache per workload, serial and with --jobs identical
  * cells fanned through parallelSweep, the single-config
- * set-partitioned ladder kernel, and the one-pass sweep engine
- * against direct per-cell simulation.  --json FILE writes the
- * BENCH_throughput.json document the CI throughput gate reads.
+ * set-partitioned ladder kernel, the one-pass sweep engine
+ * against direct per-cell simulation, and the serial functional
+ * cache on a 2048-way fully associative cell.  --json FILE writes
+ * the BENCH_throughput.json document the CI throughput gate reads.
  */
 
 #include <string>
@@ -277,6 +278,38 @@ runThroughputHarness(const std::string &jsonPath, unsigned jobs,
                 sweep_cfgs.size(), direct_s, onepass_s,
                 sweep_speedup);
 
+    // Wide sets: Table 9's factor-I cell, 64 KiB fully associative
+    // LRU with 32B blocks (2048 ways, WB-WA, stores included), serial
+    // through Cache::access.  Every miss picks a victim, so this is
+    // the rate the per-set recency list sets.
+    CacheConfig wide_cfg;
+    wide_cfg.size = 64_KiB;
+    wide_cfg.assoc = 0;
+    wide_cfg.blockBytes = 32;
+    struct WideRow
+    {
+        std::string workload;
+        std::size_t refs = 0;
+        double serialMrefs = 0;
+    };
+    std::vector<WideRow> wide_rows;
+    for (const char *name : {"Compress", "Swm"}) {
+        WorkloadParams p;
+        p.scale = scale;
+        const Trace t = makeWorkload(name)->trace(p);
+        WideRow row{name, t.size(), 0};
+        cachePassSeconds(t, wide_cfg); // warm-up
+        for (int rep = 0; rep < reps; ++rep)
+            row.serialMrefs =
+                std::max(row.serialMrefs,
+                         serialMrefsOnce(t, wide_cfg, min_runtime));
+        std::printf("wide_lru %-10s %8zu refs | serial %7.2f Mrefs/s "
+                    "| %s\n",
+                    name, row.refs, row.serialMrefs,
+                    wide_cfg.describe().c_str());
+        wide_rows.push_back(row);
+    }
+
     RunManifest manifest;
     manifest.tool = "micro_throughput";
     manifest.experiment = "simulator throughput";
@@ -328,6 +361,17 @@ runThroughputHarness(const std::string &jsonPath, unsigned jobs,
     w.field("onepass_s", onepass_s);
     w.field("speedup", sweep_speedup);
     w.endObject();
+    w.key("wide_lru");
+    w.beginArray();
+    for (const WideRow &r : wide_rows) {
+        w.beginObject();
+        w.field("workload", r.workload);
+        w.field("config", wide_cfg.describe());
+        w.field("refs", static_cast<std::uint64_t>(r.refs));
+        w.field("serial_mrefs_per_s", r.serialMrefs);
+        w.endObject();
+    }
+    w.endArray();
     w.endObject();
     if (!jsonPath.empty()) {
         try {

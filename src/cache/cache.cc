@@ -1,8 +1,10 @@
 #include "cache/cache.hh"
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cassert>
+#include <numeric>
 
 #include "common/bitops.hh"
 #include "common/log.hh"
@@ -66,8 +68,10 @@ loadCacheStats(ChkReader &r, CacheStats &s)
 /**
  * Sets this narrow are probed faster by scanning the ways (a handful
  * of tag compares in one or two cache lines) than by hashing into the
- * per-set index map.  Wider sets — notably fully-associative
- * geometries, where ways == blocks — keep the map.
+ * per-set index map, and scanning their stamps for a victim is
+ * cheaper than relinking a recency list on every hit.  Wider sets —
+ * notably fully-associative geometries, where ways == blocks — keep
+ * the map and the list.
  */
 static constexpr unsigned linearScanWays = 8;
 
@@ -80,6 +84,7 @@ Cache::Cache(const CacheConfig &config)
       nsets_(config.sets()),
       setMask_(nsets_ - 1),
       useIndex_(config.ways() > linearScanWays),
+      lruList_(useIndex_ && config.repl == ReplPolicy::LRU),
       rng_(config.seed)
 {
     config_.validate();
@@ -89,6 +94,11 @@ Cache::Cache(const CacheConfig &config)
         set.ways.resize(ways);
         if (useIndex_)
             set.index.reserve(ways * 2);
+    }
+    if (useIndex_) {
+        recency_.resize(nsets_);
+        prev_.resize(static_cast<std::size_t>(nsets_) * ways, noWay);
+        next_.resize(static_cast<std::size_t>(nsets_) * ways, noWay);
     }
 }
 
@@ -160,10 +170,69 @@ Cache::findLine(Addr block_addr)
     return &line;
 }
 
+void
+Cache::linkHead(unsigned set, unsigned way)
+{
+    Recency &r = recency_[set];
+    const std::size_t base = static_cast<std::size_t>(set) *
+                             sets_[set].ways.size();
+    prev_[base + way] = noWay;
+    next_[base + way] = r.head;
+    if (r.head != noWay)
+        prev_[base + r.head] = way;
+    else
+        r.tail = way;
+    r.head = way;
+    ++r.filled;
+}
+
+void
+Cache::unlink(unsigned set, unsigned way)
+{
+    Recency &r = recency_[set];
+    const std::size_t base = static_cast<std::size_t>(set) *
+                             sets_[set].ways.size();
+    const unsigned p = prev_[base + way];
+    const unsigned n = next_[base + way];
+    if (p != noWay)
+        next_[base + p] = n;
+    else
+        r.head = n;
+    if (n != noWay)
+        prev_[base + n] = p;
+    else
+        r.tail = p;
+    --r.filled;
+}
+
+void
+Cache::moveToHead(Addr block, const Line &line)
+{
+    const unsigned set = setIndex(block);
+    const unsigned way =
+        static_cast<unsigned>(&line - sets_[set].ways.data());
+    if (recency_[set].head != way) {
+        unlink(set, way);
+        linkHead(set, way);
+    }
+}
+
 unsigned
 Cache::pickVictim(Set &set)
 {
     const unsigned ways = static_cast<unsigned>(set.ways.size());
+
+    if (useIndex_) {
+        // The list's tail is the line the stamp scan below would
+        // pick: the stamps are unique and the list is ordered by them.
+        const Recency &r =
+            recency_[static_cast<std::size_t>(&set - sets_.data())];
+        if (r.filled < ways)
+            return r.filled;
+        if (config_.repl == ReplPolicy::Random)
+            return static_cast<unsigned>(rng_.below(ways));
+        return r.tail;
+    }
 
     // Prefer an invalid way.
     for (unsigned w = 0; w < ways; ++w)
@@ -227,8 +296,10 @@ Cache::evict(Set &set, unsigned way, bool to_flush)
             stats_.writebackBytes += wb;
         sendWriteback(line.blockAddr, wb);
     }
-    if (useIndex_)
+    if (useIndex_) {
         set.index.erase(line.blockAddr);
+        unlink(static_cast<unsigned>(&set - sets_.data()), way);
+    }
     line = Line{};
     return wb;
 }
@@ -236,7 +307,8 @@ Cache::evict(Set &set, unsigned way, bool to_flush)
 Cache::Line &
 Cache::insert(Addr block_addr)
 {
-    Set &set = sets_[setIndex(block_addr)];
+    const unsigned s = setIndex(block_addr);
+    Set &set = sets_[s];
     const unsigned way = pickVictim(set);
     evict(set, way, false);
 
@@ -248,8 +320,10 @@ Cache::insert(Addr block_addr)
     line.validMask = 0;
     line.dirtyMask = 0;
     line.prefetchTag = false;
-    if (useIndex_)
+    if (useIndex_) {
         set.index.emplace(block_addr, way);
+        linkHead(s, way);
+    }
     return line;
 }
 
@@ -391,6 +465,8 @@ Cache::access(const MemRef &ref)
             stats_.hits++;
             result.hit = true;
             line->lastUse = ++seq_;
+            if (lruList_)
+                moveToHead(block, *line);
         } else {
             stats_.misses++;
             stats_.loadMisses++;
@@ -421,6 +497,8 @@ Cache::access(const MemRef &ref)
         stats_.hits++;
         result.hit = true;
         line->lastUse = ++seq_;
+        if (lruList_)
+            moveToHead(block, *line);
         line->validMask |= words;
         if (config_.write == WritePolicy::WriteBack) {
             line->dirtyMask |= words;
@@ -630,7 +708,9 @@ Cache::loadState(ChkReader &r)
     rng_.setState(rstate);
     loadCacheStats(r, stats_);
 
-    for (Set &set : sets_) {
+    std::vector<unsigned> order;
+    for (unsigned s = 0; s < nsets_; ++s) {
+        Set &set = sets_[s];
         set.index.clear();
         for (unsigned way = 0; way < set.ways.size(); ++way) {
             Line &line = set.ways[way];
@@ -651,10 +731,38 @@ Cache::loadState(ChkReader &r)
                 return;
             }
         }
+        // insert() fills the lowest invalid way and only flush()
+        // invalidates, so saveState() always writes a valid prefix.
+        unsigned filled = 0;
+        while (filled < set.ways.size() && set.ways[filled].valid)
+            ++filled;
+        if (set.index.size() != filled) {
+            r.fail(Errc::Corrupt,
+                   config_.name + ": valid ways of a set are not a "
+                                  "prefix");
+            return;
+        }
         // The map above doubles as the duplicate detector; linear-
         // scan geometries don't keep it at runtime.
-        if (!useIndex_)
+        if (!useIndex_) {
             set.index.clear();
+            continue;
+        }
+        // Rebuild the recency list: link oldest stamp first, so the
+        // newest ends up at the head.
+        order.resize(filled);
+        std::iota(order.begin(), order.end(), 0u);
+        const bool by_use = config_.repl == ReplPolicy::LRU;
+        std::stable_sort(order.begin(), order.end(),
+                         [&](unsigned a, unsigned b) {
+                             const Line &la = set.ways[a];
+                             const Line &lb = set.ways[b];
+                             return by_use ? la.lastUse < lb.lastUse
+                                           : la.insertSeq < lb.insertSeq;
+                         });
+        recency_[s] = Recency{};
+        for (unsigned way : order)
+            linkHead(s, way);
     }
 
     const std::uint64_t nstreams = r.u64();

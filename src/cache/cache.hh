@@ -207,6 +207,11 @@ class Cache
     std::uint64_t sectorExpand(std::uint64_t words) const;
 
     Line *findLine(Addr block_addr);
+    /** Recency-list edits of a useIndex_ set; both keep `filled`. */
+    void linkHead(unsigned set, unsigned way);
+    void unlink(unsigned set, unsigned way);
+    /** LRU hit on @p line, which lives in @p block's set. */
+    void moveToHead(Addr block, const Line &line);
     unsigned pickVictim(Set &set);
     /** Evict @p way of @p set; returns write-back bytes (counted). */
     Bytes evict(Set &set, unsigned way, bool to_flush);
@@ -233,11 +238,16 @@ class Cache
     unsigned nsets_;
     Addr setMask_;          ///< nsets_ - 1
     /**
-     * Lookup strategy: sets with few ways are probed by linear tag
-     * scan (fits in a cache line, no hashing); wide/fully-associative
-     * sets keep the blockAddr -> way hash index.
+     * Lookup and victim strategy.  Sets with few ways are probed by
+     * linear tag scan (fits in a cache line, no hashing) and pick
+     * their victim by scanning the lastUse/insertSeq stamps.  Wide
+     * and fully-associative sets keep the blockAddr -> way hash
+     * index plus a recency list over their valid ways, so both the
+     * lookup and the victim choice are O(1).
      */
     bool useIndex_;
+    /** useIndex_ under LRU: a hit moves its line to the list head. */
+    bool lruList_;
     std::vector<Set> sets_;
     std::uint64_t seq_ = 0;
     Rng rng_;
@@ -257,6 +267,28 @@ class Cache
         std::uint64_t lastUse = 0;
     };
     std::vector<Stream> streams_;
+
+    /**
+     * Recency list of one useIndex_ set: its valid ways, most recent
+     * (LRU: last use; FIFO and Random: last insert) at head.  Valid
+     * ways are always [0, filled): insert() takes the lowest invalid
+     * way and only flush() invalidates.
+     */
+    static constexpr unsigned noWay = ~0u;
+    struct Recency
+    {
+        unsigned head = noWay;
+        unsigned tail = noWay;
+        unsigned filled = 0;
+    };
+    /** Per set; empty unless useIndex_. */
+    std::vector<Recency> recency_;
+    /**
+     * Links of way w in set s at [s * ways + w]: prev_ toward the
+     * head, next_ toward the tail.  Empty unless useIndex_.
+     */
+    std::vector<unsigned> prev_;
+    std::vector<unsigned> next_;
 };
 
 /**

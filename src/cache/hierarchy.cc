@@ -2,6 +2,7 @@
 
 #include "common/log.hh"
 #include "obs/registry.hh"
+#include "obs/trace_span.hh"
 #include "resilience/checkpoint.hh"
 #include "resilience/exit_codes.hh"
 
@@ -194,10 +195,25 @@ runTrace(const Trace &trace, const std::vector<CacheConfig> &configs)
     return runTrace(trace, configs, TraceProgressFn{});
 }
 
+namespace {
+
+/** Span detail of a direct run: each level's config, L1 first. */
+std::string
+describeLevels(const std::vector<CacheConfig> &configs)
+{
+    std::string out;
+    for (const CacheConfig &c : configs)
+        out += (out.empty() ? "" : " > ") + c.describe();
+    return out;
+}
+
+} // namespace
+
 TrafficResult
 runTrace(const Trace &trace, const std::vector<CacheConfig> &configs,
          const TraceProgressFn &progress)
 {
+    MEMBW_SPAN_D("cache.run_trace", describeLevels(configs));
     CacheHierarchy hier(configs);
     if (progress) {
         const std::size_t total = trace.size();

@@ -1,13 +1,20 @@
 /**
  * @file
- * Unit tests for src/cache: geometry, policies, traffic accounting.
+ * Unit tests for src/cache: geometry, policies, traffic accounting,
+ * and a differential check of wide sets against a naive reference.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <list>
+#include <vector>
+
 #include "cache/cache.hh"
 #include "cache/config.hh"
 #include "common/log.hh"
+#include "common/rng.hh"
 
 namespace membw {
 namespace {
@@ -339,6 +346,295 @@ TEST(Cache, FullyAssociativeUsesWholeCapacity)
     cache.access(ld(0x000));
     cache.access(ld(0x180));
     EXPECT_EQ(cache.stats().hits, 2u);
+}
+
+/**
+ * Deliberately naive model of Cache without prefetch, stream buffers
+ * or sectors: every lookup scans the set, and each set keeps a
+ * std::list of its valid ways in victim order (front = next victim).
+ * LRU moves a way to the back on every hit, FIFO only on insert, and
+ * Random draws `below(ways)` from an Rng seeded like the cache's.
+ * An invalid way, lowest first, always wins over a victim.
+ */
+class NaiveCache
+{
+  public:
+    explicit NaiveCache(const CacheConfig &cfg)
+        : cfg_(cfg), rng_(cfg.seed), sets_(cfg.sets())
+    {
+        for (Set &set : sets_)
+            set.ways.resize(cfg.ways());
+    }
+
+    void
+    access(const MemRef &ref)
+    {
+        const Addr block = ref.addr & ~(cfg_.blockBytes - 1);
+        std::uint64_t words = 0;
+        for (Addr a = ref.addr; a < ref.addr + ref.size; a += wordBytes)
+            words |= std::uint64_t{1} << ((a - block) / wordBytes);
+        Set &set = sets_[(block / cfg_.blockBytes) % sets_.size()];
+
+        stats.accesses++;
+        stats.requestBytes += ref.size;
+        if (ref.isLoad())
+            stats.loads++;
+        else
+            stats.stores++;
+
+        unsigned way = 0;
+        while (way < set.ways.size() &&
+               !(set.ways[way].valid && set.ways[way].block == block))
+            ++way;
+        if (way < set.ways.size()) {
+            Line &line = set.ways[way];
+            stats.hits++;
+            if (cfg_.repl == ReplPolicy::LRU) {
+                set.order.remove(way);
+                set.order.push_back(way);
+            }
+            if (ref.isLoad()) {
+                const std::uint64_t missing = words & ~line.validMask;
+                if (missing) {
+                    stats.partialFills++;
+                    stats.partialFillBytes +=
+                        std::popcount(missing) * wordBytes;
+                    line.validMask |= missing;
+                }
+            } else {
+                line.validMask |= words;
+                store(line, words, ref.size);
+            }
+            return;
+        }
+
+        stats.misses++;
+        if (ref.isLoad()) {
+            stats.loadMisses++;
+            fill(set, block).validMask = fullMask();
+            stats.demandFetchBytes += cfg_.blockBytes;
+            return;
+        }
+        stats.storeMisses++;
+        switch (cfg_.alloc) {
+          case AllocPolicy::WriteAllocate: {
+            Line &line = fill(set, block);
+            line.validMask = fullMask();
+            stats.demandFetchBytes += cfg_.blockBytes;
+            store(line, words, ref.size);
+            break;
+          }
+          case AllocPolicy::WriteNoAllocate:
+            stats.writeThroughBytes += ref.size;
+            break;
+          case AllocPolicy::WriteValidate: {
+            Line &line = fill(set, block);
+            line.validMask = words;
+            line.dirtyMask = words;
+            break;
+          }
+        }
+    }
+
+    void
+    flush()
+    {
+        for (Set &set : sets_)
+            for (unsigned w = 0; w < set.ways.size(); ++w)
+                evict(set, w, true);
+    }
+
+    CacheStats stats;
+
+  private:
+    struct Line
+    {
+        bool valid = false;
+        Addr block = 0;
+        std::uint64_t validMask = 0;
+        std::uint64_t dirtyMask = 0;
+    };
+
+    struct Set
+    {
+        std::vector<Line> ways;
+        std::list<unsigned> order;
+    };
+
+    std::uint64_t
+    fullMask() const
+    {
+        return (std::uint64_t{1} << (cfg_.blockBytes / wordBytes)) - 1;
+    }
+
+    void
+    store(Line &line, std::uint64_t words, Bytes size)
+    {
+        if (cfg_.write == WritePolicy::WriteThrough)
+            stats.writeThroughBytes += size;
+        else
+            line.dirtyMask |= words;
+    }
+
+    void
+    evict(Set &set, unsigned way, bool to_flush)
+    {
+        Line &line = set.ways[way];
+        if (!line.valid)
+            return;
+        stats.evictions++;
+        Bytes wb = 0;
+        if (line.dirtyMask)
+            wb = cfg_.alloc == AllocPolicy::WriteValidate
+                     ? std::popcount(line.dirtyMask) * wordBytes
+                     : cfg_.blockBytes;
+        if (wb) {
+            stats.writebacks++;
+            (to_flush ? stats.flushWritebackBytes
+                      : stats.writebackBytes) += wb;
+        }
+        set.order.remove(way);
+        line = Line{};
+    }
+
+    Line &
+    fill(Set &set, Addr block)
+    {
+        const unsigned ways = static_cast<unsigned>(set.ways.size());
+        unsigned way = 0;
+        while (way < ways && set.ways[way].valid)
+            ++way;
+        if (way == ways) {
+            way = cfg_.repl == ReplPolicy::Random
+                      ? static_cast<unsigned>(rng_.below(ways))
+                      : set.order.front();
+            evict(set, way, false);
+        }
+        set.order.push_back(way);
+        Line &line = set.ways[way];
+        line.valid = true;
+        line.block = block;
+        return line;
+    }
+
+    CacheConfig cfg_;
+    Rng rng_;
+    std::vector<Set> sets_;
+};
+
+void
+expectSameStats(const CacheStats &got, const CacheStats &want)
+{
+#define MEMBW_EXPECT_FIELD(f) EXPECT_EQ(got.f, want.f) << #f
+    MEMBW_EXPECT_FIELD(accesses);
+    MEMBW_EXPECT_FIELD(loads);
+    MEMBW_EXPECT_FIELD(stores);
+    MEMBW_EXPECT_FIELD(hits);
+    MEMBW_EXPECT_FIELD(misses);
+    MEMBW_EXPECT_FIELD(loadMisses);
+    MEMBW_EXPECT_FIELD(storeMisses);
+    MEMBW_EXPECT_FIELD(evictions);
+    MEMBW_EXPECT_FIELD(writebacks);
+    MEMBW_EXPECT_FIELD(partialFills);
+    MEMBW_EXPECT_FIELD(prefetches);
+    MEMBW_EXPECT_FIELD(streamHits);
+    MEMBW_EXPECT_FIELD(streamAllocs);
+    MEMBW_EXPECT_FIELD(requestBytes);
+    MEMBW_EXPECT_FIELD(demandFetchBytes);
+    MEMBW_EXPECT_FIELD(partialFillBytes);
+    MEMBW_EXPECT_FIELD(prefetchFetchBytes);
+    MEMBW_EXPECT_FIELD(streamFetchBytes);
+    MEMBW_EXPECT_FIELD(writebackBytes);
+    MEMBW_EXPECT_FIELD(writeThroughBytes);
+    MEMBW_EXPECT_FIELD(flushWritebackBytes);
+#undef MEMBW_EXPECT_FIELD
+}
+
+/**
+ * Seeded random word and doubleword references, a third of them
+ * stores: mostly over a hot region half the cache's size, the rest
+ * over a cold region four times its size, so sets fill, hit and
+ * evict.
+ */
+std::vector<MemRef>
+randomTrace(Bytes cache_bytes, std::uint64_t seed, std::size_t refs)
+{
+    Rng rng(seed);
+    std::vector<MemRef> t;
+    t.reserve(refs);
+    for (std::size_t i = 0; i < refs; ++i) {
+        const Bytes span = rng.below(4) == 0 ? cache_bytes * 4
+                                             : cache_bytes / 2;
+        const Bytes size = rng.below(4) == 0 ? 8 : 4;
+        const Addr addr = 0x100000 + rng.below(span / size) * size;
+        t.push_back(MemRef{addr, size,
+                           rng.below(3) == 0 ? RefKind::Store
+                                             : RefKind::Load});
+    }
+    return t;
+}
+
+TEST(CacheReference, WideSetsMatchNaiveModel)
+{
+    struct Geometry
+    {
+        Bytes size;
+        unsigned assoc;
+        Bytes block;
+    };
+    // 16-way x 8 sets, 64-way x 4 sets, and 256 ways in one set.
+    const Geometry geometries[] = {
+        {2_KiB, 16, 16}, {16_KiB, 64, 64}, {8_KiB, 0, 32}};
+    const std::size_t refs = 12000;
+
+    for (const Geometry &g : geometries) {
+        for (ReplPolicy repl :
+             {ReplPolicy::LRU, ReplPolicy::FIFO, ReplPolicy::Random}) {
+            for (WritePolicy write :
+                 {WritePolicy::WriteBack, WritePolicy::WriteThrough}) {
+                for (AllocPolicy alloc :
+                     {AllocPolicy::WriteAllocate,
+                      AllocPolicy::WriteNoAllocate,
+                      AllocPolicy::WriteValidate}) {
+                    // validate() rejects write-validate without
+                    // write-back.
+                    if (alloc == AllocPolicy::WriteValidate &&
+                        write == WritePolicy::WriteThrough)
+                        continue;
+                    CacheConfig cfg;
+                    cfg.size = g.size;
+                    cfg.assoc = g.assoc;
+                    cfg.blockBytes = g.block;
+                    cfg.repl = repl;
+                    cfg.write = write;
+                    cfg.alloc = alloc;
+                    cfg.seed = 7;
+                    SCOPED_TRACE(cfg.describe());
+                    const std::vector<MemRef> trace =
+                        randomTrace(g.size, g.size + g.assoc, refs);
+
+                    Cache cache(cfg);
+                    NaiveCache naive(cfg);
+                    // A mid-trace flush empties every set, so the
+                    // second half refills them from way 0.
+                    for (std::size_t i = 0; i < refs; ++i) {
+                        if (i == refs / 2) {
+                            cache.flush();
+                            naive.flush();
+                            expectSameStats(cache.stats(), naive.stats);
+                        }
+                        cache.access(trace[i]);
+                        naive.access(trace[i]);
+                    }
+                    expectSameStats(cache.stats(), naive.stats);
+                    cache.flush();
+                    naive.flush();
+                    expectSameStats(cache.stats(), naive.stats);
+                    ASSERT_FALSE(HasFailure());
+                }
+            }
+        }
+    }
 }
 
 } // namespace

@@ -18,6 +18,7 @@
 
 #include "cache/cache.hh"
 #include "cache/hierarchy.hh"
+#include "common/rng.hh"
 #include "cpu/core.hh"
 #include "mtc/min_cache.hh"
 #include "obs/registry.hh"
@@ -326,6 +327,140 @@ TEST(Resume, GeometryMismatchIsClassified)
     other.loadState(r);
     EXPECT_TRUE(r.failed());
     EXPECT_EQ(r.error().code, Errc::Mismatch);
+}
+
+namespace {
+
+std::string
+serializeCache(const Cache &cache)
+{
+    ChkWriter w;
+    cache.saveState(w);
+    return w.serialize();
+}
+
+/**
+ * Seeded word references with a quarter stores: half over a hot
+ * 32 KiB region, half over a cold 256 KiB one, so wide sets fill,
+ * hit, and then evict by recency.
+ */
+Trace
+wideSetTrace(std::size_t refs)
+{
+    Rng rng(11);
+    Trace t;
+    for (std::size_t i = 0; i < refs; ++i) {
+        const Bytes span = rng.below(2) ? 32_KiB : 256_KiB;
+        t.append(0x40000 + rng.below(span / 4) * 4, 4,
+                 rng.below(4) == 0 ? RefKind::Store : RefKind::Load);
+    }
+    return t;
+}
+
+} // namespace
+
+TEST(Resume, WideSetsResumeToIdenticalState)
+{
+    const Trace trace = wideSetTrace(20000);
+    CacheConfig fa_lru;
+    fa_lru.name = "FA";
+    fa_lru.size = 64_KiB;
+    fa_lru.assoc = 0; // 2048 ways
+    CacheConfig fifo16;
+    fifo16.name = "W16";
+    fifo16.size = 16_KiB;
+    fifo16.assoc = 16;
+    fifo16.repl = ReplPolicy::FIFO;
+
+    for (const CacheConfig &cfg : {fa_lru, fifo16}) {
+        Cache straight(cfg);
+        for (const MemRef &r : trace)
+            straight.access(r);
+        straight.flush();
+
+        // Save once while the sets are still filling and once after
+        // they have been evicting for a while.
+        for (std::size_t cut : {trace.size() / 20, trace.size() / 2}) {
+            SCOPED_TRACE(cfg.describe() + " cut " + std::to_string(cut));
+            Cache first(cfg);
+            for (std::size_t i = 0; i < cut; ++i)
+                first.access(trace[i]);
+            const std::string snapshot = serializeCache(first);
+
+            Cache second(cfg);
+            auto opened =
+                ChkReader::fromMemory(snapshot.data(), snapshot.size());
+            ASSERT_TRUE(opened.ok()) << opened.error().describe();
+            ChkReader r = std::move(opened.value());
+            second.loadState(r);
+            ASSERT_FALSE(r.failed()) << r.error().describe();
+            for (std::size_t i = cut; i < trace.size(); ++i)
+                second.access(trace[i]);
+            second.flush();
+
+            EXPECT_EQ(second.stats().evictions,
+                      straight.stats().evictions);
+            EXPECT_EQ(second.stats().trafficBelow(),
+                      straight.stats().trafficBelow());
+            EXPECT_EQ(serializeCache(second), serializeCache(straight));
+        }
+    }
+}
+
+TEST(Resume, NonPrefixValidWaysAreCorrupt)
+{
+    // One fully associative set of 16 ways.
+    CacheConfig cfg;
+    cfg.name = "FA16";
+    cfg.size = 512;
+    cfg.assoc = 0;
+    cfg.blockBytes = 32;
+
+    // A CACH section written by hand with a single valid line in
+    // @p valid_way.
+    auto section = [&](unsigned valid_way) {
+        ChkWriter w;
+        w.beginSection(chkTag("CACH"));
+        w.u32(1);
+        w.u32(16);
+        w.u64(32);
+        w.u64(1); // seq
+        for (std::uint64_t word : Rng(cfg.seed).state())
+            w.u64(word);
+        CacheStats stats;
+        stats.accesses = stats.loads = stats.misses = 1;
+        stats.loadMisses = 1;
+        saveCacheStats(w, stats);
+        for (unsigned way = 0; way < 16; ++way) {
+            const bool valid = way == valid_way;
+            w.u8(valid ? 1 : 0);
+            w.u64(valid ? 0x1000 : addrInvalid);
+            w.u64(valid ? 1 : 0);
+            w.u64(valid ? 1 : 0);
+            w.u64(valid ? 0xff : 0);
+            w.u64(0);
+            w.u8(0);
+        }
+        w.u64(0); // stream buffers
+        w.endSection();
+        return w.serialize();
+    };
+    auto load = [&](const std::string &image, Cache &cache) {
+        auto opened = ChkReader::fromMemory(image.data(), image.size());
+        EXPECT_TRUE(opened.ok());
+        ChkReader r = std::move(opened.value());
+        cache.loadState(r);
+        return r.failed() ? r.error().code : Errc::Ok;
+    };
+
+    // The layout is right: way 0 valid is what saveState() writes.
+    Cache prefix(cfg);
+    EXPECT_EQ(load(section(0), prefix), Errc::Ok);
+    EXPECT_TRUE(prefix.contains(0x1000));
+
+    // Way 0 invalid below a valid way 1 cannot come from saveState().
+    Cache hole(cfg);
+    EXPECT_EQ(load(section(1), hole), Errc::Corrupt);
 }
 
 TEST(Resume, MinCacheSimResumesToIdenticalStats)

@@ -3,7 +3,8 @@
  * Tests for the span tracing layer (obs/trace_span.hh) and its
  * exporters (obs/trace_export.hh): ring wrap-around accounting,
  * open-span clipping at flush, empty traces, per-thread timestamp
- * monotonicity in the Chrome JSON, and the JSONL series writer.
+ * monotonicity in the Chrome JSON, the JSONL series writer, and the
+ * span on a direct cache run.
  *
  * Every test that records events resets the tracing runtime first;
  * gtest runs tests in one process, and the rings are process-global.
@@ -11,12 +12,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <map>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "cache/hierarchy.hh"
 #include "obs/json.hh"
 #include "obs/trace_export.hh"
 #include "obs/trace_span.hh"
@@ -176,6 +179,31 @@ TEST(TraceSpan, DetailExprNotEvaluatedWhenInactive)
         MEMBW_SPAN_D("gated", expensive());
     }
     EXPECT_EQ(evaluations, 0);
+}
+
+TEST(TraceSpan, DirectCacheRunIsAttributed)
+{
+    CacheConfig cfg;
+    cfg.size = 1_KiB;
+    cfg.assoc = 0;
+    Trace trace;
+    for (Addr a = 0; a < 4_KiB; a += 4)
+        trace.append(a, 4, RefKind::Load);
+
+    restartTracing(64);
+    runTrace(trace, cfg);
+    tracingStop();
+
+    std::vector<tracedetail::FlatEvent> events;
+    std::uint64_t dropped = 0;
+    std::vector<std::pair<std::uint32_t, std::string>> threads;
+    tracedetail::snapshot(events, dropped, threads);
+    const auto span = std::find_if(
+        events.begin(), events.end(),
+        [](const auto &e) { return e.name == "cache.run_trace"; });
+    ASSERT_NE(span, events.end());
+    EXPECT_EQ(span->detail, cfg.describe());
+    EXPECT_FALSE(span->open);
 }
 
 #endif // MEMBW_TRACING_ENABLED
