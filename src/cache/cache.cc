@@ -66,12 +66,12 @@ loadCacheStats(ChkReader &r, CacheStats &s)
 }
 
 /**
- * Sets this narrow are probed faster by scanning the ways (a handful
- * of tag compares in one or two cache lines) than by hashing into the
- * per-set index map, and scanning their stamps for a victim is
- * cheaper than relinking a recency list on every hit.  Wider sets —
- * notably fully-associative geometries, where ways == blocks — keep
- * the map and the list.
+ * Sets this narrow are probed faster by scanning their contiguous
+ * lines in lines_ (a handful of tag compares in one or two host cache
+ * lines) than by hashing into a per-set index map, and scanning their
+ * stamps for a victim is cheaper than relinking a recency list on
+ * every hit.  Wider sets — notably fully-associative geometries,
+ * where ways == blocks — keep the map and the list.
  */
 static constexpr unsigned linearScanWays = 8;
 
@@ -82,23 +82,22 @@ Cache::Cache(const CacheConfig &config)
           std::countr_zero(config.blockBytes))),
       wordsPerBlock_(static_cast<unsigned>(config.blockBytes / wordBytes)),
       nsets_(config.sets()),
+      ways_(config.ways()),
       setMask_(nsets_ - 1),
-      useIndex_(config.ways() > linearScanWays),
+      useIndex_(ways_ > linearScanWays),
       lruList_(useIndex_ && config.repl == ReplPolicy::LRU),
       rng_(config.seed)
 {
     config_.validate();
-    sets_.resize(nsets_);
-    const unsigned ways = config_.ways();
-    for (Set &set : sets_) {
-        set.ways.resize(ways);
-        if (useIndex_)
-            set.index.reserve(ways * 2);
-    }
+    const std::size_t nlines = static_cast<std::size_t>(nsets_) * ways_;
+    lines_.resize(nlines);
     if (useIndex_) {
+        index_.resize(nsets_);
+        for (auto &index : index_)
+            index.reserve(ways_ * 2);
         recency_.resize(nsets_);
-        prev_.resize(static_cast<std::size_t>(nsets_) * ways, noWay);
-        next_.resize(static_cast<std::size_t>(nsets_) * ways, noWay);
+        prev_.resize(nlines, noWay);
+        next_.resize(nlines, noWay);
     }
 }
 
@@ -152,30 +151,30 @@ Cache::sectorExpand(std::uint64_t words) const
     return out;
 }
 
-Cache::Line *
-Cache::findLine(Addr block_addr)
+std::size_t
+Cache::findLine(Addr block_addr) const
 {
-    Set &set = sets_[setIndex(block_addr)];
+    const unsigned set = setIndex(block_addr);
+    const std::size_t base = slot(set, 0);
     if (!useIndex_) {
-        for (Line &line : set.ways)
-            if (line.valid && line.blockAddr == block_addr)
-                return &line;
-        return nullptr;
+        for (std::size_t i = base; i < base + ways_; ++i)
+            if (lines_[i].valid && lines_[i].blockAddr == block_addr)
+                return i;
+        return noLine;
     }
-    auto it = set.index.find(block_addr);
-    if (it == set.index.end())
-        return nullptr;
-    Line &line = set.ways[it->second];
-    assert(line.valid && line.blockAddr == block_addr);
-    return &line;
+    const auto it = index_[set].find(block_addr);
+    if (it == index_[set].end())
+        return noLine;
+    assert(lines_[base + it->second].valid &&
+           lines_[base + it->second].blockAddr == block_addr);
+    return base + it->second;
 }
 
 void
 Cache::linkHead(unsigned set, unsigned way)
 {
     Recency &r = recency_[set];
-    const std::size_t base = static_cast<std::size_t>(set) *
-                             sets_[set].ways.size();
+    const std::size_t base = slot(set, 0);
     prev_[base + way] = noWay;
     next_[base + way] = r.head;
     if (r.head != noWay)
@@ -190,8 +189,7 @@ void
 Cache::unlink(unsigned set, unsigned way)
 {
     Recency &r = recency_[set];
-    const std::size_t base = static_cast<std::size_t>(set) *
-                             sets_[set].ways.size();
+    const std::size_t base = slot(set, 0);
     const unsigned p = prev_[base + way];
     const unsigned n = next_[base + way];
     if (p != noWay)
@@ -206,11 +204,10 @@ Cache::unlink(unsigned set, unsigned way)
 }
 
 void
-Cache::moveToHead(Addr block, const Line &line)
+Cache::moveToHead(Addr block, std::size_t line_slot)
 {
     const unsigned set = setIndex(block);
-    const unsigned way =
-        static_cast<unsigned>(&line - sets_[set].ways.data());
+    const unsigned way = static_cast<unsigned>(line_slot - slot(set, 0));
     if (recency_[set].head != way) {
         unlink(set, way);
         linkHead(set, way);
@@ -218,41 +215,39 @@ Cache::moveToHead(Addr block, const Line &line)
 }
 
 unsigned
-Cache::pickVictim(Set &set)
+Cache::pickVictim(unsigned set)
 {
-    const unsigned ways = static_cast<unsigned>(set.ways.size());
-
     if (useIndex_) {
         // The list's tail is the line the stamp scan below would
         // pick: the stamps are unique and the list is ordered by them.
-        const Recency &r =
-            recency_[static_cast<std::size_t>(&set - sets_.data())];
-        if (r.filled < ways)
+        const Recency &r = recency_[set];
+        if (r.filled < ways_)
             return r.filled;
         if (config_.repl == ReplPolicy::Random)
-            return static_cast<unsigned>(rng_.below(ways));
+            return static_cast<unsigned>(rng_.below(ways_));
         return r.tail;
     }
 
+    const Line *ways = &lines_[slot(set, 0)];
     // Prefer an invalid way.
-    for (unsigned w = 0; w < ways; ++w)
-        if (!set.ways[w].valid)
+    for (unsigned w = 0; w < ways_; ++w)
+        if (!ways[w].valid)
             return w;
 
     switch (config_.repl) {
       case ReplPolicy::Random:
-        return static_cast<unsigned>(rng_.below(ways));
+        return static_cast<unsigned>(rng_.below(ways_));
       case ReplPolicy::LRU: {
         unsigned best = 0;
-        for (unsigned w = 1; w < ways; ++w)
-            if (set.ways[w].lastUse < set.ways[best].lastUse)
+        for (unsigned w = 1; w < ways_; ++w)
+            if (ways[w].lastUse < ways[best].lastUse)
                 best = w;
         return best;
       }
       case ReplPolicy::FIFO: {
         unsigned best = 0;
-        for (unsigned w = 1; w < ways; ++w)
-            if (set.ways[w].insertSeq < set.ways[best].insertSeq)
+        for (unsigned w = 1; w < ways_; ++w)
+            if (ways[w].insertSeq < ways[best].insertSeq)
                 best = w;
         return best;
       }
@@ -276,17 +271,14 @@ Cache::writebackSize(const Line &line) const
 }
 
 Bytes
-Cache::evict(Set &set, unsigned way, bool to_flush)
+Cache::evict(unsigned set, unsigned way, bool to_flush)
 {
-    Line &line = set.ways[way];
+    Line &line = lines_[slot(set, way)];
     if (!line.valid)
         return 0;
 
     stats_.evictions++;
-    MEMBW_PROBE(probe_,
-                onEvict(probeLevel_,
-                        static_cast<std::size_t>(&set -
-                                                 sets_.data())));
+    MEMBW_PROBE(probe_, onEvict(probeLevel_, set));
     const Bytes wb = writebackSize(line);
     if (wb) {
         stats_.writebacks++;
@@ -297,8 +289,8 @@ Cache::evict(Set &set, unsigned way, bool to_flush)
         sendWriteback(line.blockAddr, wb);
     }
     if (useIndex_) {
-        set.index.erase(line.blockAddr);
-        unlink(static_cast<unsigned>(&set - sets_.data()), way);
+        index_[set].erase(line.blockAddr);
+        unlink(set, way);
     }
     line = Line{};
     return wb;
@@ -307,12 +299,11 @@ Cache::evict(Set &set, unsigned way, bool to_flush)
 Cache::Line &
 Cache::insert(Addr block_addr)
 {
-    const unsigned s = setIndex(block_addr);
-    Set &set = sets_[s];
+    const unsigned set = setIndex(block_addr);
     const unsigned way = pickVictim(set);
     evict(set, way, false);
 
-    Line &line = set.ways[way];
+    Line &line = lines_[slot(set, way)];
     line.blockAddr = block_addr;
     line.valid = true;
     line.lastUse = ++seq_;
@@ -321,8 +312,8 @@ Cache::insert(Addr block_addr)
     line.dirtyMask = 0;
     line.prefetchTag = false;
     if (useIndex_) {
-        set.index.emplace(block_addr, way);
-        linkHead(s, way);
+        index_[set].emplace(block_addr, way);
+        linkHead(set, way);
     }
     return line;
 }
@@ -352,7 +343,7 @@ Cache::maybePrefetch(Addr demand_block)
     const Addr next = demand_block + blockBytes_;
     if (next < demand_block) // address wrap
         return;
-    if (findLine(next))
+    if (findLine(next) != noLine)
         return;
 
     inPrefetch_ = true;
@@ -433,7 +424,8 @@ Cache::access(const MemRef &ref)
     else
         stats_.stores++;
 
-    Line *line = findLine(block);
+    const std::size_t line_slot = findLine(block);
+    Line *line = line_slot != noLine ? &lines_[line_slot] : nullptr;
 
     // Tagged prefetch: first demand touch of a prefetched line
     // triggers the next sequential prefetch (Gindele [17]).
@@ -466,7 +458,7 @@ Cache::access(const MemRef &ref)
             result.hit = true;
             line->lastUse = ++seq_;
             if (lruList_)
-                moveToHead(block, *line);
+                moveToHead(block, line_slot);
         } else {
             stats_.misses++;
             stats_.loadMisses++;
@@ -498,7 +490,7 @@ Cache::access(const MemRef &ref)
         result.hit = true;
         line->lastUse = ++seq_;
         if (lruList_)
-            moveToHead(block, *line);
+            moveToHead(block, line_slot);
         line->validMask |= words;
         if (config_.write == WritePolicy::WriteBack) {
             line->dirtyMask |= words;
@@ -553,10 +545,9 @@ Bytes
 Cache::flush()
 {
     Bytes total = 0;
-    for (Set &set : sets_) {
-        for (unsigned w = 0; w < set.ways.size(); ++w)
+    for (unsigned set = 0; set < nsets_; ++set)
+        for (unsigned w = 0; w < ways_; ++w)
             total += evict(set, w, true);
-    }
     return total;
 }
 
@@ -646,7 +637,7 @@ Cache::saveState(ChkWriter &w) const
     // Geometry guard: a checkpoint only restores into an identically
     // shaped cache.
     w.u32(nsets_);
-    w.u32(config_.ways());
+    w.u32(ways_);
     w.u64(blockBytes_);
 
     w.u64(seq_);
@@ -654,16 +645,14 @@ Cache::saveState(ChkWriter &w) const
         w.u64(word);
     saveCacheStats(w, stats_);
 
-    for (const Set &set : sets_) {
-        for (const Line &line : set.ways) {
-            w.u8(line.valid ? 1 : 0);
-            w.u64(line.blockAddr);
-            w.u64(line.lastUse);
-            w.u64(line.insertSeq);
-            w.u64(line.validMask);
-            w.u64(line.dirtyMask);
-            w.u8(line.prefetchTag ? 1 : 0);
-        }
+    for (const Line &line : lines_) {
+        w.u8(line.valid ? 1 : 0);
+        w.u64(line.blockAddr);
+        w.u64(line.lastUse);
+        w.u64(line.insertSeq);
+        w.u64(line.validMask);
+        w.u64(line.dirtyMask);
+        w.u8(line.prefetchTag ? 1 : 0);
     }
 
     w.u64(streams_.size());
@@ -688,15 +677,14 @@ Cache::loadState(ChkReader &r)
     const std::uint64_t block = r.u64();
     if (r.failed())
         return;
-    if (nsets != nsets_ || ways != config_.ways() ||
-        block != blockBytes_) {
+    if (nsets != nsets_ || ways != ways_ || block != blockBytes_) {
         r.fail(Errc::Mismatch,
                config_.name + ": checkpoint geometry " +
                    std::to_string(nsets) + "x" + std::to_string(ways) +
                    "x" + std::to_string(block) +
                    "B does not match the configured " +
                    std::to_string(nsets_) + "x" +
-                   std::to_string(config_.ways()) + "x" +
+                   std::to_string(ways_) + "x" +
                    std::to_string(blockBytes_) + "B cache");
         return;
     }
@@ -708,12 +696,16 @@ Cache::loadState(ChkReader &r)
     rng_.setState(rstate);
     loadCacheStats(r, stats_);
 
+    // Linear-scan geometries keep no index_ at runtime; a local map
+    // stands in for it as the duplicate detector.
+    std::unordered_map<Addr, unsigned> scratch;
     std::vector<unsigned> order;
     for (unsigned s = 0; s < nsets_; ++s) {
-        Set &set = sets_[s];
-        set.index.clear();
-        for (unsigned way = 0; way < set.ways.size(); ++way) {
-            Line &line = set.ways[way];
+        auto &index = useIndex_ ? index_[s] : scratch;
+        index.clear();
+        Line *const ways = &lines_[slot(s, 0)];
+        for (unsigned way = 0; way < ways_; ++way) {
+            Line &line = ways[way];
             line.valid = r.u8() != 0;
             line.blockAddr = r.u64();
             line.lastUse = r.u64();
@@ -724,7 +716,7 @@ Cache::loadState(ChkReader &r)
             if (r.failed())
                 return;
             if (line.valid &&
-                !set.index.emplace(line.blockAddr, way).second) {
+                !index.emplace(line.blockAddr, way).second) {
                 r.fail(Errc::Corrupt,
                        config_.name +
                            ": duplicate resident block in set");
@@ -734,20 +726,16 @@ Cache::loadState(ChkReader &r)
         // insert() fills the lowest invalid way and only flush()
         // invalidates, so saveState() always writes a valid prefix.
         unsigned filled = 0;
-        while (filled < set.ways.size() && set.ways[filled].valid)
+        while (filled < ways_ && ways[filled].valid)
             ++filled;
-        if (set.index.size() != filled) {
+        if (index.size() != filled) {
             r.fail(Errc::Corrupt,
                    config_.name + ": valid ways of a set are not a "
                                   "prefix");
             return;
         }
-        // The map above doubles as the duplicate detector; linear-
-        // scan geometries don't keep it at runtime.
-        if (!useIndex_) {
-            set.index.clear();
+        if (!useIndex_)
             continue;
-        }
         // Rebuild the recency list: link oldest stamp first, so the
         // newest ends up at the head.
         order.resize(filled);
@@ -755,8 +743,8 @@ Cache::loadState(ChkReader &r)
         const bool by_use = config_.repl == ReplPolicy::LRU;
         std::stable_sort(order.begin(), order.end(),
                          [&](unsigned a, unsigned b) {
-                             const Line &la = set.ways[a];
-                             const Line &lb = set.ways[b];
+                             const Line &la = ways[a];
+                             const Line &lb = ways[b];
                              return by_use ? la.lastUse < lb.lastUse
                                            : la.insertSeq < lb.insertSeq;
                          });
@@ -798,9 +786,7 @@ Cache::loadState(ChkReader &r)
 bool
 Cache::contains(Addr addr) const
 {
-    // findLine is logically const; use a const_cast shim.
-    return const_cast<Cache *>(this)->findLine(blockAddr(addr)) !=
-           nullptr;
+    return findLine(blockAddr(addr)) != noLine;
 }
 
 } // namespace membw

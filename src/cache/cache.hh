@@ -13,6 +13,7 @@
 #ifndef MEMBW_CACHE_CACHE_HH
 #define MEMBW_CACHE_CACHE_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
@@ -181,12 +182,6 @@ class Cache
         bool prefetchTag = false;
     };
 
-    struct Set
-    {
-        std::vector<Line> ways;
-        std::unordered_map<Addr, unsigned> index; ///< blockAddr -> way
-    };
-
     Addr blockAddr(Addr addr) const { return addr & ~(blockBytes_ - 1); }
 
     /**
@@ -206,15 +201,24 @@ class Cache
      * whole block when sectoring is off). */
     std::uint64_t sectorExpand(std::uint64_t words) const;
 
-    Line *findLine(Addr block_addr);
+    /** Line @p way of set @p set: lines_[set * ways_ + way]. */
+    std::size_t
+    slot(unsigned set, unsigned way) const
+    {
+        return static_cast<std::size_t>(set) * ways_ + way;
+    }
+
+    static constexpr std::size_t noLine = ~std::size_t{0};
+    /** Slot in lines_ of the resident @p block_addr, or noLine. */
+    std::size_t findLine(Addr block_addr) const;
     /** Recency-list edits of a useIndex_ set; both keep `filled`. */
     void linkHead(unsigned set, unsigned way);
     void unlink(unsigned set, unsigned way);
-    /** LRU hit on @p line, which lives in @p block's set. */
-    void moveToHead(Addr block, const Line &line);
-    unsigned pickVictim(Set &set);
+    /** LRU hit on the line at @p line_slot, in @p block's set. */
+    void moveToHead(Addr block, std::size_t line_slot);
+    unsigned pickVictim(unsigned set);
     /** Evict @p way of @p set; returns write-back bytes (counted). */
-    Bytes evict(Set &set, unsigned way, bool to_flush);
+    Bytes evict(unsigned set, unsigned way, bool to_flush);
     /** Insert @p block_addr; returns the line (victim evicted). */
     Line &insert(Addr block_addr);
 
@@ -236,19 +240,24 @@ class Cache
     unsigned blockShift_;   ///< log2(blockBytes_)
     unsigned wordsPerBlock_;
     unsigned nsets_;
+    unsigned ways_;
     Addr setMask_;          ///< nsets_ - 1
     /**
-     * Lookup and victim strategy.  Sets with few ways are probed by
-     * linear tag scan (fits in a cache line, no hashing) and pick
-     * their victim by scanning the lastUse/insertSeq stamps.  Wide
-     * and fully-associative sets keep the blockAddr -> way hash
-     * index plus a recency list over their valid ways, so both the
-     * lookup and the victim choice are O(1).
+     * Lookup and victim strategy.  Sets with few ways scan their
+     * ways_ contiguous lines in lines_ for the tag (one or two host
+     * cache lines, no hashing) and pick their victim by scanning the
+     * lastUse/insertSeq stamps.  Wide and fully-associative sets
+     * keep a blockAddr -> way hash index_ plus a recency list over
+     * their valid ways, so both the lookup and the victim choice are
+     * O(1).
      */
     bool useIndex_;
     /** useIndex_ under LRU: a hit moves its line to the list head. */
     bool lruList_;
-    std::vector<Set> sets_;
+    /** Every line of every set, set-major: see slot(). */
+    std::vector<Line> lines_;
+    /** Per set, blockAddr -> way; empty unless useIndex_. */
+    std::vector<std::unordered_map<Addr, unsigned>> index_;
     std::uint64_t seq_ = 0;
     Rng rng_;
     CacheStats stats_;
@@ -284,8 +293,8 @@ class Cache
     /** Per set; empty unless useIndex_. */
     std::vector<Recency> recency_;
     /**
-     * Links of way w in set s at [s * ways + w]: prev_ toward the
-     * head, next_ toward the tail.  Empty unless useIndex_.
+     * Links of way w in set s at slot(s, w): prev_ toward the head,
+     * next_ toward the tail.  Empty unless useIndex_.
      */
     std::vector<unsigned> prev_;
     std::vector<unsigned> next_;

@@ -1,6 +1,8 @@
 #include "cpu/core.hh"
 
 #include <algorithm>
+#include <cassert>
+#include <cstddef>
 #include <vector>
 
 #include "common/log.hh"
@@ -44,33 +46,59 @@ class Slotter
     unsigned used_ = 0;
 };
 
-/** Ring of the last N timestamps, for window/LSQ occupancy. */
+/**
+ * The last N timestamps, for window/LSQ occupancy.  Each entry is
+ * stored twice, at i and i + N, so ring_[pos_, pos_ + N) holds the
+ * last N oldest first.  Retire cycles arrive in non-decreasing order,
+ * so that view is sorted.
+ */
 class OccupancyRing
 {
   public:
-    explicit OccupancyRing(unsigned slots) : ring_(slots, 0) {}
+    explicit OccupancyRing(unsigned slots)
+        : slots_(slots), ring_(2 * std::size_t{slots}, 0)
+    {
+    }
 
     /** Time the oldest of the last N entries freed its slot. */
     Cycle oldest() const { return ring_[pos_]; }
 
-    /** Entries still occupied (not yet retired) at cycle @p t. */
+    /**
+     * Entries still occupied (not yet retired) at cycle @p t: the
+     * suffix of the sorted view past @p t, found by bisection.  The
+     * loop has no data-dependent branch (the select compiles to a
+     * conditional move), so it costs log2(N) steps and no
+     * mispredictions.
+     */
     unsigned
     occupiedAt(Cycle t) const
     {
-        unsigned n = 0;
-        for (const Cycle c : ring_)
-            n += c > t;
-        return n;
+        const Cycle *const first = ring_.data() + pos_;
+        const Cycle *base = first;
+        std::size_t n = slots_;
+        // Entries before base are <= t; entries from base + n are > t.
+        while (n > 1) {
+            const std::size_t half = n / 2;
+            base = base[half] <= t ? base + half : base;
+            n -= half;
+        }
+        const std::size_t not_after =
+            static_cast<std::size_t>(base - first) + (*base <= t);
+        return static_cast<unsigned>(slots_ - not_after);
     }
 
     void
     push(Cycle t)
     {
+        assert(t >= ring_[pos_ + slots_ - 1]);
         ring_[pos_] = t;
-        pos_ = (pos_ + 1) % ring_.size();
+        ring_[pos_ + slots_] = t;
+        if (++pos_ == slots_)
+            pos_ = 0;
     }
 
   private:
+    std::size_t slots_;
     std::vector<Cycle> ring_;
     std::size_t pos_ = 0;
 };

@@ -4,6 +4,7 @@
 
 #include "common/log.hh"
 #include "obs/registry.hh"
+#include "obs/trace_span.hh"
 
 namespace membw {
 
@@ -123,6 +124,7 @@ runPhase(const InstrStream &stream, const ExperimentConfig &config,
       default:
         fatal("decomposition phase must be 0-2");
     }
+    MEMBW_SPAN_D("phase", std::string(phaseName(phase)));
     MemorySystem mem(m);
     if (preRun)
         preRun(mem);

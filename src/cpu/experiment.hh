@@ -65,7 +65,8 @@ constexpr unsigned decompositionPhases = 3;
  * Run one decomposition phase (0 = perfect memory, 1 =
  * infinite-width, 2 = full system).  Each phase is deterministic and
  * independent, which is what makes phase-granularity checkpointing
- * sound: an interrupted phase is simply re-run from its start.
+ * sound: an interrupted phase is simply re-run from its start.  Each
+ * call records one "phase" span (detail: phaseName()) when tracing.
  */
 CoreResult runPhase(const InstrStream &stream,
                     const ExperimentConfig &config, unsigned phase);

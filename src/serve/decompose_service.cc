@@ -97,7 +97,6 @@ executeDecompose(const DecomposeRequest &req, const InstrStream &stream,
         // phase, so the guard must too.
         Watchdog watchdog(req.watchdogCycles);
         cfg.core.watchdog = &watchdog;
-        MEMBW_SPAN_D("phase", std::string(phaseName(phase)));
         results[phase] = runPhase(stream, cfg, phase);
         cfg.core.watchdog = nullptr;
     }

@@ -1,13 +1,15 @@
 /**
  * @file
  * Unit tests for src/cache: geometry, policies, traffic accounting,
- * and a differential check of wide sets against a naive reference.
+ * and a differential check of wide and narrow sets against a naive
+ * reference.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
+#include <initializer_list>
 #include <list>
 #include <vector>
 
@@ -574,17 +576,22 @@ randomTrace(Bytes cache_bytes, std::uint64_t seed, std::size_t refs)
     return t;
 }
 
-TEST(CacheReference, WideSetsMatchNaiveModel)
+struct Geometry
 {
-    struct Geometry
-    {
-        Bytes size;
-        unsigned assoc;
-        Bytes block;
-    };
-    // 16-way x 8 sets, 64-way x 4 sets, and 256 ways in one set.
-    const Geometry geometries[] = {
-        {2_KiB, 16, 16}, {16_KiB, 64, 64}, {8_KiB, 0, 32}};
+    Bytes size;
+    unsigned assoc;
+    Bytes block;
+};
+
+/**
+ * Run Cache and NaiveCache side by side on every replacement x write
+ * x allocation policy of each geometry, comparing every CacheStats
+ * field after a mid-trace flush(), at the end, and after a final
+ * flush().
+ */
+void
+expectMatchesNaiveModel(std::initializer_list<Geometry> geometries)
+{
     const std::size_t refs = 12000;
 
     for (const Geometry &g : geometries) {
@@ -630,11 +637,29 @@ TEST(CacheReference, WideSetsMatchNaiveModel)
                     cache.flush();
                     naive.flush();
                     expectSameStats(cache.stats(), naive.stats);
-                    ASSERT_FALSE(HasFailure());
+                    ASSERT_FALSE(::testing::Test::HasFailure());
                 }
             }
         }
     }
+}
+
+TEST(CacheReference, WideSetsMatchNaiveModel)
+{
+    // 16-way x 8 sets, 64-way x 4 sets, and 256 ways in one set.
+    expectMatchesNaiveModel(
+        {{2_KiB, 16, 16}, {16_KiB, 64, 64}, {8_KiB, 0, 32}});
+}
+
+TEST(CacheReference, NarrowSetsMatchNaiveModel)
+{
+    // The linear-scan geometries: direct-mapped and 2-, 4- and 8-way.
+    // 1 KiB direct-mapped 32 B and 4 KiB 4-way 64 B are scaled-down
+    // Table 4 L1 and L2 shapes.
+    expectMatchesNaiveModel({{1_KiB, 1, 32},
+                             {2_KiB, 2, 16},
+                             {4_KiB, 4, 64},
+                             {4_KiB, 8, 16}});
 }
 
 } // namespace

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
 #include "common/log.hh"
 #include "cpu/branch_pred.hh"
 #include "cpu/bus.hh"
@@ -14,6 +17,7 @@
 #include "cpu/instr_stream.hh"
 #include "cpu/memsys.hh"
 #include "trace/recorder.hh"
+#include "workloads/workload.hh"
 
 namespace membw {
 namespace {
@@ -355,6 +359,94 @@ TEST(Experiment, DecompositionIdentitiesHold)
         EXPECT_NEAR(r.split.fP() + r.split.fL() + r.split.fB(), 1.0,
                     1e-9)
             << letter;
+    }
+}
+
+/**
+ * window_occupancy and lsq_occupancy of every phase of experiments A
+ * and F (window 8 to 128 slots), pinned to the values the original
+ * linear scan over every ring slot recorded.  The digests elsewhere
+ * cover cycles and stalls but not these two distributions.
+ */
+TEST(Core, OccupancyDistributionsArePinned)
+{
+    struct Moments
+    {
+        std::uint64_t count;
+        double sum, sumSq, minv, maxv;
+    };
+    struct Pinned
+    {
+        const char *workload;
+        bool spec95;
+        char letter;
+        unsigned phase;
+        Moments window, lsq;
+    };
+    const Pinned pinned[] = {
+        {"Compress", false, 'A', 0,
+         {97726, 483406, 2793104, 0, 7},
+         {28000, 1085, 1085, 0, 1}},
+        {"Compress", false, 'A', 1,
+         {97726, 474300, 2732830, 0, 7},
+         {28000, 1085, 1085, 0, 1}},
+        {"Compress", false, 'A', 2,
+         {97726, 474300, 2732830, 0, 7},
+         {28000, 1085, 1085, 0, 1}},
+        {"Compress", false, 'F', 0,
+         {97726, 547403, 3803747, 0, 16},
+         {28000, 24802, 40962, 0, 3}},
+        {"Compress", false, 'F', 1,
+         {97726, 2044411, 82784235, 0, 63},
+         {28000, 145019, 1729515, 0, 20}},
+        {"Compress", false, 'F', 2,
+         {97726, 2168392, 92483794, 0, 63},
+         {28000, 150402, 1880424, 0, 20}},
+        {"Li", true, 'A', 0,
+         {58210, 371819, 2430889, 0, 7},
+         {24000, 1790, 1790, 0, 1}},
+        {"Li", true, 'A', 1,
+         {58210, 368483, 2404315, 0, 7},
+         {24000, 1787, 1787, 0, 1}},
+        {"Li", true, 'A', 2,
+         {58210, 368483, 2404315, 0, 7},
+         {24000, 1787, 1787, 0, 1}},
+        {"Li", true, 'F', 0,
+         {58210, 3819920, 359232344, 0, 127},
+         {24000, 12616, 14348, 0, 2}},
+        {"Li", true, 'F', 1,
+         {58210, 4321139, 447872131, 0, 127},
+         {24000, 12564, 14290, 0, 2}},
+        {"Li", true, 'F', 2,
+         {58210, 4109865, 418658815, 0, 127},
+         {24000, 12535, 14257, 0, 2}},
+    };
+    auto expectMoments = [](const DistData &got, const Moments &want) {
+        EXPECT_EQ(got.count, want.count);
+        EXPECT_EQ(got.sum, want.sum);
+        EXPECT_EQ(got.sumSq, want.sumSq);
+        EXPECT_EQ(got.minv, want.minv);
+        EXPECT_EQ(got.maxv, want.maxv);
+    };
+
+    std::string built;
+    InstrStream stream;
+    for (const Pinned &p : pinned) {
+        if (built != p.workload) {
+            WorkloadParams wp;
+            wp.scale = 0.02;
+            wp.seed = 42;
+            stream = InstrStream::fromRun(
+                makeWorkload(p.workload)->run(wp),
+                codeFootprintBytes(p.workload), 42);
+            built = p.workload;
+        }
+        SCOPED_TRACE(std::string(p.workload) + " " + p.letter + " " +
+                     phaseName(p.phase));
+        const CoreResult r =
+            runPhase(stream, makeExperiment(p.letter, p.spec95), p.phase);
+        expectMoments(r.windowOcc, p.window);
+        expectMoments(r.lsqOcc, p.lsq);
     }
 }
 

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <filesystem>
@@ -357,6 +358,66 @@ wideSetTrace(std::size_t refs)
     return t;
 }
 
+/**
+ * A one-set cache of @p ways 32 B ways; @p assoc 0 makes it fully
+ * associative.
+ */
+CacheConfig
+oneSetCache(unsigned ways, unsigned assoc)
+{
+    CacheConfig cfg;
+    cfg.name = "set" + std::to_string(ways);
+    cfg.size = ways * 32;
+    cfg.assoc = assoc;
+    cfg.blockBytes = 32;
+    return cfg;
+}
+
+/**
+ * A CACH section for oneSetCache(), written by hand: way w is valid
+ * and holds blocks[w] unless that is addrInvalid.
+ */
+std::string
+oneSetSection(const CacheConfig &cfg, const std::vector<Addr> &blocks)
+{
+    ChkWriter w;
+    w.beginSection(chkTag("CACH"));
+    w.u32(1);
+    w.u32(static_cast<std::uint32_t>(blocks.size()));
+    w.u64(32);
+    w.u64(blocks.size()); // seq
+    for (std::uint64_t word : Rng(cfg.seed).state())
+        w.u64(word);
+    CacheStats stats;
+    stats.accesses = stats.loads = stats.misses = 1;
+    stats.loadMisses = 1;
+    saveCacheStats(w, stats);
+    for (std::size_t way = 0; way < blocks.size(); ++way) {
+        const bool valid = blocks[way] != addrInvalid;
+        w.u8(valid ? 1 : 0);
+        w.u64(blocks[way]);
+        w.u64(valid ? way + 1 : 0);
+        w.u64(valid ? way + 1 : 0);
+        w.u64(valid ? 0xff : 0);
+        w.u64(0);
+        w.u8(0);
+    }
+    w.u64(0); // stream buffers
+    w.endSection();
+    return w.serialize();
+}
+
+/** Load @p image into @p cache; the error it latched, or Errc::Ok. */
+Error
+loadCacheImage(const std::string &image, Cache &cache)
+{
+    auto opened = ChkReader::fromMemory(image.data(), image.size());
+    EXPECT_TRUE(opened.ok());
+    ChkReader r = std::move(opened.value());
+    cache.loadState(r);
+    return r.failed() ? r.error() : Error{Errc::Ok, ""};
+}
+
 } // namespace
 
 TEST(Resume, WideSetsResumeToIdenticalState)
@@ -409,58 +470,41 @@ TEST(Resume, WideSetsResumeToIdenticalState)
 
 TEST(Resume, NonPrefixValidWaysAreCorrupt)
 {
-    // One fully associative set of 16 ways.
-    CacheConfig cfg;
-    cfg.name = "FA16";
-    cfg.size = 512;
-    cfg.assoc = 0;
-    cfg.blockBytes = 32;
+    // One fully associative set of 16 ways (hash-indexed) and one
+    // 4-way set (linear scan).
+    for (const CacheConfig &cfg : {oneSetCache(16, 0), oneSetCache(4, 4)}) {
+        SCOPED_TRACE(cfg.name);
+        const unsigned ways = static_cast<unsigned>(cfg.ways());
+        std::vector<Addr> blocks(ways, addrInvalid);
 
-    // A CACH section written by hand with a single valid line in
-    // @p valid_way.
-    auto section = [&](unsigned valid_way) {
-        ChkWriter w;
-        w.beginSection(chkTag("CACH"));
-        w.u32(1);
-        w.u32(16);
-        w.u64(32);
-        w.u64(1); // seq
-        for (std::uint64_t word : Rng(cfg.seed).state())
-            w.u64(word);
-        CacheStats stats;
-        stats.accesses = stats.loads = stats.misses = 1;
-        stats.loadMisses = 1;
-        saveCacheStats(w, stats);
-        for (unsigned way = 0; way < 16; ++way) {
-            const bool valid = way == valid_way;
-            w.u8(valid ? 1 : 0);
-            w.u64(valid ? 0x1000 : addrInvalid);
-            w.u64(valid ? 1 : 0);
-            w.u64(valid ? 1 : 0);
-            w.u64(valid ? 0xff : 0);
-            w.u64(0);
-            w.u8(0);
-        }
-        w.u64(0); // stream buffers
-        w.endSection();
-        return w.serialize();
-    };
-    auto load = [&](const std::string &image, Cache &cache) {
-        auto opened = ChkReader::fromMemory(image.data(), image.size());
-        EXPECT_TRUE(opened.ok());
-        ChkReader r = std::move(opened.value());
-        cache.loadState(r);
-        return r.failed() ? r.error().code : Errc::Ok;
-    };
+        // The layout is right: way 0 valid is what saveState() writes.
+        blocks[0] = 0x1000;
+        Cache prefix(cfg);
+        EXPECT_EQ(loadCacheImage(oneSetSection(cfg, blocks), prefix).code,
+                  Errc::Ok);
+        EXPECT_TRUE(prefix.contains(0x1000));
 
-    // The layout is right: way 0 valid is what saveState() writes.
-    Cache prefix(cfg);
-    EXPECT_EQ(load(section(0), prefix), Errc::Ok);
-    EXPECT_TRUE(prefix.contains(0x1000));
+        // Way 0 invalid below a valid way 1 cannot come from
+        // saveState().
+        std::swap(blocks[0], blocks[1]);
+        Cache hole(cfg);
+        EXPECT_EQ(loadCacheImage(oneSetSection(cfg, blocks), hole).code,
+                  Errc::Corrupt);
+    }
+}
 
-    // Way 0 invalid below a valid way 1 cannot come from saveState().
-    Cache hole(cfg);
-    EXPECT_EQ(load(section(1), hole), Errc::Corrupt);
+TEST(Resume, DuplicateBlockInNarrowSetIsCorrupt)
+{
+    // Linear-scan sets keep no block index at runtime, so loadState()
+    // needs a stand-in duplicate detector.  The message pins that
+    // detector, not the valid-prefix check, as the one that fires.
+    const CacheConfig cfg = oneSetCache(4, 4);
+    Cache cache(cfg);
+    const Error err = loadCacheImage(
+        oneSetSection(cfg, {0x1000, 0x2000, 0x1000, 0x3000}), cache);
+    EXPECT_EQ(err.code, Errc::Corrupt);
+    EXPECT_NE(err.message.find("duplicate"), std::string::npos)
+        << err.message;
 }
 
 TEST(Resume, MinCacheSimResumesToIdenticalStats)

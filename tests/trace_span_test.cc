@@ -3,8 +3,8 @@
  * Tests for the span tracing layer (obs/trace_span.hh) and its
  * exporters (obs/trace_export.hh): ring wrap-around accounting,
  * open-span clipping at flush, empty traces, per-thread timestamp
- * monotonicity in the Chrome JSON, the JSONL series writer, and the
- * span on a direct cache run.
+ * monotonicity in the Chrome JSON, the JSONL series writer, the span
+ * on a direct cache run, and the phase spans of a decomposition.
  *
  * Every test that records events resets the tracing runtime first;
  * gtest runs tests in one process, and the rings are process-global.
@@ -20,9 +20,12 @@
 #include <vector>
 
 #include "cache/hierarchy.hh"
+#include "cpu/experiment.hh"
+#include "cpu/instr_stream.hh"
 #include "obs/json.hh"
 #include "obs/trace_export.hh"
 #include "obs/trace_span.hh"
+#include "workloads/workload.hh"
 
 using namespace membw;
 
@@ -204,6 +207,32 @@ TEST(TraceSpan, DirectCacheRunIsAttributed)
     ASSERT_NE(span, events.end());
     EXPECT_EQ(span->detail, cfg.describe());
     EXPECT_FALSE(span->open);
+}
+
+TEST(TraceSpan, DecompositionRecordsEveryPhase)
+{
+    WorkloadParams p;
+    p.scale = 0.01;
+    const InstrStream stream =
+        InstrStream::fromRun(makeWorkload("Swm")->run(p));
+
+    restartTracing(64);
+    runDecomposition(stream, makeExperiment('A', false));
+    tracingStop();
+
+    std::vector<tracedetail::FlatEvent> events;
+    std::uint64_t dropped = 0;
+    std::vector<std::pair<std::uint32_t, std::string>> threads;
+    tracedetail::snapshot(events, dropped, threads);
+    std::vector<std::string> phases;
+    for (const auto &e : events)
+        if (e.name == "phase") {
+            EXPECT_FALSE(e.open);
+            phases.push_back(e.detail);
+        }
+    std::sort(phases.begin(), phases.end());
+    EXPECT_EQ(phases, (std::vector<std::string>{"full", "infinite-width",
+                                                "perfect"}));
 }
 
 #endif // MEMBW_TRACING_ENABLED

@@ -696,8 +696,6 @@ main(int argc, char **argv)
                 };
             }
             try {
-                MEMBW_SPAN_D("phase",
-                             std::string(phaseName(phasesDone)));
                 results[phasesDone] = runPhase(
                     stream, cfg, phasesDone, preRun, postRun);
             } catch (const PhaseInterrupt &) {
