@@ -407,11 +407,16 @@ Cache::streamLookup(Addr block)
     return false;
 }
 
+void
+Cache::spanError() const
+{
+    fatal(config_.name + ": reference spans a block boundary");
+}
+
 AccessResult
 Cache::access(const MemRef &ref)
 {
-    if (blockAddr(ref.addr) != blockAddr(ref.addr + ref.size - 1))
-        fatal(config_.name + ": reference spans a block boundary");
+    checkRef(ref);
 
     AccessResult result;
     const Addr block = blockAddr(ref.addr);

@@ -128,6 +128,18 @@ class Cache
     AccessResult access(const MemRef &ref);
 
     /**
+     * The input check access() makes first, alone: throw FatalError
+     * if @p ref spans a block boundary of this cache.  For callers
+     * that model every access as a hit without simulating it.
+     */
+    void
+    checkRef(const MemRef &ref) const
+    {
+        if (blockAddr(ref.addr) != blockAddr(ref.addr + ref.size - 1))
+            spanError();
+    }
+
+    /**
      * Write back all dirty data and invalidate (program completion;
      * Section 4.1 includes these write-backs in traffic).
      * @return bytes written back.
@@ -183,6 +195,8 @@ class Cache
     };
 
     Addr blockAddr(Addr addr) const { return addr & ~(blockBytes_ - 1); }
+
+    [[noreturn]] void spanError() const;
 
     /**
      * blockBytes is a power of two (validate() enforces it), so the

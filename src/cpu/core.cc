@@ -47,60 +47,56 @@ class Slotter
 };
 
 /**
- * The last N timestamps, for window/LSQ occupancy.  Each entry is
- * stored twice, at i and i + N, so ring_[pos_, pos_ + N) holds the
- * last N oldest first.  Retire cycles arrive in non-decreasing order,
- * so that view is sorted.
+ * The last N timestamps, for window/LSQ occupancy.  Retire cycles
+ * arrive in non-decreasing order, so the ring read from pos_ (oldest
+ * first) is sorted.
  */
 class OccupancyRing
 {
   public:
-    explicit OccupancyRing(unsigned slots)
-        : slots_(slots), ring_(2 * std::size_t{slots}, 0)
-    {
-    }
+    explicit OccupancyRing(unsigned slots) : ring_(slots, 0) {}
 
     /** Time the oldest of the last N entries freed its slot. */
     Cycle oldest() const { return ring_[pos_]; }
 
     /**
-     * Entries still occupied (not yet retired) at cycle @p t: the
-     * suffix of the sorted view past @p t, found by bisection.  The
-     * loop has no data-dependent branch (the select compiles to a
-     * conditional move), so it costs log2(N) steps and no
-     * mispredictions.
+     * Entries still occupied (not yet retired) at cycle @p t.  The
+     * queries must be non-decreasing, as the fetch and memory-port
+     * slotters that produce them are.  Then an entry found free
+     * stays free, so only the newest live_ entries are candidates
+     * and a forward-only pointer over them costs amortized O(1).
      */
     unsigned
-    occupiedAt(Cycle t) const
+    occupiedAt(Cycle t)
     {
-        const Cycle *const first = ring_.data() + pos_;
-        const Cycle *base = first;
-        std::size_t n = slots_;
-        // Entries before base are <= t; entries from base + n are > t.
-        while (n > 1) {
-            const std::size_t half = n / 2;
-            base = base[half] <= t ? base + half : base;
-            n -= half;
+        assert(t >= lastQuery_);
+        lastQuery_ = t;
+        const std::size_t n = ring_.size();
+        std::size_t first = pos_ + n - live_;
+        while (live_ && ring_[first >= n ? first - n : first] <= t) {
+            --live_;
+            ++first;
         }
-        const std::size_t not_after =
-            static_cast<std::size_t>(base - first) + (*base <= t);
-        return static_cast<unsigned>(slots_ - not_after);
+        return static_cast<unsigned>(live_);
     }
 
     void
     push(Cycle t)
     {
-        assert(t >= ring_[pos_ + slots_ - 1]);
+        const std::size_t n = ring_.size();
+        assert(t >= ring_[pos_ == 0 ? n - 1 : pos_ - 1]);
         ring_[pos_] = t;
-        ring_[pos_ + slots_] = t;
-        if (++pos_ == slots_)
+        if (++pos_ == n)
             pos_ = 0;
+        if (live_ < n)
+            ++live_;
     }
 
   private:
-    std::size_t slots_;
     std::vector<Cycle> ring_;
-    std::size_t pos_ = 0;
+    std::size_t pos_ = 0;  ///< oldest entry; next slot to overwrite
+    std::size_t live_ = 0; ///< newest entries not yet seen retired
+    Cycle lastQuery_ = 0;
 };
 
 } // namespace

@@ -279,11 +279,12 @@ Cycle
 MemorySystem::load(Addr addr, Bytes size, Cycle when)
 {
     stats_.loads++;
+    if (config_.mode == MemMode::Perfect) {
+        l1_->checkRef(MemRef{addr, size, RefKind::Load});
+        return when + 1;
+    }
     const AccessResult result =
         functionalAccess(*l1_, MemRef{addr, size, RefKind::Load});
-
-    if (config_.mode == MemMode::Perfect)
-        return when + 1;
 
     if (result.hit) {
         // Prefetches or partial activity triggered by a hit only
@@ -347,9 +348,6 @@ MemorySystem::load(Addr addr, Bytes size, Cycle when)
 
     // Cost the non-demand events (victim write-backs, prefetches).
     backgroundTiming(data_ready, true);
-
-    stats_.l1l2BusBusy = l1l2Bus_.busyCycles();
-    stats_.memBusBusy = memBus_.busyCycles();
     return data_ready;
 }
 
@@ -358,11 +356,12 @@ MemorySystem::ifetch(Addr addr, Bytes bytes, Cycle when)
 {
     stats_.ifetches++;
     Cache &icache = il1_ ? *il1_ : *l1_;
+    if (config_.mode == MemMode::Perfect) {
+        icache.checkRef(MemRef{addr, bytes, RefKind::Load});
+        return when;
+    }
     const AccessResult result = functionalAccess(
         icache, MemRef{addr, bytes, RefKind::Load});
-
-    if (config_.mode == MemMode::Perfect)
-        return when;
 
     if (result.hit) {
         backgroundTiming(when, false);
@@ -406,9 +405,11 @@ void
 MemorySystem::store(Addr addr, Bytes size, Cycle when)
 {
     stats_.stores++;
-    functionalAccess(*l1_, MemRef{addr, size, RefKind::Store});
-    if (config_.mode == MemMode::Perfect)
+    if (config_.mode == MemMode::Perfect) {
+        l1_->checkRef(MemRef{addr, size, RefKind::Store});
         return;
+    }
+    functionalAccess(*l1_, MemRef{addr, size, RefKind::Store});
     // Infinitely deep write buffer: the store never stalls the core,
     // but its fills and write-backs consume bus bandwidth.
     backgroundTiming(when, false);
@@ -418,9 +419,11 @@ void
 MemorySystem::wrongPathLoad(Addr addr, Cycle when)
 {
     stats_.wrongPathLoads++;
-    functionalAccess(*l1_, MemRef{addr, wordBytes, RefKind::Load});
-    if (config_.mode == MemMode::Perfect)
+    if (config_.mode == MemMode::Perfect) {
+        l1_->checkRef(MemRef{addr, wordBytes, RefKind::Load});
         return;
+    }
+    functionalAccess(*l1_, MemRef{addr, wordBytes, RefKind::Load});
     backgroundTiming(when, false);
 }
 

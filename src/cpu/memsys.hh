@@ -8,9 +8,13 @@
  *    contention-free paths between levels (measures T_I);
  *  - Full: finite bus widths, clock ratios, and queueing (measures T).
  *
- * Functional cache state (hits, evictions, prefetches) is identical
- * across the modes; only the timing differs, which is exactly what
- * the paper's decomposition requires.
+ * Perfect mode simulates no caches: every access hits, so it only
+ * counts the reference and checks that it fits in one L1 block.
+ * The caches are still built and read zero.  In the other two modes
+ * the functional cache state (hits, evictions, prefetches) is
+ * identical, because the access sequence does not depend on timing;
+ * only the timing differs, which is exactly what the paper's
+ * decomposition requires.
  */
 
 #ifndef MEMBW_CPU_MEMSYS_HH

@@ -227,6 +227,40 @@ TEST(MemorySystem, WrongPathLoadsPolluteButReturnNothing)
     EXPECT_EQ(mem.load(0x0, 4, 1000), 1001u);
 }
 
+TEST(MemorySystem, PerfectModeKeepsTheBlockSpanCheck)
+{
+    // Perfect mode walks no cache, but a reference spanning an L1
+    // block is still an input error, reported as the cache would.
+    for (bool split : {false, true}) {
+        SCOPED_TRACE(split ? "split L1" : "unified L1");
+        auto message = [split](MemMode mode, auto access) {
+            MemSysConfig cfg = testMem(mode);
+            cfg.splitL1 = split;
+            MemorySystem mem(cfg);
+            EXPECT_NO_THROW(mem.load(0x1c, 4, 0)); // fits
+            try {
+                access(mem);
+            } catch (const FatalError &e) {
+                return std::string(e.what());
+            }
+            ADD_FAILURE() << "no FatalError";
+            return std::string();
+        };
+        auto expectSame = [&](auto access) {
+            const std::string perfect =
+                message(MemMode::Perfect, access);
+            EXPECT_NE(perfect.find("spans a block boundary"),
+                      std::string::npos)
+                << perfect;
+            EXPECT_EQ(perfect, message(MemMode::Full, access));
+        };
+        expectSame([](MemorySystem &m) { m.load(0x1e, 4, 0); });
+        expectSame([](MemorySystem &m) { m.store(0x1e, 4, 0); });
+        expectSame([](MemorySystem &m) { m.ifetch(0x10, 32, 0); });
+        expectSame([](MemorySystem &m) { m.wrongPathLoad(0x1e, 0); });
+    }
+}
+
 InstrStream
 streamFromWorkload(double scale)
 {
@@ -359,6 +393,103 @@ TEST(Experiment, DecompositionIdentitiesHold)
         EXPECT_NEAR(r.split.fP() + r.split.fL() + r.split.fB(), 1.0,
                     1e-9)
             << letter;
+    }
+}
+
+void
+expectSameCacheStats(const CacheStats &got, const CacheStats &want)
+{
+#define MEMBW_EXPECT_FIELD(f) EXPECT_EQ(got.f, want.f) << #f
+    MEMBW_EXPECT_FIELD(accesses);
+    MEMBW_EXPECT_FIELD(loads);
+    MEMBW_EXPECT_FIELD(stores);
+    MEMBW_EXPECT_FIELD(hits);
+    MEMBW_EXPECT_FIELD(misses);
+    MEMBW_EXPECT_FIELD(loadMisses);
+    MEMBW_EXPECT_FIELD(storeMisses);
+    MEMBW_EXPECT_FIELD(evictions);
+    MEMBW_EXPECT_FIELD(writebacks);
+    MEMBW_EXPECT_FIELD(partialFills);
+    MEMBW_EXPECT_FIELD(prefetches);
+    MEMBW_EXPECT_FIELD(streamHits);
+    MEMBW_EXPECT_FIELD(streamAllocs);
+    MEMBW_EXPECT_FIELD(requestBytes);
+    MEMBW_EXPECT_FIELD(demandFetchBytes);
+    MEMBW_EXPECT_FIELD(partialFillBytes);
+    MEMBW_EXPECT_FIELD(prefetchFetchBytes);
+    MEMBW_EXPECT_FIELD(streamFetchBytes);
+    MEMBW_EXPECT_FIELD(writebackBytes);
+    MEMBW_EXPECT_FIELD(writeThroughBytes);
+    MEMBW_EXPECT_FIELD(flushWritebackBytes);
+#undef MEMBW_EXPECT_FIELD
+}
+
+/**
+ * The functional access sequence does not depend on timing, so the
+ * infinite-width and full phases leave identical caches behind, and
+ * the perfect phase, which simulates no caches, leaves them untouched
+ * while counting the same references.
+ */
+TEST(Experiment, CacheHierarchyIsModeIndependent)
+{
+    WorkloadParams wp;
+    wp.scale = 0.01;
+    wp.seed = 42;
+    const InstrStream stream =
+        InstrStream::fromRun(makeWorkload("Compress")->run(wp),
+                             codeFootprintBytes("Compress"), 42);
+
+    struct Captured
+    {
+        CacheStats l1, l2, il1;
+        bool hasIl1 = false;
+        MemSysStats mem;
+    };
+    for (bool spec95 : {false, true}) {
+        for (char letter = 'A'; letter <= 'F'; ++letter) {
+            SCOPED_TRACE(std::string(1, letter) +
+                         (spec95 ? " SPEC95" : " SPEC92"));
+            const ExperimentConfig cfg = makeExperiment(letter, spec95);
+            Captured phases[decompositionPhases];
+            for (unsigned p = 0; p < decompositionPhases; ++p) {
+                Captured &c = phases[p];
+                runPhase(stream, cfg, p, MemSysHook(),
+                         [&c](MemorySystem &mem) {
+                             c.l1 = mem.l1Stats();
+                             c.l2 = mem.l2Stats();
+                             c.hasIl1 = mem.il1Stats() != nullptr;
+                             if (c.hasIl1)
+                                 c.il1 = *mem.il1Stats();
+                             c.mem = mem.stats();
+                         });
+            }
+            const Captured &perfect = phases[0];
+            const Captured &infinite = phases[1];
+            const Captured &full = phases[2];
+
+            EXPECT_EQ(full.hasIl1, spec95);
+            EXPECT_GT(full.l1.accesses, 0u);
+            EXPECT_GT(full.l2.accesses, 0u);
+            expectSameCacheStats(infinite.l1, full.l1);
+            expectSameCacheStats(infinite.l2, full.l2);
+            expectSameCacheStats(infinite.il1, full.il1);
+
+            EXPECT_EQ(perfect.l1.accesses, 0u);
+            EXPECT_EQ(perfect.l2.accesses, 0u);
+            EXPECT_EQ(perfect.il1.accesses, 0u);
+
+            for (const Captured *c : {&perfect, &infinite}) {
+                EXPECT_EQ(c->mem.loads, full.mem.loads);
+                EXPECT_EQ(c->mem.stores, full.mem.stores);
+                EXPECT_EQ(c->mem.ifetches, full.mem.ifetches);
+                EXPECT_EQ(c->mem.wrongPathLoads,
+                          full.mem.wrongPathLoads);
+            }
+            EXPECT_GT(full.mem.ifetches, 0u);
+            if (letter >= 'D') {
+                EXPECT_GT(full.mem.wrongPathLoads, 0u);
+            }
+        }
     }
 }
 

@@ -9,7 +9,7 @@
 # against the manifest by name.
 #
 # Usage: profile_equivalence_test.sh <membw_sim> <membw_profile_report>
-#        <fig4> <table7> <table8> <multilevel>
+#        <fig4> <table7> <table8> <multilevel> <membw_decompose>
 set -u
 
 SIM="$(readlink -f "$1")"
@@ -18,6 +18,7 @@ FIG4="$(readlink -f "$3")"
 TABLE7="$(readlink -f "$4")"
 TABLE8="$(readlink -f "$5")"
 MULTI="$(readlink -f "$6")"
+DECOMPOSE="$(readlink -f "$7")"
 DIR="$(mktemp -d)"
 trap 'rm -rf "$DIR"' EXIT
 cd "$DIR"
@@ -85,6 +86,43 @@ for (run_name, comp), mapping in MAPS.items():
         checked += 1
 assert checked >= 20, f"only {checked} counters cross-checked"
 print(f"membw_sim: {checked} counters agree")
+EOF
+
+# --- membw_decompose: cache sources across the three phases -------
+# The perfect phase simulates no caches, so its cache sources read
+# zero; the functional access sequence does not depend on timing, so
+# the infinite-width and full phases' cache sources agree epoch by
+# epoch.
+"$DECOMPOSE" --workload Compress --experiment F --scale 0.05 \
+    --profile-out dp.json --profile-epoch 16384 > /dev/null 2>&1 ||
+    fail "profiled membw_decompose run failed"
+[ -s dp.json ] || fail "membw_decompose wrote no profile"
+"$PREPORT" dp.json > /dev/null || fail "decompose profile invalid"
+
+python3 - dp.json <<'EOF' || fail "decompose profile cache sources"
+import json, sys
+runs = {r["name"]: r for r in json.load(open(sys.argv[1]))["runs"]}
+assert set(runs) == {"perfect", "infinite-width", "full"}, set(runs)
+
+def caches(run):
+    assert run["ended"], f"{run['name']} never ended"
+    return {s["component"]: s for s in run["sources"]
+            if s["component"] in ("L1", "IL1", "L2")}
+
+perfect = caches(runs["perfect"])
+infinite = caches(runs["infinite-width"])
+full = caches(runs["full"])
+assert {"L1", "L2"} <= set(full), set(full)
+assert set(perfect) == set(infinite) == set(full)
+for comp, src in perfect.items():
+    for metric, col in zip(src["metrics"], src["columns"]):
+        if any(col):
+            raise SystemExit(f"perfect/{comp}/{metric} not zero: {col}")
+for comp, src in full.items():
+    assert src["aggregate"][src["metrics"].index("accesses")] > 0, comp
+    if infinite[comp]["columns"] != src["columns"]:
+        raise SystemExit(f"{comp}: infinite-width and full epochs differ")
+print(f"membw_decompose: {len(full)} cache sources agree")
 EOF
 
 # --- benches: every instrumented driver, validated + cross-checked -
