@@ -159,11 +159,10 @@ runThroughputHarness(const std::string &jsonPath, unsigned jobs,
 
     CacheConfig cfg;
     // Alpha 21064-class L1: 8 KiB direct-mapped, 32B blocks — the
-    // geometry of the paper's era, and the regime the compact
-    // direct-mapped kernel layout (ladder_kernel.hh) is built for:
-    // the probed state is one word per set, so the whole replica
-    // stays L1-resident while the per-reference simulator walks its
-    // full Cache bookkeeping.
+    // geometry of the paper's era.  In the compact kernel layout
+    // (ladder_kernel.hh) a direct-mapped set is one word, so the
+    // whole replica stays L1-resident while the per-reference
+    // simulator walks its full Cache bookkeeping.
     cfg.size = 8_KiB;
     cfg.assoc = 1;
     cfg.blockBytes = 32;

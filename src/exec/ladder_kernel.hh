@@ -16,10 +16,10 @@
  * selectKernel() maps a (ways, masked, filtered) point to one
  * stamped-out instantiation, chosen once per configuration so the
  * per-chunk call is a single indirect jump to straight-line code.
- * Every instantiation is counter-identical to every other — the tag
- * probe is one shared lowest-match scan and the accounting is shared
- * — which is what lets the equivalence tests demand byte-equal
- * results across way specializations and partition counts.
+ * Every instantiation evicts the same blocks as Cache and keeps the
+ * same counters, which is what lets the equivalence tests demand
+ * byte-equal results across way specializations and partition
+ * counts.
  */
 
 #ifndef MEMBW_EXEC_LADDER_KERNEL_HH
@@ -41,10 +41,11 @@ namespace ladder {
  * block >= 4B, so ~0 can never collide with a real block number. */
 constexpr std::uint64_t tagInvalid = ~std::uint64_t{0};
 
-/** Tag probe: the lowest w < n with tags[w] == key, or n when absent.
- * The lowest match matters for victim selection, which probes for the
- * first free way with key == tagInvalid.  A plain scan suffices: the
- * kernel's cost is the set row it touches, not the compares. */
+/** Write-validate tag probe: the lowest w < n with tags[w] == key,
+ * or n when absent.  The lowest match matters for victim selection,
+ * which probes for the first free way with key == tagInvalid.  A
+ * plain scan suffices: the kernel's cost is the set row it touches,
+ * not the compares. */
 inline unsigned
 findWay(const std::uint64_t *tags, unsigned n, std::uint64_t key)
 {
@@ -52,6 +53,29 @@ findWay(const std::uint64_t *tags, unsigned n, std::uint64_t key)
         if (tags[w] == key)
             return w;
     return n;
+}
+
+/** Compact-row probe: the position w < n of block @p bn in a
+ * recency-ordered row of (tag << 1) | dirty words, or n when absent.
+ * tagInvalid >> 1 exceeds every block number, so empty slots never
+ * match. */
+inline unsigned
+findBlock(const std::uint64_t *row, unsigned n, std::uint64_t bn)
+{
+    for (unsigned w = 0; w < n; ++w)
+        if ((row[w] >> 1) == bn)
+            return w;
+    return n;
+}
+
+/** Move-to-front: shift row[0..w) back one slot and store @p word at
+ * row[0], the MRU position.  Overwrites row[w]. */
+inline void
+promote(std::uint64_t *row, unsigned w, std::uint64_t word)
+{
+    for (; w > 0; --w)
+        row[w] = row[w - 1];
+    row[0] = word;
 }
 
 struct ConfigSim;
@@ -71,51 +95,50 @@ using WordKernel = bool (*)(ConfigSim &, const MemRef *, std::size_t,
 
 /**
  * Flat-array replica of one Cache, specialized for the ladder
- * regime (LRU, no sector/stream/prefetch).  The per-line state is
- * interleaved per set — one row of 4*ways words laid out
- * [tags | lastUse | dirty | valid], rows 64B-aligned — so the
- * hit path of a 4-way config touches exactly one cache line (tags
- * and lastUse share it) instead of one line per parallel array.
- * The working set is L2-resident for the classic geometries, and
- * that line-per-probe difference is the kernel's dominant cost.
- * The LRU sequence counter and every counter update mirror
- * Cache::access()/evict()/insert() exactly, so the final CacheStats
- * match the direct simulator bit for bit.
+ * regime (LRU, no sector/stream/prefetch).  Rows are 64B-aligned
+ * and come in two layouts.
+ *
+ * Compact (every config but write-validate): a set is `ways` words
+ * of (tag << 1) | dirty in recency order — row[0] is the MRU line,
+ * invalid slots (tagInvalid) always sit at the tail.  A hit moves its
+ * line to row[0]; a miss evicts row[n-1] and inserts at row[0].  This
+ * evicts exactly the block Cache does: Cache picks the first invalid
+ * way, or else the unique lowest lastUse, and in recency order both
+ * are row[n-1] (an invalid tail slot exists iff the set is not full).
+ * The counters depend only on which block leaves, never on the way
+ * it sat in, so they match Cache::access()/evict()/insert() bit for
+ * bit.  One bit of dirty state suffices because a non-write-validate
+ * write-back is always blockBytes.  The shift is lossless — tags are
+ * addr >> log2(block) with block >= 4B, so bit 63 is always clear —
+ * and no encoded word equals tagInvalid.  A 4-way set is 32 bytes,
+ * a quarter of the wide row below, so the probed state of the big
+ * small-block configs stays four times smaller.
+ *
+ * Wide (write-validate): one row of 4*ways words laid out
+ * [tags | lastUse | dirty | valid], with per-word dirty and valid
+ * masks and the LRU sequence counter seq mirroring Cache's stamps.
  *
  * A partitioned replica owns sets [setLo, setLo + setSpan) only: its
- * rows cover just that span and its private seq counter preserves
- * the *per-set* reference order (all references to one set funnel
- * through one replica in trace order), which is the only order LRU
+ * rows cover just that span, and all references to one set funnel
+ * through one replica in trace order, which is the only order LRU
  * decisions depend on.
- *
- * Direct-mapped non-write-validate configs (dm below) collapse the
- * whole row to ONE word per set, line[s] = (tag << 1) | dirty: with
- * one way there is no lastUse to keep, the valid plane is the
- * tagInvalid sentinel, and the dirty mask only ever matters as a
- * boolean (write-back bytes are always blockBytes when !masked).
- * The shift is lossless — tags are addr >> log2(block) with block
- * >= 4B, so bit 63 is always clear — and the encoded word can never
- * equal tagInvalid.  This shrinks the probed state 4x (a 64 KiB/32B
- * config needs 16 KiB instead of 64 KiB), which keeps classic
- * direct-mapped geometries L1-resident on the host.
  */
 struct ConfigSim
 {
     const CacheConfig *cfg = nullptr;
     unsigned ways = 1;
-    unsigned stride = 4; ///< u64s per set row (4 * ways)
+    unsigned stride = 1; ///< u64s per set row (ways, or 4 * ways)
     std::uint64_t setMask = 0;
     std::uint64_t setLo = 0;   ///< first owned set
     std::uint64_t setSpan = 0; ///< owned set count
     Bytes blockBytes = 0;
     bool writeBack = true;
     AllocPolicy alloc = AllocPolicy::WriteAllocate;
-    bool masked = false; ///< write-validate: per-word valid/dirty
-    bool dm = false;     ///< compact 1-word-per-set layout (see above)
+    bool masked = false; ///< write-validate: the wide row layout
     std::uint64_t fullMask = 0;
     ChunkKernel kernel = nullptr;
 
-    std::uint64_t seq = 0;
+    std::uint64_t seq = 0; ///< write-validate lastUse stamps only
     std::vector<std::uint64_t> lineStore; ///< backing (over-allocated)
     std::uint64_t *line = nullptr;        ///< 64B-aligned row base
     CacheStats stats;
@@ -132,16 +155,14 @@ struct ConfigSim
           blockBytes(config.blockBytes),
           writeBack(config.write == WritePolicy::WriteBack),
           alloc(config.alloc),
-          masked(config.alloc == AllocPolicy::WriteValidate),
-          dm(config.ways() == 1 &&
-             config.alloc != AllocPolicy::WriteValidate)
+          masked(config.alloc == AllocPolicy::WriteValidate)
     {
         const unsigned wordsPerBlock =
             static_cast<unsigned>(blockBytes / wordBytes);
         fullMask = wordsPerBlock == 64
                        ? ~std::uint64_t{0}
                        : (std::uint64_t{1} << wordsPerBlock) - 1;
-        stride = dm ? 1 : 4 * ways;
+        stride = masked ? 4 * ways : ways;
         const std::size_t words =
             static_cast<std::size_t>(setSpan) * stride;
         lineStore.assign(words + 8, 0);
@@ -159,17 +180,18 @@ struct ConfigSim
     void
     flush()
     {
-        if (dm) {
+        if (!masked) {
             for (std::uint64_t s = 0; s < setSpan; ++s) {
-                const std::uint64_t t = line[s];
-                if (t == tagInvalid)
-                    continue;
-                stats.evictions++;
-                if (t & 1) {
-                    stats.writebacks++;
-                    stats.flushWritebackBytes += blockBytes;
+                std::uint64_t *const row = line + s * stride;
+                for (unsigned w = 0; w < ways && row[w] != tagInvalid;
+                     ++w) {
+                    stats.evictions++;
+                    if (row[w] & 1) {
+                        stats.writebacks++;
+                        stats.flushWritebackBytes += blockBytes;
+                    }
+                    row[w] = tagInvalid;
                 }
-                line[s] = tagInvalid;
             }
             return;
         }
@@ -180,13 +202,11 @@ struct ConfigSim
                     continue;
                 stats.evictions++;
                 if (row[2 * ways + w]) {
-                    const Bytes wb =
-                        masked ? static_cast<Bytes>(std::popcount(
-                                     row[2 * ways + w])) *
-                                     wordBytes
-                               : blockBytes;
                     stats.writebacks++;
-                    stats.flushWritebackBytes += wb;
+                    stats.flushWritebackBytes +=
+                        static_cast<Bytes>(
+                            std::popcount(row[2 * ways + w])) *
+                        wordBytes;
                 }
                 row[w] = tagInvalid;
             }
@@ -271,28 +291,26 @@ struct WordSource
 
 /**
  * Replay source references [begin, end).  Masked selects the
- * write-validate variant (per-word valid/dirty, partial fills;
- * validate() guarantees WV is write-back); the plain variant tracks
- * a written-word mask per line as the dirty flag only.  Filtered
- * skips references whose set is outside [setLo, setLo + setSpan).
+ * write-validate variant (wide rows, per-word valid/dirty, partial
+ * fills; validate() guarantees WV is write-back); every other policy
+ * runs the compact recency-ordered rows (see ConfigSim), where
+ * write-through and no-allocate only change the byte accounting.
+ * Filtered skips references whose set is outside
+ * [setLo, setLo + setSpan).
  *
  * The hot state lives in locals for the duration of the chunk: the
- * LRU sequence counter and the stats block would otherwise round-trip
- * through memory on every reference (the compiler cannot prove the
- * line rows don't alias the sim object).  The tag probe is a random
- * access into an L2-resident working set, but its address comes
- * straight off the sequential source array, so the out-of-order
- * window keeps several probes in flight on its own — measured on the
- * reference traces, explicit software prefetch ahead of the loop only
- * added overhead (the row interleaving already collapsed the probe
- * to a single line).
+ * stats block would otherwise round-trip through memory on every
+ * reference (the compiler cannot prove the line rows don't alias the
+ * sim object).  The tag probe is a random access into an L2-resident
+ * working set, but its address comes straight off the sequential
+ * source array, so the out-of-order window keeps several probes in
+ * flight on its own — measured on the reference traces, explicit
+ * software prefetch ahead of the loop only added overhead (a probe
+ * already touches a single row).
  *
- * Victim choice and eviction accounting (the miss path) are identical
- * to pickVictim() + evict(): first invalid way wins (no eviction
- * counted) — found with the same lowest-index probe the hit path
- * uses, keyed on the invalid sentinel — otherwise the lowest-lastUse
- * way (ties to the lowest index) is displaced, with a write-back when
- * dirty.
+ * Both layouts evict the block Cache's pickVictim() + evict() would:
+ * an invalid way fills with no eviction counted, otherwise the LRU
+ * line is displaced, with a write-back when dirty.
  *
  * Returns false (for validating sources) on the first reference that
  * breaks the all-word invariant; the sim state is then partial and
@@ -308,7 +326,7 @@ runChunkBody(ConfigSim &c, Source src, std::size_t begin,
              std::size_t end)
 {
     const unsigned n = W ? W : c.ways;
-    const unsigned stride = W ? 4 * W : c.stride;
+    const unsigned stride = W ? (Masked ? 4 * W : W) : c.stride;
     std::uint64_t *const line = c.line;
     const std::uint64_t setMask = c.setMask;
     const std::uint64_t setLo = c.setLo;
@@ -319,7 +337,6 @@ runChunkBody(ConfigSim &c, Source src, std::size_t begin,
     const Bytes blockMask = blockBytes - 1;
     const bool writeBack = c.writeBack;
     const bool writeAllocate = c.alloc == AllocPolicy::WriteAllocate;
-    std::uint64_t seq = c.seq;
     CacheStats st = c.stats;
 
     // Per-chunk deltas of the per-reference counters, folded into st
@@ -343,96 +360,90 @@ runChunkBody(ConfigSim &c, Source src, std::size_t begin,
             blockBytes *
             (loadMisses +
              ((!Masked && writeAllocate) ? storeMisses : 0));
-        c.seq = seq;
         c.stats = st;
     };
 
-    if constexpr (W == 1 && !Masked) {
-        // Compact direct-mapped loop over the 1-word-per-set layout
-        // (ConfigSim::dm): line[s] = (tag << 1) | dirty.  One load,
-        // one compare per probe, no lastUse bookkeeping (the victim
-        // is always way 0 and counters never read recency), and the
-        // probed state is 4x smaller than the generic rows.  Every
-        // counter update mirrors the generic path exactly: a filled
-        // slot evicts (write-back when dirty), an invalid slot fills
-        // silently, stores dirty the line only under write-back.
+    // The set row of reference i (its block number lands in bn), or
+    // nullptr when the set lies outside the owned span.  Callers run
+    // the word check first: a non-word reference may span two blocks
+    // (two sets), so no single worker could claim it — the whole
+    // partitioned run must restart on the decoded-stream path.
+    std::uint64_t bn = 0;
+    const auto rowOf = [&](std::size_t i) -> std::uint64_t * {
+        bn = src.bn(i, blockShift);
+        const std::uint64_t set = bn & setMask;
+        if (Filtered && set - setLo >= setSpan)
+            return nullptr;
+        return line + static_cast<std::size_t>(
+                          Filtered ? set - setLo : set) *
+                          stride;
+    };
+
+    if constexpr (!Masked) {
         for (std::size_t i = begin; i < end; ++i) {
             if constexpr (Source::validating) {
-                // Before the set filter — a non-word reference may
-                // span two sets, so the whole run must restart.
                 if (!src.word(i)) {
                     fold();
                     return false;
                 }
             }
-            const std::uint64_t bn = src.bn(i, blockShift);
-            const std::uint64_t set = bn & setMask;
-            if (Filtered && set - setLo >= setSpan)
+            std::uint64_t *const row = rowOf(i);
+            if (Filtered && !row)
                 continue;
-            std::uint64_t *const slot =
-                line + static_cast<std::size_t>(
-                           Filtered ? set - setLo : set);
-            const std::uint64_t t = *slot;
-            const bool hit = (t >> 1) == bn;
-            const auto evictFill = [&](std::uint64_t enc) {
-                if (t != tagInvalid) {
-                    st.evictions++;
-                    if (t & 1) {
-                        st.writebacks++;
-                        st.writebackBytes += blockBytes;
-                    }
-                }
-                *slot = enc;
-            };
-            if (!src.store(i)) {
-                if (hit) {
-                    hits++;
-                } else {
-                    misses++;
-                    evictFill(bn << 1);
-                }
-                continue;
-            }
+            const bool store = src.store(i);
             if constexpr (Source::validating)
-                stores++;
-            if (hit) {
+                stores += store;
+            const unsigned w = findBlock(row, n, bn);
+            if (w < n) {
                 hits++;
-                if (writeBack)
-                    *slot = t | 1;
-                else
-                    st.writeThroughBytes += src.bytes(i);
+                if (store) {
+                    if (writeBack)
+                        row[w] |= 1;
+                    else
+                        st.writeThroughBytes += src.bytes(i);
+                }
+                // An MRU hit is already in place.  Skipping its
+                // rewrite keeps load hits store-free, which is worth
+                // up to a fifth of a direct-mapped streaming pass.
+                if (w > 0)
+                    promote(row, w, row[w]);
                 continue;
             }
             misses++;
-            storeMisses++;
-            if (writeAllocate) {
-                evictFill((bn << 1) |
-                          static_cast<std::uint64_t>(writeBack));
-                if (!writeBack)
+            if (store) {
+                storeMisses++;
+                if (!writeBack || !writeAllocate)
                     st.writeThroughBytes += src.bytes(i);
-            } else { // WriteNoAllocate
-                st.writeThroughBytes += src.bytes(i);
+                if (!writeAllocate)
+                    continue;
             }
+            const std::uint64_t victim = row[n - 1];
+            if (victim != tagInvalid) {
+                st.evictions++;
+                if (victim & 1) {
+                    st.writebacks++;
+                    st.writebackBytes += blockBytes;
+                }
+            }
+            promote(row, n - 1,
+                    (bn << 1) |
+                        static_cast<std::uint64_t>(store && writeBack));
         }
         fold();
         return true;
     }
 
-    // row layout: [tags | lastUse | dirty | valid], n words each.
-    // Direct-mapped rows are handled by the compact loop above;
-    // touch() still skips lastUse for the W == 1 Masked variant
-    // (write-validate keeps the wide rows for its per-word masks,
-    // but the victim is still always way 0, so the recency stamp
-    // can never influence a decision and the per-reference store +
-    // counter bump it costs is pure waste).
+    // Write-validate rows: [tags | lastUse | dirty | valid], n words
+    // each.  touch() skips lastUse when W == 1: the victim is always
+    // way 0, so the recency stamp could never influence a decision.
+    std::uint64_t seq = c.seq;
     auto touch = [&](std::uint64_t *row, unsigned w) {
         if constexpr (W != 1)
             row[n + w] = ++seq;
         else
             (void)row, (void)w;
     };
-    auto allocate = [&](std::uint64_t bn,
-                        std::uint64_t *row) -> unsigned {
+    auto allocate = [&](std::uint64_t *row) -> unsigned {
         unsigned v = findWay(row, n, tagInvalid);
         if (v >= n) {
             // Branchless min-scan: the lastUse ordering is as random
@@ -449,119 +460,69 @@ runChunkBody(ConfigSim &c, Source src, std::size_t begin,
             }
             st.evictions++;
             if (row[2 * n + v]) {
-                const Bytes wb =
-                    Masked ? static_cast<Bytes>(std::popcount(
-                                 row[2 * n + v])) *
-                                 wordBytes
-                           : blockBytes;
                 st.writebacks++;
-                st.writebackBytes += wb;
+                st.writebackBytes +=
+                    static_cast<Bytes>(std::popcount(row[2 * n + v])) *
+                    wordBytes;
             }
         }
         row[v] = bn;
         touch(row, v);
-        row[2 * n + v] = 0;
-        if constexpr (Masked)
-            row[3 * n + v] = 0;
         return v;
     };
 
     for (std::size_t i = begin; i < end; ++i) {
         if constexpr (Source::validating) {
-            // Checked before the set filter: a non-word reference may
-            // span two blocks (two sets), so no single worker could
-            // claim it — the whole partitioned run must restart on
-            // the decoded-stream path.
             if (!src.word(i)) {
                 fold();
                 return false;
             }
         }
-        const std::uint64_t bn = src.bn(i, blockShift);
-        const std::uint64_t set = bn & setMask;
-        if (Filtered && set - setLo >= setSpan)
+        std::uint64_t *const row = rowOf(i);
+        if (Filtered && !row)
             continue;
-        std::uint64_t *const row =
-            line + static_cast<std::size_t>(
-                       Filtered ? set - setLo : set) *
-                       stride;
         const unsigned w = findWay(row, n, bn);
         const bool hit = w < n;
-        if constexpr (!Masked) {
-            if (!src.store(i)) {
-                if (hit) {
-                    hits++;
-                    touch(row, w);
-                } else {
-                    misses++;
-                    allocate(bn, row);
-                }
-                continue;
-            }
-            if constexpr (Source::validating)
-                stores++;
+        const std::uint64_t words = src.mask(i, blockMask);
+        if (!src.store(i)) {
             if (hit) {
+                const std::uint64_t missing = words & ~row[3 * n + w];
+                if (missing) {
+                    const Bytes bytes =
+                        static_cast<Bytes>(std::popcount(missing)) *
+                        wordBytes;
+                    st.partialFills++;
+                    st.partialFillBytes += bytes;
+                    row[3 * n + w] |= missing;
+                }
                 hits++;
                 touch(row, w);
-                if (writeBack)
-                    row[2 * n + w] |= src.mask(i, blockMask);
-                else
-                    st.writeThroughBytes += src.bytes(i);
-                continue;
+            } else {
+                misses++;
+                const unsigned v = allocate(row);
+                row[2 * n + v] = 0;
+                row[3 * n + v] = c.fullMask;
             }
-            misses++;
-            storeMisses++;
-            if (writeAllocate) {
-                const unsigned v = allocate(bn, row);
-                if (writeBack)
-                    row[2 * n + v] = src.mask(i, blockMask);
-                else
-                    st.writeThroughBytes += src.bytes(i);
-            } else { // WriteNoAllocate
-                st.writeThroughBytes += src.bytes(i);
-            }
-        } else {
-            const std::uint64_t words = src.mask(i, blockMask);
-            if (!src.store(i)) {
-                if (hit) {
-                    const std::uint64_t missing =
-                        words & ~row[3 * n + w];
-                    if (missing) {
-                        const Bytes bytes =
-                            static_cast<Bytes>(
-                                std::popcount(missing)) *
-                            wordBytes;
-                        st.partialFills++;
-                        st.partialFillBytes += bytes;
-                        row[3 * n + w] |= missing;
-                    }
-                    hits++;
-                    touch(row, w);
-                } else {
-                    misses++;
-                    const unsigned v = allocate(bn, row);
-                    row[3 * n + v] = c.fullMask;
-                }
-                continue;
-            }
-            if constexpr (Source::validating)
-                stores++;
-            if (hit) {
-                hits++;
-                touch(row, w);
-                row[3 * n + w] |= words;
-                row[2 * n + w] |= words;
-                continue;
-            }
-            misses++;
-            storeMisses++;
-            // Write-validate: allocate without fetching; the written
-            // words become valid and dirty.
-            const unsigned v = allocate(bn, row);
-            row[3 * n + v] = words;
-            row[2 * n + v] = words;
+            continue;
         }
+        if constexpr (Source::validating)
+            stores++;
+        if (hit) {
+            hits++;
+            touch(row, w);
+            row[3 * n + w] |= words;
+            row[2 * n + w] |= words;
+            continue;
+        }
+        misses++;
+        storeMisses++;
+        // Write-validate: allocate without fetching; the written
+        // words become valid and dirty.
+        const unsigned v = allocate(row);
+        row[3 * n + v] = words;
+        row[2 * n + v] = words;
     }
+    c.seq = seq;
     fold();
     return true;
 }

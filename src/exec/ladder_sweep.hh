@@ -7,22 +7,23 @@
  * sweep behind Tables 7/8 and Figure 4.  Instead of re-walking the
  * trace once per configuration through the general simulator,
  * ladderSweep() walks a pre-decoded BlockStream once, replaying each
- * L2-resident chunk against every configuration's flat tag/LRU/dirty
- * arrays.  The decode cost (block number, word mask, load/store
- * split) is paid once per block size instead of once per cell, the
- * per-reference dispatch (virtual hooks, std::function, hash-map
- * probes) disappears entirely, and the chunk's decode arrays stay
- * cache-resident while the k configurations consume them.
+ * L2-resident chunk against every configuration's flat set rows
+ * (recency-ordered tag/dirty words; see exec/ladder_kernel.hh).  The
+ * decode cost (block number, word mask, load/store split) is paid
+ * once per block size instead of once per cell, the per-reference
+ * dispatch (virtual hooks, std::function, hash-map probes) disappears
+ * entirely, and the chunk's decode arrays stay cache-resident while
+ * the k configurations consume them.
  *
  * The kernel replicates Cache::access()/flush() counter for counter
- * — same LRU sequence numbers, same victim scan order, same
- * write-policy byte accounting — so its TrafficResults are
- * byte-identical to the direct simulator's (tests/ladder_test.cc and
- * the onepass_equivalence ctest assert this).  Everything outside
- * the exact regime — Random/FIFO replacement, sectoring, stream
- * buffers, tagged prefetch, fully-associative geometry, references
- * that span a block — is rejected by ladderCollapsible() and falls
- * back to direct per-cell simulation.
+ * — same victims, same counters, same write-policy byte accounting —
+ * so its TrafficResults are byte-identical to the direct simulator's
+ * (tests/ladder_test.cc and the onepass_equivalence ctest assert
+ * this).  Everything outside the exact regime — Random/FIFO
+ * replacement, sectoring, stream buffers, tagged prefetch,
+ * fully-associative geometry, references that span a block — is
+ * rejected by ladderCollapsible() and falls back to direct per-cell
+ * simulation.
  */
 
 #ifndef MEMBW_EXEC_LADDER_SWEEP_HH

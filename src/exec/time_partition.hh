@@ -10,15 +10,15 @@
  * index range is split across workers; each worker scans the whole
  * reference stream but simulates only its owned sets (the Filtered
  * kernel variant in ladder_kernel.hh), and the per-worker CacheStats
- * are summed in part order.  Each worker's private LRU sequence
- * counter preserves the per-set reference order — the only order LRU
- * decisions depend on — and integer sums are associative, so the
- * merged result is byte-identical to the serial kernel at ANY
- * worker/partition count, which the partition_equivalence test
- * checks as a byte diff against --jobs 1.  The cost model: every
- * worker still streams the decode arrays (read bandwidth is shared),
- * but tag/LRU state per worker shrinks by the partition factor, and
- * the skip test is one subtract+compare per reference.
+ * are summed in part order.  Each worker replays its sets'
+ * references in trace order — the only order LRU decisions depend
+ * on — and integer sums are associative, so the merged result is
+ * byte-identical to the serial kernel at ANY worker/partition count,
+ * which the partition_equivalence test checks as a byte diff against
+ * --jobs 1.  The cost model: every worker still streams the decode
+ * arrays (read bandwidth is shared), but set-row state per worker
+ * shrinks by the partition factor, and the skip test is one
+ * subtract+compare per reference.
  */
 
 #ifndef MEMBW_EXEC_TIME_PARTITION_HH

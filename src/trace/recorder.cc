@@ -28,19 +28,23 @@ void
 TraceRecorder::record(Addr addr, Bytes size, RefKind kind,
                       bool dependent)
 {
-    Annotation a;
-    a.kind = Annotation::Kind::Mem;
-    a.opsBefore = pendingOps_;
-    a.dependsOnPrevLoad = dependent;
-    a.memIndex = static_cast<std::uint32_t>(trace_.size());
-    pendingOps_ = 0;
-    annot_.push_back(a);
+    if (annotate_) {
+        Annotation a;
+        a.kind = Annotation::Kind::Mem;
+        a.opsBefore = pendingOps_;
+        a.dependsOnPrevLoad = dependent;
+        a.memIndex = static_cast<std::uint32_t>(trace_.size());
+        pendingOps_ = 0;
+        annot_.push_back(a);
+    }
     trace_.append(addr, size, kind);
 }
 
 void
 TraceRecorder::branch(bool taken)
 {
+    if (!annotate_)
+        return;
     Annotation a;
     a.kind = Annotation::Kind::Branch;
     a.opsBefore = pendingOps_;

@@ -109,6 +109,11 @@ class TraceRecorder
 
     // ---- instruction-stream annotations (consumed by src/cpu) ----
 
+    /** Record data references only from now on: compute() and
+     * branch() notes are dropped and no annotations are kept.  For
+     * trace-only consumers, which would discard them anyway. */
+    void skipAnnotations() { annotate_ = false; }
+
     /** Note @p n non-memory (ALU/FPU) ops since the last event. */
     void compute(unsigned n) { pendingOps_ += n; }
 
@@ -128,6 +133,9 @@ class TraceRecorder
 
     const std::vector<Annotation> &annotations() const { return annot_; }
 
+    /** Move the annotations out (recorder's list becomes empty). */
+    std::vector<Annotation> takeAnnotations() { return std::move(annot_); }
+
   private:
     void record(Addr addr, Bytes size, RefKind kind,
                 bool dependent = false);
@@ -137,6 +145,7 @@ class TraceRecorder
     std::vector<NamedRegion> regions_;
     std::vector<Annotation> annot_;
     unsigned pendingOps_ = 0;
+    bool annotate_ = true;
 };
 
 } // namespace membw

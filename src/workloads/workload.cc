@@ -8,7 +8,7 @@ Workload::run(const WorkloadParams &params) const
     TraceRecorder recorder;
     generate(recorder, params);
     WorkloadRun result;
-    result.annotations = recorder.annotations();
+    result.annotations = recorder.takeAnnotations();
     result.trace = recorder.takeTrace();
     return result;
 }
@@ -17,6 +17,7 @@ Trace
 Workload::trace(const WorkloadParams &params) const
 {
     TraceRecorder recorder;
+    recorder.skipAnnotations();
     generate(recorder, params);
     return recorder.takeTrace();
 }

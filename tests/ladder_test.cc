@@ -8,7 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <string>
 #include <utility>
@@ -176,19 +178,66 @@ TEST(LadderSweep, MatchesDirectSimulatorAcrossPolicyGrid)
     }
 }
 
+/** One ladder pass over @p trace at @p block, every config checked
+ * counter for counter against the direct simulator. */
+void
+expectLadderMatchesDirect(const Trace &trace, Bytes block,
+                          const std::vector<CacheConfig> &cfgs,
+                          const std::string &label)
+{
+    const BlockStream stream = buildBlockStream(trace, block);
+    ASSERT_TRUE(ladderCollapsible(stream, cfgs)) << label;
+    const auto onepass = ladderSweep(stream, cfgs);
+    ASSERT_EQ(onepass.size(), cfgs.size()) << label;
+    for (std::size_t i = 0; i < cfgs.size(); ++i) {
+        const TrafficResult direct = runTrace(trace, cfgs[i]);
+        const std::string cell = label + " " + cfgs[i].describe();
+        EXPECT_EQ(onepass[i].pinBytes, direct.pinBytes) << cell;
+        expectStatsEqual(onepass[i].l1, direct.l1, cell);
+    }
+}
+
+/** WB/WT x WA/WNA at @p size, @p block and each of @p ways. */
+std::vector<CacheConfig>
+plainPolicyGrid(Bytes size, Bytes block,
+                std::initializer_list<unsigned> ways)
+{
+    std::vector<CacheConfig> cfgs;
+    for (unsigned assoc : ways) {
+        for (WritePolicy wp :
+             {WritePolicy::WriteBack, WritePolicy::WriteThrough}) {
+            for (AllocPolicy ap : {AllocPolicy::WriteAllocate,
+                                   AllocPolicy::WriteNoAllocate}) {
+                CacheConfig c;
+                c.size = size;
+                c.assoc = assoc;
+                c.blockBytes = block;
+                c.write = wp;
+                c.alloc = ap;
+                cfgs.push_back(c);
+            }
+        }
+    }
+    return cfgs;
+}
+
 TEST(LadderSweep, MatchesDirectAcrossBlockSizesAndSeeds)
 {
     // Randomized sweep shapes: several trace seeds, several block
-    // sizes (each its own BlockStream), random size/assoc rungs.
+    // sizes (each its own BlockStream), random size/assoc rungs plus
+    // a fixed 2-way and 16-way rung at every block size.
     for (std::uint64_t seed : {11u, 23u, 47u}) {
         const Trace trace = randomTrace(seed, 12000);
         Rng rng(seed * 977);
-        for (Bytes block : {8u, 32u, 128u}) {
+        for (Bytes block : {4u, 8u, 32u, 128u}) {
             std::vector<CacheConfig> cfgs;
-            for (int k = 0; k < 6; ++k) {
+            for (int k = 0; k < 8; ++k) {
                 CacheConfig c;
-                c.size = Bytes{1} << (10 + rng.below(6)); // 1K..32K
-                c.assoc = 1u << rng.below(4);             // 1..8
+                c.size = k >= 6 ? 16_KiB
+                                : Bytes{1} << (10 + rng.below(6));
+                c.assoc = k == 6   ? 2u
+                          : k == 7 ? 16u
+                                   : 1u << rng.below(5); // 1..16
                 c.blockBytes = block;
                 c.write = rng.chance(0.5)
                               ? WritePolicy::WriteBack
@@ -196,23 +245,107 @@ TEST(LadderSweep, MatchesDirectAcrossBlockSizesAndSeeds)
                 c.alloc = rng.chance(0.5)
                               ? AllocPolicy::WriteAllocate
                               : AllocPolicy::WriteNoAllocate;
-                cfgs.push_back(c);
+                // Small caches of big blocks have fewer lines than
+                // 16 ways; those rungs are outside the regime.
+                if (ladderKernelSupported(c))
+                    cfgs.push_back(c);
             }
-            const BlockStream stream =
-                buildBlockStream(trace, block);
-            ASSERT_TRUE(ladderCollapsible(stream, cfgs));
-            const auto onepass = ladderSweep(stream, cfgs);
-            for (std::size_t i = 0; i < cfgs.size(); ++i) {
-                const TrafficResult direct =
-                    runTrace(trace, cfgs[i]);
-                const std::string label =
-                    "seed " + std::to_string(seed) + " " +
-                    cfgs[i].describe();
-                EXPECT_EQ(onepass[i].pinBytes, direct.pinBytes)
-                    << label;
-                expectStatsEqual(onepass[i].l1, direct.l1, label);
-            }
+            ASSERT_GE(cfgs.size(), 2u);
+            expectLadderMatchesDirect(
+                trace, block, cfgs,
+                "seed " + std::to_string(seed) + " block " +
+                    std::to_string(block));
         }
+    }
+}
+
+TEST(LadderSweep, PartlyEmptySetsAtFlushMatchDirect)
+{
+    // A footprint far below capacity: sets stay partly filled, so the
+    // run leaves invalid tail slots behind, first fills evict nothing,
+    // and the flush walks rows that end early.
+    // At most two blocks per 1024-set index: the 64 KiB caches below
+    // (1024 sets at 2 ways down to 128 sets at 16) then never fill a
+    // set, while the 16 KiB ones still overflow some.
+    Rng rng(83);
+    std::vector<Addr> blocks;
+    std::map<Addr, unsigned> perSet;
+    while (blocks.size() < 300) {
+        const Addr bn = rng.below(1 << 16);
+        if (std::find(blocks.begin(), blocks.end(), bn * 32) ==
+                blocks.end() &&
+            perSet[bn % 1024]++ < 2)
+            blocks.push_back(bn * 32);
+    }
+    std::map<Addr, bool> loaded;
+    Trace trace;
+    for (int i = 0; i < 6000; ++i) {
+        const Addr a = blocks[rng.below(blocks.size())] +
+                       rng.below(8) * wordBytes;
+        const bool store = rng.chance(0.3);
+        trace.append(a, wordBytes,
+                     store ? RefKind::Store : RefKind::Load);
+        loaded[a / 32] |= !store;
+    }
+
+    for (Bytes size : {16_KiB, 64_KiB}) {
+        const auto cfgs = plainPolicyGrid(size, 32, {2u, 4u, 8u, 16u});
+        expectLadderMatchesDirect(trace, 32, cfgs,
+                                  std::to_string(size) + "B");
+    }
+
+    // With every set below capacity, write-allocate never displaces a
+    // line during the run: each touched block leaves exactly once, at
+    // the flush, and no write-back is charged before it.  Under
+    // no-allocate only loaded blocks are ever resident.
+    std::size_t loadedBlocks = 0;
+    for (const auto &[block, load] : loaded)
+        loadedBlocks += load;
+    const BlockStream stream = buildBlockStream(trace, 32);
+    const auto cfgs = plainPolicyGrid(64_KiB, 32, {2u, 4u, 8u, 16u});
+    const auto onepass = ladderSweep(stream, cfgs);
+    for (std::size_t i = 0; i < cfgs.size(); ++i) {
+        const CacheStats &st = onepass[i].l1;
+        const bool allocate =
+            cfgs[i].alloc == AllocPolicy::WriteAllocate;
+        EXPECT_EQ(st.evictions, allocate ? loaded.size() : loadedBlocks)
+            << cfgs[i].describe();
+        EXPECT_EQ(st.writebackBytes, 0u) << cfgs[i].describe();
+    }
+}
+
+TEST(LadderSweep, TopOfAddressSpaceTagsStayDistinct)
+{
+    // 4 B blocks give the widest tags: block numbers up to 2^62 - 1,
+    // whose encoded (tag << 1) | dirty word still differs from the
+    // invalid sentinel.  Blocks at the top and bottom of the address
+    // space share sets, so any aliasing shows as a wrong hit.
+    const Addr top = ~Addr{0} - (wordBytes - 1);
+    Rng rng(101);
+    Trace trace;
+    for (int i = 0; i < 8000; ++i) {
+        const Addr off = rng.below(4096) * wordBytes;
+        const Addr a = rng.chance(0.5) ? top - off : off;
+        trace.append(a, wordBytes,
+                     rng.chance(0.4) ? RefKind::Store : RefKind::Load);
+    }
+    trace.append(top, wordBytes, RefKind::Store);
+
+    const auto cfgs =
+        plainPolicyGrid(1_KiB, 4, {1u, 2u, 4u, 8u, 16u});
+    expectLadderMatchesDirect(trace, 4, cfgs, "top");
+
+    // The same trace through the set-partitioned word kernels.
+    const auto serial = ladderSweep(buildBlockStream(trace, 4), cfgs);
+    PartitionOptions opts;
+    opts.jobs = 2;
+    opts.parts = 4;
+    for (std::size_t i = 0; i < cfgs.size(); ++i) {
+        TrafficResult word;
+        ASSERT_EQ(partitionedLadderRunWord(trace, cfgs[i], opts, word),
+                  WordRunOutcome::Done);
+        expectStatsEqual(word.l1, serial[i].l1,
+                         "word " + cfgs[i].describe());
     }
 }
 

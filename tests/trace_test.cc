@@ -139,6 +139,31 @@ TEST(Recorder, DependentLoadFlag)
     EXPECT_TRUE(a[1].dependsOnPrevLoad);
 }
 
+TEST(Recorder, SkipAnnotationsKeepsTheDataTrace)
+{
+    TraceRecorder rec;
+    rec.skipAnnotations();
+    const Region r = rec.allocate("r", 64);
+    rec.compute(3);
+    rec.load(r.base);
+    rec.branch(true);
+    rec.store(r.base + 4);
+    EXPECT_TRUE(rec.annotations().empty());
+    ASSERT_EQ(rec.trace().size(), 2u);
+    EXPECT_TRUE(rec.trace()[1].isStore());
+}
+
+TEST(Recorder, TakeAnnotationsMovesOutContents)
+{
+    TraceRecorder rec;
+    const Region r = rec.allocate("r", 64);
+    rec.load(r.base);
+    rec.branch(false);
+    const auto a = rec.takeAnnotations();
+    EXPECT_EQ(a.size(), 2u);
+    EXPECT_TRUE(rec.annotations().empty());
+}
+
 TEST(Recorder, TakeTraceMovesOutContents)
 {
     TraceRecorder rec;

@@ -72,6 +72,18 @@ TEST_P(EveryWorkload, GenerationIsDeterministic)
         EXPECT_TRUE(a[i] == b[i]) << "at " << i;
 }
 
+TEST_P(EveryWorkload, TraceMatchesRunTraceRefForRef)
+{
+    // trace() records data references only; run() also keeps the
+    // instruction-stream annotations.  The data trace must not care.
+    auto w = makeWorkload(GetParam());
+    const Trace data = w->trace(tiny());
+    const WorkloadRun run = w->run(tiny());
+    ASSERT_EQ(data.size(), run.trace.size());
+    for (std::size_t i = 0; i < data.size(); ++i)
+        ASSERT_TRUE(data[i] == run.trace[i]) << "at " << i;
+}
+
 TEST(SeedSensitivity, IrregularWorkloadsChangeWithSeed)
 {
     // Data-dependent kernels must produce different reference
