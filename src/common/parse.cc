@@ -138,6 +138,16 @@ tryParseJobs(const std::string &text)
     return static_cast<unsigned>(n.value());
 }
 
+Result<char>
+tryParseExperiment(const std::string &text)
+{
+    if (text.size() != 1 || text[0] < 'A' || text[0] > 'F')
+        return makeError(Errc::BadValue,
+                         "'" + text + "' is not an experiment: "
+                         "expected a letter A-F");
+    return text[0];
+}
+
 Result<std::vector<Bytes>>
 tryParseSizeList(const std::string &text)
 {

@@ -70,6 +70,13 @@ Result<double> tryParseScale(const std::string &text);
 Result<unsigned> tryParseJobs(const std::string &text);
 
 /**
+ * Parse a Table 5 experiment name: exactly one upper-case letter
+ * A-F.  membw_decompose and the daemon's decompose requests both
+ * go through this, so "BOGUS" or "f" fail the same way everywhere.
+ */
+Result<char> tryParseExperiment(const std::string &text);
+
+/**
  * Parse a comma-separated list of byte sizes ("1K,64K,2M"), each
  * validated by tryParseSize; rejects empty lists/elements.
  */

@@ -5,62 +5,55 @@ namespace ladder {
 
 namespace {
 
-template <bool Masked, bool Filtered>
+template <bool Filtered>
 ChunkKernel
 pickKernel(unsigned ways)
 {
     switch (ways) {
     case 1:
-        return &runChunk<1, Masked, Filtered>;
+        return &runChunk<1, Filtered>;
     case 2:
-        return &runChunk<2, Masked, Filtered>;
+        return &runChunk<2, Filtered>;
     case 4:
-        return &runChunk<4, Masked, Filtered>;
+        return &runChunk<4, Filtered>;
     case 8:
-        return &runChunk<8, Masked, Filtered>;
+        return &runChunk<8, Filtered>;
     default:
-        return &runChunk<0, Masked, Filtered>;
+        return &runChunk<0, Filtered>;
     }
 }
 
-template <bool Masked, bool Filtered>
+template <bool Filtered>
 WordKernel
 pickWordKernel(unsigned ways)
 {
     switch (ways) {
     case 1:
-        return &runWordChunk<1, Masked, Filtered>;
+        return &runWordChunk<1, Filtered>;
     case 2:
-        return &runWordChunk<2, Masked, Filtered>;
+        return &runWordChunk<2, Filtered>;
     case 4:
-        return &runWordChunk<4, Masked, Filtered>;
+        return &runWordChunk<4, Filtered>;
     case 8:
-        return &runWordChunk<8, Masked, Filtered>;
+        return &runWordChunk<8, Filtered>;
     default:
-        return &runWordChunk<0, Masked, Filtered>;
+        return &runWordChunk<0, Filtered>;
     }
 }
 
 } // namespace
 
 ChunkKernel
-selectKernel(unsigned ways, bool masked, bool filtered)
+selectKernel(unsigned ways, bool filtered)
 {
-    if (masked)
-        return filtered ? pickKernel<true, true>(ways)
-                        : pickKernel<true, false>(ways);
-    return filtered ? pickKernel<false, true>(ways)
-                    : pickKernel<false, false>(ways);
+    return filtered ? pickKernel<true>(ways) : pickKernel<false>(ways);
 }
 
 WordKernel
-selectWordKernel(unsigned ways, bool masked, bool filtered)
+selectWordKernel(unsigned ways, bool filtered)
 {
-    if (masked)
-        return filtered ? pickWordKernel<true, true>(ways)
-                        : pickWordKernel<true, false>(ways);
-    return filtered ? pickWordKernel<false, true>(ways)
-                    : pickWordKernel<false, false>(ways);
+    return filtered ? pickWordKernel<true>(ways)
+                    : pickWordKernel<false>(ways);
 }
 
 void

@@ -26,12 +26,8 @@ ladderKernelSupported(const CacheConfig &cfg)
     if (cfg.repl != ReplPolicy::LRU || cfg.taggedPrefetch ||
         cfg.sectorBytes != 0 || cfg.streamBuffers != 0)
         return false;
-    // validate() rejects this pairing; keep it on the (fatal)
-    // direct path rather than silently simulating it.
-    if (cfg.alloc == AllocPolicy::WriteValidate &&
-        cfg.write == WritePolicy::WriteThrough)
-        return false;
-    return true;
+    // Write-validate's per-word valid and dirty bits need Cache.
+    return cfg.alloc != AllocPolicy::WriteValidate;
 }
 
 bool
@@ -60,8 +56,7 @@ ladderSweep(const BlockStream &stream,
     sims.reserve(configs.size());
     for (const CacheConfig &cfg : configs) {
         ladder::ConfigSim &sim = sims.emplace_back(cfg);
-        sim.kernel = ladder::selectKernel(sim.ways, sim.masked,
-                                          /*filtered=*/false);
+        sim.kernel = ladder::selectKernel(sim.ways, /*filtered=*/false);
     }
 
     for (std::size_t begin = 0; begin < stream.refs;

@@ -9,8 +9,8 @@
  * ladderSweep() walks a pre-decoded BlockStream once, replaying each
  * L2-resident chunk against every configuration's flat set rows
  * (recency-ordered tag/dirty words; see exec/ladder_kernel.hh).  The
- * decode cost (block number, word mask, load/store split) is paid
- * once per block size instead of once per cell, the per-reference
+ * decode cost (block number, load/store split) is paid once per
+ * block size instead of once per cell, the per-reference
  * dispatch (virtual hooks, std::function, hash-map probes) disappears
  * entirely, and the chunk's decode arrays stay cache-resident while
  * the k configurations consume them.
@@ -20,9 +20,9 @@
  * so its TrafficResults are byte-identical to the direct simulator's
  * (tests/ladder_test.cc and the onepass_equivalence ctest assert
  * this).  Everything outside the exact regime — Random/FIFO
- * replacement, sectoring, stream buffers, tagged prefetch,
- * fully-associative geometry, references that span a block — is
- * rejected by ladderCollapsible() and falls back to direct per-cell
+ * replacement, write-validate, sectoring, stream buffers, tagged
+ * prefetch, fully-associative geometry, references that span a
+ * block — is rejected by ladderCollapsible() and falls back to direct per-cell
  * simulation.
  */
 
@@ -43,9 +43,9 @@ constexpr unsigned ladderMaxWays = 16;
 /**
  * True iff @p cfg alone is within the kernel's exact regime: a
  * set-associative (1..ladderMaxWays ways) LRU cache with power-of-two
- * geometry and no prefetch, sector, or stream-buffer features.  All
- * write/allocation policies are supported (write-validate runs the
- * masked variant of the kernel).
+ * geometry and no prefetch, sector, or stream-buffer features.  Both
+ * write policies are supported, with write-allocate or no-allocate;
+ * write-validate takes the exact Cache path.
  */
 bool ladderKernelSupported(const CacheConfig &cfg);
 

@@ -96,7 +96,7 @@ partitionedLadderSweep(const BlockStream &stream,
                 cell.setSpan != cfg.sets();
             ladder::ConfigSim sim(cfg, cell.setLo, cell.setSpan);
             sim.kernel =
-                ladder::selectKernel(sim.ways, sim.masked, filtered);
+                ladder::selectKernel(sim.ways, filtered);
             // One sim per cell: no per-chunk locality to exploit,
             // so replay the whole stream in one call.
             sim.kernel(sim, stream, 0, stream.refs);
@@ -174,7 +174,7 @@ partitionedLadderRunWord(const Trace &trace, const CacheConfig &cfg,
             const bool filtered = cell.setSpan != sets;
             ladder::ConfigSim sim(cfg, cell.setLo, cell.setSpan);
             const ladder::WordKernel kernel =
-                ladder::selectWordKernel(sim.ways, sim.masked, filtered);
+                ladder::selectWordKernel(sim.ways, filtered);
             WordCell out;
             out.ok = kernel(sim, trace.data(), 0, trace.size());
             if (out.ok)

@@ -6,7 +6,7 @@
  *
  * The sets of a set-associative cache never interact — a reference
  * touches exactly the set its block number indexes, and LRU state,
- * dirty masks and every traffic counter are per-set.  So the set
+ * dirty bits and every traffic counter are per-set.  So the set
  * index range is split across workers; each worker scans the whole
  * reference stream but simulates only its owned sets (the Filtered
  * kernel variant in ladder_kernel.hh), and the per-worker CacheStats

@@ -219,10 +219,11 @@ parseDecomposeFields(const JsonValue &doc)
         fatal("decompose request requires a 'workload' field");
     const std::string letter =
         stringField(doc, "experiment", std::string(1, req.letter));
-    if (letter.size() != 1 || letter[0] < 'A' || letter[0] > 'F')
+    const Result<char> parsed = tryParseExperiment(letter);
+    if (!parsed.ok())
         fatal("bad 'experiment' value '" + letter +
               "': expected a letter A-F");
-    req.letter = letter[0];
+    req.letter = parsed.value();
     req.spec95 = boolField(doc, "spec95", false);
     req.scale = scaleField(doc, req.scale);
     req.seed = u64Field(doc, "seed", req.seed);

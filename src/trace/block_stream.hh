@@ -5,7 +5,7 @@
  *
  * Sweep kernels that evaluate many cache configurations sharing one
  * block size re-derive the same per-reference quantities — block
- * number, load/store kind, request size, word mask — once per cell.
+ * number, load/store kind, request size — once per cell.
  * A BlockStream pre-decodes them once per (trace, block size) into
  * contiguous parallel arrays that workers share read-only, so a
  * sweep cell iterates flat arrays in L2-resident chunks instead of
@@ -31,8 +31,8 @@ namespace membw {
 struct BlockStream
 {
     /**
-     * References per chunk.  8K references keep the four live decode
-     * arrays (~152KB) inside a typical L2 slice while a kernel
+     * References per chunk.  8K references keep the three live decode
+     * arrays (~88KB) inside a typical L2 slice while a kernel
      * replays the chunk once per configuration.
      */
     static constexpr std::size_t chunkRefs = std::size_t{1} << 13;
@@ -53,7 +53,6 @@ struct BlockStream
     std::vector<std::uint64_t> blockNum; ///< addr >> blockShift
     std::vector<std::uint8_t> isStore;   ///< 0 = load, 1 = store
     std::vector<std::uint16_t> size;     ///< request bytes (<= block)
-    std::vector<std::uint64_t> wordMask; ///< words touched in block
 };
 
 /**

@@ -181,5 +181,16 @@ TEST(Parse, ScaleIsFiniteAndPositive)
     EXPECT_FALSE(tryParseScale(HUGE_VAL).ok());
 }
 
+TEST(Parse, ExperimentIsOneLetterAToF)
+{
+    for (char c = 'A'; c <= 'F'; ++c)
+        EXPECT_EQ(tryParseExperiment(std::string(1, c)).value(), c);
+    for (const char *bad : {"BOGUS", "Fx", "f", "G", "", "all"}) {
+        const Result<char> v = tryParseExperiment(bad);
+        ASSERT_FALSE(v.ok()) << bad;
+        EXPECT_EQ(v.error().code, Errc::BadValue) << bad;
+    }
+}
+
 } // namespace
 } // namespace membw

@@ -21,6 +21,7 @@
 #include "exec/collapsed_sweep.hh"
 #include "exec/ladder_sweep.hh"
 #include "exec/time_partition.hh"
+#include "serve/sweep_service.hh"
 #include "trace/block_stream.hh"
 #include "trace/trace.hh"
 
@@ -72,7 +73,7 @@ expectStatsEqual(const CacheStats &a, const CacheStats &b,
 // BlockStream decoding
 // ---------------------------------------------------------------
 
-TEST(BlockStream, DecodesBlockNumbersKindsAndMasks)
+TEST(BlockStream, DecodesBlockNumbersKindsAndSizes)
 {
     Trace t;
     t.append(0, 4, RefKind::Load);    // block 0, word 0
@@ -91,8 +92,7 @@ TEST(BlockStream, DecodesBlockNumbersKindsAndMasks)
 
     EXPECT_EQ(s.blockNum, (std::vector<std::uint64_t>{0, 1, 1, 0}));
     EXPECT_EQ(s.isStore, (std::vector<std::uint8_t>{0, 1, 0, 1}));
-    EXPECT_EQ(s.wordMask,
-              (std::vector<std::uint64_t>{0x1, 0x4, 0x80, 0xc}));
+    EXPECT_EQ(s.size, (std::vector<std::uint16_t>{4, 4, 4, 8}));
 }
 
 TEST(BlockStream, FlagsBlockSpanningReferences)
@@ -112,7 +112,8 @@ TEST(BlockStream, FlagsBlockSpanningReferences)
 
 /**
  * The full supported policy grid at one block size: sizes x
- * associativities x every valid write/alloc pairing, kept only where
+ * associativities x write-back/-through x allocate/no-allocate
+ * (write-validate takes the Cache path), kept only where
  * ladderKernelSupported() admits the geometry.  At 32 B blocks the
  * 3 KiB and 12 KiB sizes give 3-way caches power-of-two set counts
  * (32 and 128 sets), so the runtime-way kernel (W == 0) runs on both
@@ -127,11 +128,7 @@ policyGrid(Bytes blockBytes)
             for (WritePolicy wp :
                  {WritePolicy::WriteBack, WritePolicy::WriteThrough}) {
                 for (AllocPolicy ap : {AllocPolicy::WriteAllocate,
-                                       AllocPolicy::WriteNoAllocate,
-                                       AllocPolicy::WriteValidate}) {
-                    if (ap == AllocPolicy::WriteValidate &&
-                        wp == WritePolicy::WriteThrough)
-                        continue; // invalid pairing
+                                       AllocPolicy::WriteNoAllocate}) {
                     CacheConfig c;
                     c.size = size;
                     c.assoc = assoc;
@@ -416,7 +413,7 @@ TEST(TimePartition, FusedWordRunMatchesSerialAtAnyPartsAndJobs)
 TEST(TimePartition, FusedWordRunMatchesSerialAcrossPolicyGrid)
 {
     // Every supported policy point (write-back/-through crossed with
-    // allocate/no-allocate/write-validate) through the word kernels,
+    // allocate/no-allocate) through the word kernels,
     // including the store-counting totals reconstruction.
     const Trace trace = randomTrace(59, 12000);
     const std::vector<CacheConfig> cfgs = policyGrid(32);
@@ -464,7 +461,7 @@ TEST(TimePartition, FusedWordRunRejectsNonWordTraces)
 TEST(TimePartition, SweepFormMatchesSerialAcrossPolicyGrid)
 {
     // Multi-config partitioned sweep (auto parts) against the serial
-    // kernel over the whole policy grid, masked configs included;
+    // kernel over the whole policy grid;
     // also pins the parts clamp on a 1-set (fully-degenerate) shape.
     const Trace trace = randomTrace(37, 12000);
     const std::vector<CacheConfig> cfgs = policyGrid(32);
@@ -522,7 +519,9 @@ TEST(LadderSweep, GuardAcceptsTheSweepShapes)
     EXPECT_TRUE(ladderKernelSupported(c));
     c.assoc = 1; // Table 7/8 shape
     EXPECT_TRUE(ladderKernelSupported(c));
-    c.alloc = AllocPolicy::WriteValidate;
+    c.alloc = AllocPolicy::WriteNoAllocate;
+    EXPECT_TRUE(ladderKernelSupported(c));
+    c.write = WritePolicy::WriteThrough;
     EXPECT_TRUE(ladderKernelSupported(c));
 }
 
@@ -560,7 +559,11 @@ TEST(LadderSweep, GuardRejectsEverythingOutsideTheExactRegime)
     EXPECT_FALSE(with([](CacheConfig &c) { c.assoc = 32; }));
     EXPECT_FALSE(with([](CacheConfig &c) { c.size = 12_KiB; }));
     EXPECT_FALSE(with([](CacheConfig &c) { c.size = 100; }));
-    // validate() rejects WV+WT; the guard must not claim it.
+    // Write-validate, at either write policy (validate() rejects
+    // WV+WT; the guard must not claim it either), runs on Cache.
+    EXPECT_FALSE(with([](CacheConfig &c) {
+        c.alloc = AllocPolicy::WriteValidate;
+    }));
     EXPECT_FALSE(with([](CacheConfig &c) {
         c.write = WritePolicy::WriteThrough;
         c.alloc = AllocPolicy::WriteValidate;
@@ -617,6 +620,9 @@ TEST(CollapsedSweep, RoutesLadderCellsAndLeavesUnsupportedOnes)
     CacheConfig stream = cfgs[2]; // unsupported: stream buffers
     stream.streamBuffers = 4;
     cfgs.push_back(stream);
+    CacheConfig wv = cfgs[1]; // unsupported: write-validate
+    wv.alloc = AllocPolicy::WriteValidate;
+    cfgs.push_back(wv);
 
     const CollapsedSweep sweep(trace, cfgs, 1);
     EXPECT_EQ(sweep.covered(), 3u);
@@ -633,6 +639,19 @@ TEST(CollapsedSweep, RoutesLadderCellsAndLeavesUnsupportedOnes)
     EXPECT_FALSE(sweep.has(3));
     EXPECT_FALSE(sweep.has(4));
     EXPECT_FALSE(sweep.has(5));
+    EXPECT_FALSE(sweep.has(6));
+
+    // The sweep engine runs the uncovered write-validate cell on the
+    // exact Cache path.
+    SweepRequest req;
+    req.l1 = wv;
+    req.sizes = {wv.size};
+    const SweepOutcome out = executeSweep(req, trace, {});
+    ASSERT_EQ(out.cells.size(), 1u);
+    EXPECT_FALSE(out.collapsed.has(0));
+    const TrafficResult direct = runTrace(trace, wv);
+    EXPECT_EQ(out.cells[0].traffic.pinBytes, direct.pinBytes);
+    expectStatsEqual(out.cells[0].traffic.l1, direct.l1, wv.describe());
 }
 
 TEST(CollapsedSweep, GroupsMixedBlockSizesIntoSeparatePasses)

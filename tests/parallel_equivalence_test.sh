@@ -88,6 +88,12 @@ expect_exit 1 "$DECOMP" "${DALL[@]}" --checkpoint dck.bin
 expect_exit 1 "$DECOMP" "${DALL[@]}" --sigterm-after 100
 expect_exit 1 "$DECOMP" "${DALL[@]}" --scale -1
 expect_exit 1 "$DECOMP" "${DALL[@]}" --scale 0
+# --experiment takes exactly one letter A-F or "all"; anything else
+# must fail before it runs, not fall back to its first letter.
+for bad in BOGUS Fx f ""; do
+    expect_exit 1 "$DECOMP" --workload Swm --scale 0.05 \
+        --experiment "$bad"
+done
 
 # --- bench sweeps: jobs 1 vs jobs 4 --------------------------------
 "$FIG4" --scale 0.02 --jobs 1 --stable-json --json f1.json > f1.txt 2>/dev/null ||

@@ -38,9 +38,11 @@ expect_exit() {
 }
 
 # --- single config: partitioned path vs serial loop ----------------
-# Two configs: a plain write-back ladder and a masked write-validate
-# one with the MTC phase riding along.
-check_single() { # name flags...
+# Two ladder configs: a plain write-back one, and a write-through
+# no-allocate one with the MTC phase riding along.  Write-validate is
+# outside the ladder regime, so its --jobs 4 run keeps the serial
+# loop, and must say nothing about a partitioned pass.
+check_jobs() { # name flags...
     local name="$1"
     shift
     "$SIM" "$@" --jobs 1 --stats-json "$name.ref.json" \
@@ -53,17 +55,24 @@ check_single() { # name flags...
         fail "$name stdout differs: --jobs 1 vs --jobs 4"
     cmp -s "$name.ref.json" "$name.p4.json" ||
         fail "$name stats JSON differs: --jobs 1 vs --jobs 4"
+}
+check_single() { # name flags...
+    check_jobs "$@"
     # The --jobs 4 run must actually have taken the partitioned path,
     # otherwise this test is vacuous (the announce goes to stderr so
     # stdout stays byte-identical).
-    grep -q "set-partitioned hierarchy pass" "$name.p4.err" ||
-        fail "$name --jobs 4 did not take the partitioned path"
+    grep -q "set-partitioned hierarchy pass" "$1.p4.err" ||
+        fail "$1 --jobs 4 did not take the partitioned path"
 }
 
 check_single plain --workload Swm --scale 0.05 --size 64K --assoc 4 \
     --block 32 --stable-json
-check_single masked --workload Compress --scale 0.05 --size 16K \
+check_single wtwna --workload Compress --scale 0.05 --size 16K \
+    --assoc 8 --block 32 --write wt --alloc wna --mtc --stable-json
+check_jobs wv --workload Compress --scale 0.05 --size 16K \
     --assoc 8 --block 32 --write wb --alloc wv --mtc --stable-json
+! grep -q "set-partitioned hierarchy pass" wv.p4.err ||
+    fail "wv --jobs 4 took the partitioned ladder path"
 
 # --- loaded traces take the generated-trace path -------------------
 # A saved trace, loaded back, must give the results of the trace it

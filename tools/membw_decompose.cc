@@ -171,6 +171,15 @@ jobsFlag(const std::string &flag, const std::string &value)
     return r.value();
 }
 
+char
+experimentFlag(const std::string &flag, const std::string &value)
+{
+    auto r = tryParseExperiment(value);
+    if (!r.ok())
+        badFlag(flag, value, r.error(), "F");
+    return r.value();
+}
+
 /** Thrown from the progress hook to abort an in-flight phase once a
  * shutdown signal has been latched. */
 struct PhaseInterrupt
@@ -320,7 +329,7 @@ main(int argc, char **argv)
                 if (v == "all")
                     allExperiments = true;
                 else
-                    letter = v[0];
+                    letter = experimentFlag(a, v);
             } else if (a == "--jobs")
                 jobs = jobsFlag(a, need(i));
             else if (a == "--spec95")

@@ -111,8 +111,9 @@ usage(int code)
         "sweeps collapse\n"
         "                      into a single stack-distance pass; "
         "set-associative\n"
-        "                      LRU cells collapse into one-pass "
-        "ladder kernels.\n"
+        "                      LRU cells (except write-validate) "
+        "collapse into\n"
+        "                      one-pass ladder kernels.\n"
         "  --no-collapse       force direct per-cell simulation "
         "(disable the\n"
         "                      exact one-pass sweep engines)\n"
