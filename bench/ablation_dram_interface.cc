@@ -18,6 +18,7 @@
 #include "common/table.hh"
 #include "cpu/experiment.hh"
 #include "dram/dram.hh"
+#include "serve/decompose_service.hh"
 #include "workloads/workload.hh"
 
 using namespace membw;
@@ -34,50 +35,45 @@ main(int argc, char **argv)
     bench::JsonReport jreport("ablation_dram_interface",
                               "Section 2.3", opt);
 
+    const ExperimentConfig base = makeExperiment('F', false);
+    std::vector<std::string> labels = {"flat 90ns (paper)"};
+    std::vector<ExperimentConfig> configs = {base};
+    for (DramKind kind : {DramKind::FastPageMode, DramKind::EDO,
+                          DramKind::Synchronous, DramKind::Rambus}) {
+        ExperimentConfig cfg = base;
+        cfg.mem.dram = DramConfig::preset(kind, cfg.cpuMHz);
+        labels.push_back(cfg.mem.dram->describe());
+        configs.push_back(cfg);
+    }
+    // The counter-experiment: even with the best DRAM, halving the
+    // pin (memory-bus) width hurts more than the DRAM generation
+    // helps.
+    ExperimentConfig narrow = base;
+    narrow.mem.dram = DramConfig::preset(DramKind::Rambus, narrow.cpuMHz);
+    narrow.mem.memBusBytes /= 2;
+    labels.push_back("RDRAM + half pins");
+    configs.push_back(narrow);
+
     for (const char *name : {"Swm", "Compress"}) {
-        WorkloadParams p;
-        p.scale = scale;
-        const auto run = makeWorkload(name)->run(p);
-        const InstrStream stream = InstrStream::fromRun(
-            run, codeFootprintBytes(name), p.seed);
+        const InstrStream stream =
+            buildDecomposeStream(name, scale, WorkloadParams{}.seed);
         jreport.addRefs(stream.size());
+        const auto results = decomposeEach(stream, configs, opt.jobs);
 
         TextTable t;
         t.header({"memory", "cycles", "f_P", "f_L", "f_B",
                   "row hit%"});
-
-        auto report = [&](const std::string &label,
-                          const ExperimentConfig &cfg) {
-            const DecompositionResult r =
-                runDecomposition(stream, cfg);
+        for (std::size_t i = 0; i < configs.size(); ++i) {
+            const DecompositionResult &r = results[i];
             const auto &m = r.full.mem;
             const std::uint64_t rows =
                 m.dramRowHits + m.dramRowMisses;
-            t.row({label, std::to_string(r.split.fullCycles),
+            t.row({labels[i], std::to_string(r.split.fullCycles),
                    fixed(r.split.fP(), 2), fixed(r.split.fL(), 2),
                    fixed(r.split.fB(), 2),
                    rows ? fixed(100.0 * m.dramRowHits / rows, 1)
                         : "-"});
-        };
-
-        const ExperimentConfig base = makeExperiment('F', false);
-        report("flat 90ns (paper)", base);
-        for (DramKind kind :
-             {DramKind::FastPageMode, DramKind::EDO,
-              DramKind::Synchronous, DramKind::Rambus}) {
-            ExperimentConfig cfg = base;
-            cfg.mem.dram = DramConfig::preset(kind, cfg.cpuMHz);
-            report(cfg.mem.dram->describe(), cfg);
         }
-
-        // The counter-experiment: even with the best DRAM, halving
-        // the pin (memory-bus) width hurts more than the DRAM
-        // generation helps.
-        ExperimentConfig narrow = base;
-        narrow.mem.dram =
-            DramConfig::preset(DramKind::Rambus, narrow.cpuMHz);
-        narrow.mem.memBusBytes /= 2;
-        report("RDRAM + half pins", narrow);
 
         std::printf("%s\n%s\n", name, t.render().c_str());
         jreport.addTable(name, t);

@@ -14,23 +14,10 @@
 #include "common/stats.hh"
 #include "common/table.hh"
 #include "cpu/experiment.hh"
+#include "serve/decompose_service.hh"
 #include "workloads/workload.hh"
 
 using namespace membw;
-
-namespace {
-
-void
-report(TextTable &t, const std::string &label,
-       const InstrStream &stream, const ExperimentConfig &cfg)
-{
-    const DecompositionResult r = runDecomposition(stream, cfg);
-    t.row({label, std::to_string(r.split.fullCycles),
-           fixed(r.split.fP(), 2), fixed(r.split.fL(), 2),
-           fixed(r.split.fB(), 2)});
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -45,42 +32,38 @@ main(int argc, char **argv)
                               "Experiment E knobs", opt);
     jreport.manifest().workload = "Swm";
 
-    WorkloadParams p;
-    p.scale = scale;
-    const auto run = makeWorkload("Swm")->run(p);
-    const InstrStream stream = InstrStream::fromRun(run, codeFootprintBytes("Swm"), p.seed);
+    const InstrStream stream =
+        buildDecomposeStream("Swm", scale, WorkloadParams{}.seed);
     jreport.addRefs(stream.size());
+
+    const ExperimentConfig base = makeExperiment('E', false);
+    std::vector<std::string> labels = {"E (baseline)"};
+    std::vector<ExperimentConfig> configs = {base};
+    auto variant = [&](const std::string &label) -> ExperimentConfig & {
+        labels.push_back(label);
+        configs.push_back(base);
+        return configs.back();
+    };
+    for (unsigned mshrs : {1u, 2u, 4u, 16u})
+        variant("mshrs=" + std::to_string(mshrs)).mem.mshrs = mshrs;
+    for (unsigned window : {4u, 8u, 32u, 64u})
+        variant("ruu=" + std::to_string(window)).core.windowSlots =
+            window;
+    variant("no prefetch").mem.taggedPrefetch = false;
+    for (Bytes width : {Bytes{8}, Bytes{32}, Bytes{64}})
+        variant("L1/L2 bus " + formatSize(width)).mem.l1l2BusBytes =
+            width;
+    for (Bytes width : {Bytes{4}, Bytes{16}, Bytes{32}})
+        variant("mem bus " + formatSize(width)).mem.memBusBytes = width;
 
     TextTable t;
     t.header({"variant", "cycles", "f_P", "f_L", "f_B"});
-
-    const ExperimentConfig base = makeExperiment('E', false);
-    report(t, "E (baseline)", stream, base);
-
-    for (unsigned mshrs : {1u, 2u, 4u, 16u}) {
-        ExperimentConfig v = base;
-        v.mem.mshrs = mshrs;
-        report(t, "mshrs=" + std::to_string(mshrs), stream, v);
-    }
-    for (unsigned window : {4u, 8u, 32u, 64u}) {
-        ExperimentConfig v = base;
-        v.core.windowSlots = window;
-        report(t, "ruu=" + std::to_string(window), stream, v);
-    }
-    {
-        ExperimentConfig v = base;
-        v.mem.taggedPrefetch = false;
-        report(t, "no prefetch", stream, v);
-    }
-    for (Bytes width : {Bytes{8}, Bytes{32}, Bytes{64}}) {
-        ExperimentConfig v = base;
-        v.mem.l1l2BusBytes = width;
-        report(t, "L1/L2 bus " + formatSize(width), stream, v);
-    }
-    for (Bytes width : {Bytes{4}, Bytes{16}, Bytes{32}}) {
-        ExperimentConfig v = base;
-        v.mem.memBusBytes = width;
-        report(t, "mem bus " + formatSize(width), stream, v);
+    const auto results = decomposeEach(stream, configs, opt.jobs);
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+        const DecompositionResult &r = results[i];
+        t.row({labels[i], std::to_string(r.split.fullCycles),
+               fixed(r.split.fP(), 2), fixed(r.split.fL(), 2),
+               fixed(r.split.fB(), 2)});
     }
     std::printf("%s\n", t.render().c_str());
     std::printf("Expectations: more MSHRs/window shrink f_L but "

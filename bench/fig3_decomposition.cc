@@ -15,6 +15,7 @@
 #include "common/stats.hh"
 #include "common/table.hh"
 #include "cpu/experiment.hh"
+#include "serve/decompose_service.hh"
 #include "workloads/workload.hh"
 
 using namespace membw;
@@ -23,36 +24,33 @@ namespace {
 
 void
 runSet(const std::vector<std::string> &names, bool spec95,
-       double scale, bench::JsonReport &report)
+       const bench::BenchOptions &opt, bench::JsonReport &report)
 {
     std::printf("---- %s benchmarks ----\n",
                 spec95 ? "SPEC95" : "SPEC92");
+    std::vector<ExperimentConfig> configs;
+    for (char e = 'A'; e <= 'F'; ++e)
+        configs.push_back(makeExperiment(e, spec95));
     for (const auto &name : names) {
-        WorkloadParams p;
-        p.scale = scale;
-        const auto run = makeWorkload(name)->run(p);
-        const InstrStream stream = InstrStream::fromRun(
-            run, codeFootprintBytes(name), p.seed);
+        const InstrStream stream =
+            buildDecomposeStream(name, opt.scale, WorkloadParams{}.seed);
         report.addRefs(stream.size());
+        const auto results = decomposeEach(stream, configs, opt.jobs);
 
         TextTable t;
         t.header({"exp", "norm T", "f_P", "f_L", "f_B", "IPC",
                   "L1 miss%", "mispred"});
-        Cycle base_tp = 0;
-        for (char e = 'A'; e <= 'F'; ++e) {
-            const auto cfg = makeExperiment(e, spec95);
-            const DecompositionResult r =
-                runDecomposition(stream, cfg);
-            if (e == 'A')
-                base_tp = r.split.perfectCycles;
+        const double base_tp =
+            static_cast<double>(results.front().split.perfectCycles);
+        for (std::size_t e = 0; e < configs.size(); ++e) {
+            const DecompositionResult &r = results[e];
             const double norm =
-                static_cast<double>(r.split.fullCycles) /
-                static_cast<double>(base_tp);
+                static_cast<double>(r.split.fullCycles) / base_tp;
             const double miss_pct =
                 r.full.mem.loads
                     ? 100.0 * r.full.mem.l1Misses / r.full.mem.loads
                     : 0.0;
-            t.row({std::string(1, e), fixed(norm, 2),
+            t.row({std::string(1, configs[e].letter), fixed(norm, 2),
                    fixed(r.split.fP(), 2), fixed(r.split.fL(), 2),
                    fixed(r.split.fB(), 2), fixed(r.full.ipc, 2),
                    fixed(miss_pct, 1),
@@ -74,12 +72,11 @@ main(int argc, char **argv)
 {
     const bench::BenchOptions opt =
         bench::parseOptions(argc, argv, 0.5);
-    const double scale = opt.scale;
     bench::banner(
-        "Figure 3: effect of latency-reduction techniques", scale);
+        "Figure 3: effect of latency-reduction techniques", opt.scale);
     bench::JsonReport report("fig3_decomposition", "Figure 3", opt);
-    runSet(spec92Names(), false, scale, report);
-    runSet(spec95Names(), true, scale, report);
+    runSet(spec92Names(), false, opt, report);
+    runSet(spec95Names(), true, opt, report);
     std::printf("Paper's headline: applying latency tolerance "
                 "(A->F) grows f_B until it\ngenerally exceeds f_L "
                 "— compare the f_L and f_B columns of A vs F.\n");

@@ -20,6 +20,7 @@
 #include "common/stats.hh"
 #include "common/table.hh"
 #include "cpu/experiment.hh"
+#include "serve/decompose_service.hh"
 #include "workloads/workload.hh"
 
 using namespace membw;
@@ -36,33 +37,34 @@ main(int argc, char **argv)
     bench::JsonReport report("sec22_chip_multiprocessor",
                              "Section 2.2", opt);
 
+    const unsigned cores[] = {1, 2, 4, 8};
+    std::vector<ExperimentConfig> configs;
+    for (unsigned n : cores) {
+        ExperimentConfig cfg = makeExperiment('F', false);
+        // Fixed package: each of the n cores gets 1/n of the
+        // off-chip bus bandwidth (and of the shared L2 bus).
+        cfg.mem.busRatio *= n;
+        configs.push_back(cfg);
+    }
+
     for (const char *name : {"Swm", "Compress"}) {
-        WorkloadParams p;
-        p.scale = scale;
-        const auto run = makeWorkload(name)->run(p);
-        const InstrStream stream = InstrStream::fromRun(
-            run, codeFootprintBytes(name), p.seed);
+        const InstrStream stream =
+            buildDecomposeStream(name, scale, WorkloadParams{}.seed);
         report.addRefs(stream.size());
+        const auto results = decomposeEach(stream, configs, opt.jobs);
 
         TextTable t;
         t.header({"cores", "per-core T", "slowdown", "chip speedup",
                   "f_P", "f_L", "f_B"});
 
-        Cycle t1 = 0;
-        for (unsigned n : {1u, 2u, 4u, 8u}) {
-            ExperimentConfig cfg = makeExperiment('F', false);
-            // Fixed package: each of the n cores gets 1/n of the
-            // off-chip bus bandwidth (and of the shared L2 bus).
-            cfg.mem.busRatio *= n;
-            const DecompositionResult r =
-                runDecomposition(stream, cfg);
-            if (n == 1)
-                t1 = r.split.fullCycles;
+        const Cycle t1 = results.front().split.fullCycles;
+        for (std::size_t i = 0; i < configs.size(); ++i) {
+            const DecompositionResult &r = results[i];
             const double slowdown =
                 static_cast<double>(r.split.fullCycles) /
                 static_cast<double>(t1);
-            const double chip_speedup = n / slowdown;
-            t.row({std::to_string(n),
+            const double chip_speedup = cores[i] / slowdown;
+            t.row({std::to_string(cores[i]),
                    std::to_string(r.split.fullCycles),
                    fixed(slowdown, 2), fixed(chip_speedup, 2),
                    fixed(r.split.fP(), 2), fixed(r.split.fL(), 2),

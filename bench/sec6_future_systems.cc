@@ -19,6 +19,7 @@
 #include "common/stats.hh"
 #include "common/table.hh"
 #include "cpu/experiment.hh"
+#include "serve/decompose_service.hh"
 #include "workloads/workload.hh"
 
 using namespace membw;
@@ -59,40 +60,34 @@ main(int argc, char **argv)
     // ---- 2. the Figure 5 unified processor/DRAM system ----
     std::printf("Unified processor/DRAM (Figure 5) vs conventional "
                 "experiment F:\n\n");
+    const ExperimentConfig conv = makeExperiment('F', true);
+    // All memory on the die: the "L2" becomes on-chip DRAM banks
+    // large enough for the whole data set, reached over a wide,
+    // CPU-clocked on-chip path.  There is no off-chip memory; the old
+    // memory path never triggers (L2 never misses after cold start).
+    ExperimentConfig iram = conv;
+    iram.mem.l2Size = 64_MiB;
+    iram.mem.l2Assoc = 8;
+    iram.mem.l2AccessCycles = 18;  // on-chip DRAM bank access
+    iram.mem.l1l2BusBytes = 32;    // wide on-die wiring
+    iram.mem.busRatio = 1;         // CPU-clocked
+    // Data is resident in the on-die DRAM from the start: the
+    // "memory" path behind the L2 is just another on-die bank group,
+    // not a pin crossing.
+    iram.mem.memAccessCycles = 18;
+    iram.mem.memBusBytes = 32;
+
     for (const char *name : {"Swim", "Applu", "Vortex"}) {
-        WorkloadParams p;
-        p.scale = scale;
-        const auto run = makeWorkload(name)->run(p);
-        const InstrStream stream = InstrStream::fromRun(
-            run, codeFootprintBytes(name), p.seed);
+        const InstrStream stream =
+            buildDecomposeStream(name, scale, WorkloadParams{}.seed);
         report.addRefs(stream.size());
+        const auto results =
+            decomposeEach(stream, {conv, iram}, opt.jobs);
+        const DecompositionResult &rc = results[0];
 
         TextTable t;
         t.header({"system", "cycles", "f_P", "f_L", "f_B",
                   "speedup"});
-
-        const ExperimentConfig conv = makeExperiment('F', true);
-        const DecompositionResult rc =
-            runDecomposition(stream, conv);
-
-        // All memory on the die: the "L2" becomes on-chip DRAM
-        // banks large enough for the whole data set, reached over a
-        // wide, CPU-clocked on-chip path.  There is no off-chip
-        // memory; the old memory path never triggers (L2 never
-        // misses after cold start).
-        ExperimentConfig iram = conv;
-        iram.mem.l2Size = 64_MiB;
-        iram.mem.l2Assoc = 8;
-        iram.mem.l2AccessCycles = 18;  // on-chip DRAM bank access
-        iram.mem.l1l2BusBytes = 32;    // wide on-die wiring
-        iram.mem.busRatio = 1;         // CPU-clocked
-        // Data is resident in the on-die DRAM from the start: the
-        // "memory" path behind the L2 is just another on-die bank
-        // group, not a pin crossing.
-        iram.mem.memAccessCycles = 18;
-        iram.mem.memBusBytes = 32;
-        const DecompositionResult ri =
-            runDecomposition(stream, iram);
 
         auto row = [&](const char *label,
                        const DecompositionResult &r) {
@@ -104,7 +99,7 @@ main(int argc, char **argv)
                          2)});
         };
         row("conventional F", rc);
-        row("on-chip DRAM", ri);
+        row("on-chip DRAM", results[1]);
         std::printf("%s\n%s\n", name, t.render().c_str());
         report.addTable(std::string("iram/") + name, t);
     }

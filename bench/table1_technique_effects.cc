@@ -25,6 +25,7 @@
 #include "common/stats.hh"
 #include "common/table.hh"
 #include "cpu/experiment.hh"
+#include "serve/decompose_service.hh"
 #include "workloads/workload.hh"
 
 using namespace membw;
@@ -39,18 +40,6 @@ arrow(double before, double after, double eps = 0.005)
     if (after < before - eps)
         return "down";
     return "~";
-}
-
-struct Split
-{
-    double fP, fL, fB;
-};
-
-Split
-runSplit(const InstrStream &stream, const ExperimentConfig &cfg)
-{
-    const DecompositionResult r = runDecomposition(stream, cfg);
-    return {r.split.fP(), r.split.fL(), r.split.fB()};
 }
 
 } // namespace
@@ -68,76 +57,69 @@ main(int argc, char **argv)
                              opt);
     report.manifest().workload = "Su2cor";
 
-    WorkloadParams p;
-    p.scale = scale;
-    const auto run = makeWorkload("Su2cor")->run(p);
-    const InstrStream stream = InstrStream::fromRun(run, codeFootprintBytes("Su2cor"), p.seed);
+    const InstrStream stream =
+        buildDecomposeStream("Su2cor", scale, WorkloadParams{}.seed);
     report.addRefs(stream.size());
+
+    // Every distinct machine runs once; each row compares two of them.
+    enum Machine { A, B, C, D, E, FastClock, WideIssue, Packaging, OnChip };
+    std::vector<ExperimentConfig> machines;
+    for (char letter = 'A'; letter <= 'E'; ++letter)
+        machines.push_back(makeExperiment(letter, false));
+
+    ExperimentConfig fast = machines[D]; // 2x clock: memory and bus
+    fast.mem.l2AccessCycles *= 2;        // latencies double in cycles
+    fast.mem.memAccessCycles *= 2;
+    fast.mem.busRatio *= 2;
+    machines.push_back(fast);
+
+    ExperimentConfig wide = machines[D];
+    wide.core.issueWidth = 8;
+    wide.core.memPorts = 4;
+    machines.push_back(wide);
+
+    ExperimentConfig pkg = machines[E]; // better packaging: wider buses
+    pkg.mem.l1l2BusBytes *= 4;
+    pkg.mem.memBusBytes *= 4;
+    machines.push_back(pkg);
+
+    ExperimentConfig mem = machines[E]; // larger on-chip memory
+    mem.mem.l1Size *= 4;
+    mem.mem.l2Size *= 4;
+    machines.push_back(mem);
+
+    const auto results = decomposeEach(stream, machines, opt.jobs);
 
     TextTable t;
     t.header({"technique", "f_P", "f_L", "f_B", "paper f_B"});
-
-    auto row = [&](const std::string &label, const Split &before,
-                   const Split &after, const char *paper_fb) {
-        t.row({label, arrow(before.fP, after.fP),
-               arrow(before.fL, after.fL), arrow(before.fB, after.fB),
-               paper_fb});
+    auto row = [&](const std::string &label, Machine before,
+                   Machine after, const char *paper_fb) {
+        const Decomposition &b = results[before].split;
+        const Decomposition &a = results[after].split;
+        t.row({label, arrow(b.fP(), a.fP()), arrow(b.fL(), a.fL()),
+               arrow(b.fB(), a.fB()), paper_fb});
     };
 
     // ---- A. latency reduction ----
-    {
-        const Split a = runSplit(stream, makeExperiment('A', false));
-        const Split c = runSplit(stream, makeExperiment('C', false));
-        row("lockup-free caches", a, c, "up");
-
-        const Split b = runSplit(stream, makeExperiment('B', false));
-        row("larger cache blocks", a, b, "up");
-
-        const Split d = runSplit(stream, makeExperiment('D', false));
-        const Split e = runSplit(stream, makeExperiment('E', false));
-        row("tagged prefetching", d, e, "up");
-
-        row("speculative OOO core", c, d, "up");
-    }
+    row("lockup-free caches", A, C, "up");
+    row("larger cache blocks", A, B, "up");
+    row("tagged prefetching", D, E, "up");
+    row("speculative OOO core", C, D, "up");
 
     // ---- B. processor trends ----
-    {
-        const ExperimentConfig base = makeExperiment('D', false);
-        const Split d = runSplit(stream, base);
-
-        ExperimentConfig fast = base;   // 2x clock: memory and bus
-        fast.mem.l2AccessCycles *= 2;   // latencies double in cycles
-        fast.mem.memAccessCycles *= 2;
-        fast.mem.busRatio *= 2;
-        row("faster clock speed", d, runSplit(stream, fast), "up");
-
-        ExperimentConfig wide = base;
-        wide.core.issueWidth = 8;
-        wide.core.memPorts = 4;
-        row("wider issue", d, runSplit(stream, wide), "up");
-    }
+    row("faster clock speed", D, FastClock, "up");
+    row("wider issue", D, WideIssue, "up");
 
     // ---- C. physical trends ----
-    {
-        const ExperimentConfig base = makeExperiment('E', false);
-        const Split e = runSplit(stream, base);
-
-        ExperimentConfig pkg = base; // better packaging: wider buses
-        pkg.mem.l1l2BusBytes *= 4;
-        pkg.mem.memBusBytes *= 4;
-        row("better packaging", e, runSplit(stream, pkg), "down");
-
-        ExperimentConfig mem = base; // larger on-chip memory
-        mem.mem.l1Size *= 4;
-        mem.mem.l2Size *= 4;
-        row("larger on-chip memory", e, runSplit(stream, mem),
-            "down");
-    }
+    row("better packaging", E, Packaging, "down");
+    row("larger on-chip memory", E, OnChip, "down");
     std::printf("%s\n", t.render().c_str());
     report.addTable("technique_arrows", t);
 
     // ---- multithreading: traffic-axis evidence ----
     {
+        WorkloadParams p;
+        p.scale = scale;
         WorkloadParams p2 = p;
         p2.seed = 99;
         const Trace t1 = makeWorkload("Su2cor")->trace(p);

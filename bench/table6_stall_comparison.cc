@@ -10,6 +10,7 @@
 #include "common/stats.hh"
 #include "common/table.hh"
 #include "cpu/experiment.hh"
+#include "serve/decompose_service.hh"
 #include "workloads/workload.hh"
 
 using namespace membw;
@@ -43,17 +44,17 @@ main(int argc, char **argv)
               "F: f_B%", "F: f_B>f_L"});
     unsigned bw_dominant = 0;
     for (const Row &row : rows) {
-        WorkloadParams p;
-        p.scale = scale;
-        const auto run = makeWorkload(row.name)->run(p);
-        const InstrStream stream = InstrStream::fromRun(
-            run, codeFootprintBytes(row.name), p.seed);
+        const InstrStream stream =
+            buildDecomposeStream(row.name, scale, WorkloadParams{}.seed);
         report.addRefs(stream.size());
 
-        const auto a = runDecomposition(
-            stream, makeExperiment('A', row.spec95));
-        const auto f = runDecomposition(
-            stream, makeExperiment('F', row.spec95));
+        const auto results = decomposeEach(
+            stream,
+            {makeExperiment('A', row.spec95),
+             makeExperiment('F', row.spec95)},
+            opt.jobs);
+        const DecompositionResult &a = results[0];
+        const DecompositionResult &f = results[1];
         const bool dominated = f.split.fB() > f.split.fL();
         bw_dominant += dominated;
         t.row({row.name, fixed(a.split.fL() * 100, 1),

@@ -169,15 +169,6 @@ runDecomposition(const InstrStream &stream,
     return assembleDecomposition(perfect, infinite, full);
 }
 
-CoreResult
-runFull(const InstrStream &stream, const ExperimentConfig &config)
-{
-    MemSysConfig m = config.mem;
-    m.mode = MemMode::Full;
-    MemorySystem mem(m);
-    return runCore(stream, config.core, mem);
-}
-
 /** Shared body for the registry-rooted and group-rooted publishers;
  * Parent is StatsRegistry or StatsGroup (both expose group()). */
 template <typename Parent>

@@ -53,7 +53,9 @@ struct DecompositionResult
 
 /**
  * Run @p stream under @p config three times (perfect, infinite-width,
- * full memory) and decompose execution time (Equations 1-3).
+ * full memory), one after another, and decompose execution time
+ * (Equations 1-3).  The serial reference the parallel cell runner
+ * (serve/decompose_service.hh) is tested against.
  */
 DecompositionResult runDecomposition(const InstrStream &stream,
                                      const ExperimentConfig &config);
@@ -94,10 +96,6 @@ DecompositionResult
 assembleDecomposition(const CoreResult &perfect,
                       const CoreResult &infinite,
                       const CoreResult &full);
-
-/** Run only the full-system configuration. */
-CoreResult runFull(const InstrStream &stream,
-                   const ExperimentConfig &config);
 
 class StatsRegistry;
 

@@ -8,7 +8,7 @@
 #include "obs/manifest.hh"
 #include "obs/registry.hh"
 #include "obs/trace_span.hh"
-#include "resilience/watchdog.hh"
+#include "resilience/fault_injection.hh"
 
 namespace membw {
 
@@ -82,25 +82,60 @@ decomposeRequestKey(const DecomposeRequest &req)
     return key;
 }
 
+SweepResult<CoreResult>
+decomposeCells(const InstrStream &stream,
+               const std::vector<ExperimentConfig> &configs,
+               const SweepOptions &opt)
+{
+    return parallelSweep(
+        configs.size() * decompositionPhases, opt,
+        [&](std::size_t i) {
+            MEMBW_SPAN_D("cell", decomposeCellLabel(configs, i));
+            // Keyed by index, like executeSweep's cells, so
+            // 'cell:at=N' hits cell N-1 at any --jobs value.
+            if (MEMBW_FAULT_POINT_AT("cell", i))
+                fatal("injected cell fault (cell " +
+                      std::to_string(i) + ")");
+            return runPhase(stream, configs[i / decompositionPhases],
+                            static_cast<unsigned>(
+                                i % decompositionPhases));
+        });
+}
+
+std::string
+decomposeCellLabel(const std::vector<ExperimentConfig> &configs,
+                   std::size_t cell)
+{
+    return std::string("exp=") +
+           configs[cell / decompositionPhases].letter + " phase=" +
+           phaseName(static_cast<unsigned>(cell % decompositionPhases));
+}
+
+std::vector<DecompositionResult>
+decomposeEach(const InstrStream &stream,
+              const std::vector<ExperimentConfig> &configs,
+              unsigned jobs)
+{
+    SweepOptions opt;
+    opt.jobs = jobs;
+    const std::vector<CoreResult> cells =
+        decomposeCells(stream, configs, opt).cells;
+    std::vector<DecompositionResult> out;
+    out.reserve(configs.size());
+    for (std::size_t e = 0; e < configs.size(); ++e)
+        out.push_back(assembleDecomposition(
+            cells[e * decompositionPhases],
+            cells[e * decompositionPhases + 1],
+            cells[e * decompositionPhases + 2]));
+    return out;
+}
+
 DecompositionResult
-executeDecompose(const DecomposeRequest &req, const InstrStream &stream,
-                 const std::function<void(std::size_t, std::size_t)>
-                     &progress)
+executeDecompose(const DecomposeRequest &req, const InstrStream &stream)
 {
     ExperimentConfig cfg = decomposeConfig(req);
-    cfg.core.progressEvery = 65536;
-    cfg.core.progress = progress;
-
-    CoreResult results[decompositionPhases];
-    for (unsigned phase = 0; phase < decompositionPhases; ++phase) {
-        // Per-phase watchdog; the cycle domain restarts at zero each
-        // phase, so the guard must too.
-        Watchdog watchdog(req.watchdogCycles);
-        cfg.core.watchdog = &watchdog;
-        results[phase] = runPhase(stream, cfg, phase);
-        cfg.core.watchdog = nullptr;
-    }
-    return assembleDecomposition(results[0], results[1], results[2]);
+    cfg.core.watchdogCycles = req.watchdogCycles;
+    return decomposeEach(stream, {cfg}, 1).front();
 }
 
 std::string

@@ -1,7 +1,7 @@
 /**
  * @file
- * Shared execution-time-decomposition engine for `membw_decompose`
- * and the `membw_served` daemon.
+ * Shared execution-time-decomposition engine for `membw_decompose`,
+ * the timing-model benches and the `membw_served` daemon.
  *
  * A decompose request is three deterministic phase runs (perfect
  * memory, infinite width, full system) over one InstrStream.  The
@@ -15,10 +15,11 @@
 #define MEMBW_SERVE_DECOMPOSE_SERVICE_HH
 
 #include <cstdint>
-#include <functional>
 #include <string>
+#include <vector>
 
 #include "cpu/experiment.hh"
+#include "exec/parallel_sweep.hh"
 #include "workloads/workload.hh"
 
 namespace membw {
@@ -62,16 +63,39 @@ InstrStream buildDecomposeStream(const std::string &workload,
 std::string decomposeRequestKey(const DecomposeRequest &req);
 
 /**
- * Run the three phases serially with a fresh per-phase watchdog and
- * assemble the decomposition.  @p progress, when set, is installed
- * as the core progress hook (poll cadence 65536 micro-ops); throwing
- * from it aborts the in-flight phase.
+ * The Section 3.1 decomposition of every machine in @p configs over
+ * @p stream, as 3·N independent phase cells fanned out by
+ * parallelSweep(): cell i is phase i % 3 of configs[i / 3], and the
+ * cells come back in that order at any opt.jobs.  Each cell records
+ * a "cell" span and is the 'cell:at=N' fault site for N = i + 1.
+ * The watchdog budget and progress hook travel in each config's
+ * core; cancellation and degraded mode in @p opt.
  */
-DecompositionResult
-executeDecompose(const DecomposeRequest &req, const InstrStream &stream,
-                 const std::function<void(std::size_t done,
-                                          std::size_t total)> &progress =
-                     {});
+SweepResult<CoreResult>
+decomposeCells(const InstrStream &stream,
+               const std::vector<ExperimentConfig> &configs,
+               const SweepOptions &opt);
+
+/** Label of decomposeCells() cell @p cell ("exp=F phase=full"). */
+std::string decomposeCellLabel(const std::vector<ExperimentConfig> &configs,
+                               std::size_t cell);
+
+/**
+ * decomposeCells() across @p jobs workers, failures propagating,
+ * assembled into one DecompositionResult per config.
+ */
+std::vector<DecompositionResult>
+decomposeEach(const InstrStream &stream,
+              const std::vector<ExperimentConfig> &configs,
+              unsigned jobs);
+
+/**
+ * The decomposition for @p req: its one machine at jobs 1, inline on
+ * the calling thread, with req.watchdogCycles as each phase's
+ * watchdog budget.
+ */
+DecompositionResult executeDecompose(const DecomposeRequest &req,
+                                     const InstrStream &stream);
 
 /**
  * The stats-JSON document for a completed decomposition —

@@ -150,7 +150,7 @@ TEST(CoreBehavior, SpeculativeLoadsPolluteOnMispredict)
     auto wrong_path = [&](bool speculative) {
         ExperimentConfig cfg = makeExperiment('D', false);
         cfg.core.speculativeLoads = speculative;
-        return runFull(s, cfg).mem.wrongPathLoads;
+        return runPhase(s, cfg, 2).mem.wrongPathLoads;
     };
     EXPECT_EQ(wrong_path(false), 0u);
     EXPECT_GT(wrong_path(true), 100u);
@@ -189,7 +189,7 @@ TEST(CoreBehavior, InOrderNeverBeatsOooOnSameStream)
     ooo.core.lsqSlots = io.core.lsqSlots;
     ooo.core.bpredEntries = io.core.bpredEntries;
     ooo.core.speculativeLoads = false;
-    EXPECT_LE(runFull(s, ooo).cycles, runFull(s, io).cycles);
+    EXPECT_LE(runPhase(s, ooo, 2).cycles, runPhase(s, io, 2).cycles);
 }
 
 } // namespace

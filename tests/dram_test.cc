@@ -113,13 +113,13 @@ TEST(DramIntegration, TimingModelRunsWithEveryKind)
     const InstrStream stream = InstrStream::fromRun(run);
 
     const ExperimentConfig base = makeExperiment('F', false);
-    const Cycle flat = runFull(stream, base).cycles;
+    const Cycle flat = runPhase(stream, base, 2).cycles;
 
     for (DramKind kind : {DramKind::FastPageMode, DramKind::EDO,
                           DramKind::Synchronous, DramKind::Rambus}) {
         ExperimentConfig cfg = base;
         cfg.mem.dram = DramConfig::preset(kind, cfg.cpuMHz);
-        const CoreResult r = runFull(stream, cfg);
+        const CoreResult r = runPhase(stream, cfg, 2);
         EXPECT_GT(r.cycles, 0u);
         EXPECT_GT(r.mem.dramRowHits + r.mem.dramRowMisses, 0u);
         // A banked DRAM is never faster than ideal flat memory by

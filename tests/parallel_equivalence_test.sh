@@ -1,19 +1,23 @@
 #!/usr/bin/env bash
 # End-to-end determinism check for the parallel sweep engine: every
-# sweep-mode output (stdout, --stats-json with --stable-json) must be
-# byte-identical at --jobs 1 and --jobs 4 — including a run truncated
-# by the deterministic --sigterm-after cell-count trigger.  Also
+# sweep-mode output (stdout, --stats-json with --stable-json) and the
+# fig4/fig3/table1 bench reports must be byte-identical at --jobs 1
+# and --jobs 4 — including a run truncated by the deterministic
+# --sigterm-after cell-count trigger.  Also
 # checks the --jobs input contract and, on hosts with enough
 # hardware threads, that parallel decomposition cells actually run
 # faster.
 #
 # Usage: parallel_equivalence_test.sh <membw_sim> <membw_decompose> \
-#            <fig4_traffic_curves>
+#            <fig4_traffic_curves> <fig3_decomposition> \
+#            <table1_technique_effects>
 set -u
 
 SIM="$1"
 DECOMP="$2"
 FIG4="$3"
+FIG3="$4"
+TABLE1="$5"
 DIR="$(mktemp -d)"
 trap 'rm -rf "$DIR"' EXIT
 cd "$DIR"
@@ -95,15 +99,19 @@ for bad in BOGUS Fx f ""; do
         --experiment "$bad"
 done
 
-# --- bench sweeps: jobs 1 vs jobs 4 --------------------------------
-"$FIG4" --scale 0.02 --jobs 1 --stable-json --json f1.json > f1.txt 2>/dev/null ||
-    fail "fig4 --jobs 1 failed"
-"$FIG4" --scale 0.02 --jobs 4 --stable-json --json f4.json > f4.txt 2>/dev/null ||
-    fail "fig4 --jobs 4 failed"
-cmp -s f1.txt f4.txt ||
-    fail "fig4 stdout differs between --jobs 1 and 4"
-cmp -s f1.json f4.json ||
-    fail "fig4 JSON report differs between --jobs 1 and 4"
+# --- bench sweeps and decomposition cells: jobs 1 vs jobs 4 --------
+for bench in "$FIG4" "$FIG3" "$TABLE1"; do
+    name=$(basename "$bench")
+    for j in 1 4; do
+        "$bench" --scale 0.02 --jobs $j --stable-json \
+            --json "$name.$j.json" > "$name.$j.txt" 2>/dev/null ||
+            fail "$name --jobs $j failed"
+    done
+    cmp -s "$name.1.txt" "$name.4.txt" ||
+        fail "$name stdout differs between --jobs 1 and 4"
+    cmp -s "$name.1.json" "$name.4.json" ||
+        fail "$name JSON report differs between --jobs 1 and 4"
+done
 
 # --- wall-clock speedup (only meaningful on multi-core hosts) ------
 # Times the 18 independent timing-model cells of --experiment all: a

@@ -2,7 +2,9 @@
  * @file
  * Unit tests for the serving layer: artifact/result LRU caches
  * (keying, byte-bounded eviction, counters, spill) and the request
- * broker (coalescing under concurrency, busy backpressure, drain).
+ * broker (coalescing under concurrency, busy backpressure, drain),
+ * and the parallel decomposition cell runner against its serial
+ * reference.
  */
 
 #include <gtest/gtest.h>
@@ -18,8 +20,12 @@
 #include <unistd.h>
 
 #include "common/log.hh"
+#include "cpu/core.hh"
+#include "dram/dram.hh"
+#include "resilience/checkpoint.hh"
 #include "serve/artifact_cache.hh"
 #include "serve/broker.hh"
+#include "serve/decompose_service.hh"
 #include "serve/protocol.hh"
 #include "serve/result_cache.hh"
 #include "serve/sweep_service.hh"
@@ -43,6 +49,15 @@ tempDir()
     if (!::mkdtemp(buf.data()))
         return "/tmp";
     return buf.data();
+}
+
+/** Every CoreResult field, mem stats included, as checkpoint bytes. */
+std::string
+coreResultBytes(const CoreResult &r)
+{
+    ChkWriter w;
+    saveCoreResult(w, r);
+    return w.serialize();
 }
 
 bool
@@ -378,4 +393,47 @@ TEST(ServeProtocol, ValidatesDecomposeDramAtParseTime)
         "\"dram\":\"sdram\"}");
     EXPECT_EQ(ok.op, ServeOp::Decompose);
     EXPECT_EQ(ok.decompose.overrides.dram, "sdram");
+}
+
+TEST(DecomposeCells, ParallelCellsMatchSerialReference)
+{
+    const InstrStream stream = buildDecomposeStream("Swm", 0.02, 42);
+    std::vector<ExperimentConfig> configs;
+    for (char e = 'A'; e <= 'F'; ++e)
+        configs.push_back(makeExperiment(e, false));
+    ExperimentConfig sdram = makeExperiment('F', false);
+    sdram.mem.dram =
+        DramConfig::preset(DramKind::Synchronous, sdram.cpuMHz);
+    configs.push_back(sdram);
+    ExperimentConfig narrow = makeExperiment('F', false);
+    narrow.mem.busRatio *= 4;
+    configs.push_back(narrow);
+
+    SweepOptions opt;
+    opt.jobs = 4;
+    const SweepResult<CoreResult> cells =
+        decomposeCells(stream, configs, opt);
+    ASSERT_EQ(cells.completed, configs.size() * decompositionPhases);
+    const std::vector<DecompositionResult> each =
+        decomposeEach(stream, configs, 4);
+    ASSERT_EQ(each.size(), configs.size());
+
+    for (std::size_t e = 0; e < configs.size(); ++e) {
+        SCOPED_TRACE("config " + std::to_string(e) + ": " +
+                     configs[e].describe());
+        const DecompositionResult ref =
+            runDecomposition(stream, configs[e]);
+        const CoreResult *want[] = {&ref.perfect, &ref.infinite,
+                                    &ref.full};
+        const CoreResult *got[] = {&each[e].perfect, &each[e].infinite,
+                                   &each[e].full};
+        for (unsigned phase = 0; phase < decompositionPhases; ++phase) {
+            SCOPED_TRACE(phaseName(phase));
+            EXPECT_EQ(coreResultBytes(
+                          cells.cells[e * decompositionPhases + phase]),
+                      coreResultBytes(*want[phase]));
+            EXPECT_EQ(coreResultBytes(*got[phase]),
+                      coreResultBytes(*want[phase]));
+        }
+    }
 }

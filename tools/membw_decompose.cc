@@ -432,9 +432,23 @@ main(int argc, char **argv)
                       "share no reference clock (profile a single "
                       "experiment instead)");
 
-            static constexpr char letters[] = {'A', 'B', 'C',
-                                               'D', 'E', 'F'};
-            constexpr std::size_t nCells = 6 * decompositionPhases;
+            std::vector<ExperimentConfig> configs;
+            for (char e = 'A'; e <= 'F'; ++e) {
+                ExperimentConfig cell = makeExperiment(e, spec95);
+                applyOverrides(cell);
+                cell.core.watchdogCycles = watchdogCycles;
+                // The hook is a shutdown poll only: progress meters
+                // and stats registries are not thread-safe, so
+                // cells stay silent.
+                cell.core.progressEvery = 65536;
+                cell.core.progress = [](std::size_t, std::size_t) {
+                    if (shutdownRequested())
+                        throw PhaseInterrupt{};
+                };
+                configs.push_back(std::move(cell));
+            }
+            const std::size_t nCells =
+                configs.size() * decompositionPhases;
 
             std::printf("%s on experiments A-F%s (%zu micro-ops)\n",
                         workload.c_str(), spec95 ? " (SPEC95)" : "",
@@ -471,37 +485,7 @@ main(int argc, char **argv)
 
             SweepResult<CoreResult> sweep;
             try {
-                sweep = parallelSweep(
-                    nCells, sopt, [&](std::size_t i) {
-                        MEMBW_SPAN_D(
-                            "cell",
-                            std::string("exp=") +
-                                letters[i / decompositionPhases] +
-                                " phase=" +
-                                phaseName(static_cast<unsigned>(
-                                    i % decompositionPhases)));
-                        if (MEMBW_FAULT_POINT_AT("cell", i))
-                            fatal("injected cell fault (cell " +
-                                  std::to_string(i) + ")");
-                        ExperimentConfig cell = makeExperiment(
-                            letters[i / decompositionPhases],
-                            spec95);
-                        applyOverrides(cell);
-                        Watchdog watchdog(watchdogCycles);
-                        cell.core.watchdog = &watchdog;
-                        // The hook is a shutdown poll only:
-                        // progress meters and stats registries are
-                        // not thread-safe, so cells stay silent.
-                        cell.core.progressEvery = 65536;
-                        cell.core.progress = [](std::size_t,
-                                                std::size_t) {
-                            if (shutdownRequested())
-                                throw PhaseInterrupt{};
-                        };
-                        return runPhase(stream, cell,
-                                        static_cast<unsigned>(
-                                            i % decompositionPhases));
-                    });
+                sweep = decomposeCells(stream, configs, sopt);
             } catch (const PhaseInterrupt &) {
                 emitLinef("\n%s received: aborted --experiment "
                           "all sweep",
@@ -520,7 +504,7 @@ main(int argc, char **argv)
             // five rows (and stats groups) come out identical to a
             // clean run at any --jobs value.
             const bool degraded = sweep.degraded();
-            bool expFailed[6] = {};
+            std::vector<bool> expFailed(configs.size());
             for (const CellFailure &f : sweep.failedCells)
                 expFailed[f.cell / decompositionPhases] = true;
 
@@ -528,18 +512,18 @@ main(int argc, char **argv)
             t.header({"exp", "T_P", "T_I", "T", "f_P", "f_L", "f_B",
                       "IPC"});
             StatsRegistry registry;
-            for (std::size_t e = 0; e < 6; ++e) {
+            for (std::size_t e = 0; e < configs.size(); ++e) {
+                const std::string exp(1, configs[e].letter);
                 if (expFailed[e]) {
-                    t.row({std::string(1, letters[e]), "fail", "fail",
-                           "fail", "fail", "fail", "fail", "fail"});
+                    t.row({exp, "fail", "fail", "fail", "fail", "fail",
+                           "fail", "fail"});
                     continue;
                 }
                 const DecompositionResult r = assembleDecomposition(
                     sweep.cells[e * decompositionPhases],
                     sweep.cells[e * decompositionPhases + 1],
                     sweep.cells[e * decompositionPhases + 2]);
-                t.row({std::string(1, letters[e]),
-                       std::to_string(r.split.perfectCycles),
+                t.row({exp, std::to_string(r.split.perfectCycles),
                        std::to_string(r.split.infiniteCycles),
                        std::to_string(r.split.fullCycles),
                        fixed(r.split.fP(), 3),
@@ -547,8 +531,7 @@ main(int argc, char **argv)
                        fixed(r.split.fB(), 3),
                        fixed(r.full.ipc, 2)});
                 if (!statsJson.empty()) {
-                    StatsGroup g = registry.group(
-                        std::string(1, letters[e]));
+                    StatsGroup g = registry.group(exp);
                     publishDecompositionStats(g, r);
                 }
             }
@@ -584,14 +567,8 @@ main(int argc, char **argv)
                         w.beginObject();
                         w.field("cell", static_cast<std::uint64_t>(
                                             f.cell));
-                        w.field(
-                            "config",
-                            std::string("exp=") +
-                                letters[f.cell /
-                                        decompositionPhases] +
-                                " phase=" +
-                                phaseName(static_cast<unsigned>(
-                                    f.cell % decompositionPhases)));
+                        w.field("config",
+                                decomposeCellLabel(configs, f.cell));
                         w.field("error", f.message);
                         w.endObject();
                     }
