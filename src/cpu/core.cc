@@ -5,8 +5,8 @@
 #include <cstddef>
 #include <vector>
 
+#include "common/bitops.hh"
 #include "common/log.hh"
-#include "cpu/branch_pred.hh"
 #include "obs/registry.hh"
 #include "resilience/checkpoint.hh"
 #include "resilience/watchdog.hh"
@@ -108,8 +108,14 @@ runCore(const InstrStream &stream, const CoreConfig &core,
     if (core.issueWidth == 0 || core.memPorts == 0 ||
         core.windowSlots == 0 || core.lsqSlots == 0)
         fatal("core parameters must be non-zero");
+    if (!isPowerOfTwo(core.fetchBlockBytes))
+        fatal("fetch block size must be a non-zero power of two");
 
-    BranchPredictor bpred(core.bpredEntries);
+    // Branch outcomes do not depend on timing: one predictor run per
+    // stream and table size serves every phase.
+    const std::vector<std::uint64_t> &mispredicted =
+        stream.mispredicts(core.bpredEntries);
+    const Addr fetch_mask = ~(static_cast<Addr>(core.fetchBlockBytes) - 1);
     Slotter fetch(core.issueWidth);
     Slotter retire(core.issueWidth);
     Slotter memPort(core.memPorts);
@@ -123,7 +129,7 @@ runCore(const InstrStream &stream, const CoreConfig &core,
     Cycle last_compute_done = 0;
     Cycle last_dispatch = 0;   ///< stall-attribution baseline
     Addr last_load_addr = 0;
-    std::uint64_t branch_pc = 0;
+    std::uint64_t branch_index = 0;
     std::uint64_t mispredicts = 0;
 
     CoreStalls stalls;
@@ -177,8 +183,7 @@ runCore(const InstrStream &stream, const CoreConfig &core,
 
         // Instruction fetch: crossing into a new fetch group costs
         // an I-cache access (free on a hit; a miss stalls fetch).
-        const Addr fetch_block =
-            op.pc & ~(static_cast<Addr>(core.fetchBlockBytes) - 1);
+        const Addr fetch_block = op.pc() & fetch_mask;
         if (fetch_block != cur_fetch_block) {
             cur_fetch_block = fetch_block;
             const Cycle at =
@@ -203,13 +208,14 @@ runCore(const InstrStream &stream, const CoreConfig &core,
         window_occ.record(window.occupiedAt(dispatch));
 
         // Operand readiness.
+        const OpKind kind = op.kind();
         Cycle ready = dispatch;
-        switch (op.kind) {
+        switch (kind) {
           case OpKind::Compute:
             ready = std::max(ready, last_load_done);
             break;
           case OpKind::Load:
-            if (op.dependsOnPrevLoad)
+            if (op.dependsOnPrevLoad())
                 ready = std::max(ready, last_load_done);
             break;
           case OpKind::Store:
@@ -227,7 +233,7 @@ runCore(const InstrStream &stream, const CoreConfig &core,
             start = std::max(start, last_start);
             last_start = start;
         }
-        if (op.kind == OpKind::Load || op.kind == OpKind::Store) {
+        if (kind == OpKind::Load || kind == OpKind::Store) {
             const Cycle before_port = start;
             start = std::max(start, lsq.oldest());
             start = memPort.take(start);
@@ -237,23 +243,21 @@ runCore(const InstrStream &stream, const CoreConfig &core,
 
         // Execute.
         Cycle complete = start + 1;
-        switch (op.kind) {
+        switch (kind) {
           case OpKind::Compute:
             last_compute_done = complete;
             break;
           case OpKind::Load:
-            complete = mem.load(op.addr, op.size, start);
+            complete = mem.load(op.addr(), op.size(), start);
             last_load_done = complete;
-            last_load_addr = op.addr;
+            last_load_addr = op.addr();
             break;
           case OpKind::Store:
             // Data buffered at completion; memory write at retire.
             break;
           case OpKind::Branch: {
-            branch_pc = branch_pc * 1664525 + 1013904223;
-            const bool correct =
-                bpred.predictAndUpdate(branch_pc, op.taken);
-            if (!correct) {
+            const std::uint64_t b = branch_index++;
+            if (mispredicted[b / 64] >> (b % 64) & 1) {
                 ++mispredicts;
                 fetch_earliest = std::max(
                     fetch_earliest,
@@ -262,8 +266,8 @@ runCore(const InstrStream &stream, const CoreConfig &core,
                     // Wrong-path speculation fetched and executed a
                     // load before the redirect: cache pollution plus
                     // wasted bandwidth (Section 2.1).
-                    mem.wrongPathLoad(
-                        last_load_addr + 16 * wordBytes, start);
+                    mem.wrongPathLoad(last_load_addr + wrongPathOffset,
+                                      start);
                 }
             }
             break;
@@ -278,11 +282,11 @@ runCore(const InstrStream &stream, const CoreConfig &core,
         watchdog.advance(retired);
         last_retire = retired;
         window.push(retired);
-        if (op.kind == OpKind::Load || op.kind == OpKind::Store)
+        if (kind == OpKind::Load || kind == OpKind::Store)
             lsq.push(retired);
 
-        if (op.kind == OpKind::Store)
-            mem.store(op.addr, op.size, retired);
+        if (kind == OpKind::Store)
+            mem.store(op.addr(), op.size(), retired);
     }
 
     CoreResult result;
@@ -291,7 +295,7 @@ runCore(const InstrStream &stream, const CoreConfig &core,
     result.ipc = last_retire
                      ? static_cast<double>(stream.size()) / last_retire
                      : 0.0;
-    result.branches = bpred.branches();
+    result.branches = branch_index;
     result.mispredicts = mispredicts;
     result.stalls = stalls;
     result.windowOcc = window_occ;

@@ -52,6 +52,72 @@ il1Config(const MemSysConfig &c)
 
 } // namespace
 
+void
+InFlightTable::set(Addr block, Cycle ready)
+{
+    if ((size_ + 1) * 2 > slots_.size())
+        rehash(slots_.empty() ? 64 : slots_.size() * 2);
+    std::size_t i = home(block);
+    while (slots_[i].block != addrInvalid && slots_[i].block != block)
+        i = (i + 1) & mask_;
+    if (slots_[i].block == addrInvalid) {
+        slots_[i].block = block;
+        ++size_;
+    }
+    slots_[i].ready = ready;
+}
+
+bool
+InFlightTable::takePresent(Addr block, Cycle &ready)
+{
+    std::size_t hole = home(block);
+    while (slots_[hole].block != block) {
+        if (slots_[hole].block == addrInvalid)
+            return false;
+        hole = (hole + 1) & mask_;
+    }
+    ready = slots_[hole].ready;
+    // Backward shift: pull each later entry of the probe run into
+    // the hole when the hole lies between its home and its slot.
+    for (std::size_t j = (hole + 1) & mask_;
+         slots_[j].block != addrInvalid; j = (j + 1) & mask_) {
+        const std::size_t h = home(slots_[j].block);
+        if (((j - h) & mask_) >= ((j - hole) & mask_)) {
+            slots_[hole] = slots_[j];
+            hole = j;
+        }
+    }
+    slots_[hole] = Slot{};
+    --size_;
+    return true;
+}
+
+void
+InFlightTable::eraseUpTo(Cycle when)
+{
+    std::vector<Slot> old;
+    old.swap(slots_);
+    slots_.resize(old.size());
+    size_ = 0;
+    for (const Slot &s : old)
+        if (s.block != addrInvalid && s.ready > when)
+            set(s.block, s.ready);
+}
+
+void
+InFlightTable::rehash(std::size_t slots)
+{
+    std::vector<Slot> old;
+    old.swap(slots_);
+    slots_.resize(slots);
+    mask_ = slots - 1;
+    shift_ = 64 - floorLog2(slots);
+    size_ = 0;
+    for (const Slot &s : old)
+        if (s.block != addrInvalid)
+            set(s.block, s.ready);
+}
+
 MemorySystem::MemorySystem(const MemSysConfig &config)
     : config_(config),
       l1_(std::make_unique<Cache>(l1Config(config))),
@@ -76,6 +142,15 @@ MemorySystem::MemorySystem(const MemSysConfig &config)
     installBelow(*l1_);
     if (il1_)
         installBelow(*il1_);
+}
+
+void
+MemorySystem::validate(const MemSysConfig &config)
+{
+    l1Config(config).validate();
+    l2Config(config).validate();
+    if (config.splitL1)
+        il1Config(config).validate();
 }
 
 void
@@ -253,16 +328,12 @@ MemorySystem::backgroundTiming(Cycle when, bool skipFirstFetch)
         // Remember when this (prefetch) fill actually lands so a
         // demand reference to it waits for the data, not one cycle.
         if (config_.taggedPrefetch) {
-            if (prefetchInFlight_.size() > 4096) {
-                std::erase_if(prefetchInFlight_,
-                              [when](const auto &kv) {
-                                  return kv.second <= when;
-                              });
-            }
+            if (prefetchInFlight_.size() > 4096)
+                prefetchInFlight_.eraseUpTo(when);
             const Addr block =
                 ev.addr &
                 ~(static_cast<Addr>(config_.l1Block) - 1);
-            prefetchInFlight_[block] = fill_tx.done;
+            prefetchInFlight_.set(block, fill_tx.done);
         }
     }
 
@@ -305,15 +376,9 @@ MemorySystem::load(Addr addr, Bytes size, Cycle when)
         }
 
         // Likewise for a block the prefetcher is still bringing in.
-        if (config_.taggedPrefetch) {
-            auto it = prefetchInFlight_.find(hit_block);
-            if (it != prefetchInFlight_.end()) {
-                const Cycle ready = it->second;
-                prefetchInFlight_.erase(it);
-                if (ready > when + 1)
-                    return ready;
-            }
-        }
+        Cycle ready = 0;
+        if (prefetchInFlight_.take(hit_block, ready) && ready > when + 1)
+            return ready;
         return when + 1;
     }
 

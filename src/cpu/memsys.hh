@@ -22,7 +22,6 @@
 
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "cache/cache.hh"
@@ -107,6 +106,53 @@ struct MemSysStats
 class StatsGroup;
 
 /**
+ * Block address -> cycle map for prefetched blocks still in flight:
+ * open addressing with linear probing and backward-shift deletion,
+ * probed on every hit of a prefetching L1.  Keys are block-aligned,
+ * so addrInvalid marks an empty slot.
+ */
+class InFlightTable
+{
+  public:
+    std::size_t size() const { return size_; }
+
+    /** Insert @p block, or overwrite its cycle. */
+    void set(Addr block, Cycle ready);
+
+    /** If @p block is present, remove it and put its cycle in
+     * @p ready. */
+    bool
+    take(Addr block, Cycle &ready)
+    {
+        return size_ != 0 && takePresent(block, ready);
+    }
+
+    /** Remove every block whose cycle is at or before @p when. */
+    void eraseUpTo(Cycle when);
+
+  private:
+    struct Slot
+    {
+        Addr block = addrInvalid;
+        Cycle ready = 0;
+    };
+
+    std::size_t
+    home(Addr block) const
+    {
+        return static_cast<std::size_t>(
+            (block * 0x9E3779B97F4A7C15ULL) >> shift_);
+    }
+    bool takePresent(Addr block, Cycle &ready);
+    void rehash(std::size_t slots);
+
+    std::vector<Slot> slots_;
+    std::size_t mask_ = 0;
+    unsigned shift_ = 64;
+    std::size_t size_ = 0;
+};
+
+/**
  * Publish @p stats under @p group (typically "mem"): access mix,
  * per-level miss counts, and the bus occupancy/queueing counters
  * under "bus.l1l2" / "bus.mem".
@@ -123,6 +169,9 @@ class MemorySystem
   public:
     explicit MemorySystem(const MemSysConfig &config);
     ~MemorySystem();
+
+    /** fatal() wherever building the caches of @p config would. */
+    static void validate(const MemSysConfig &config);
 
     /** Issue a load at cycle @p when; returns data-ready cycle. */
     Cycle load(Addr addr, Bytes size, Cycle when);
@@ -247,7 +296,7 @@ class MemorySystem
     // Blocks brought in by the prefetcher that are still in flight:
     // a demand "hit" on one waits for its arrival rather than
     // completing in a cycle.
-    std::unordered_map<Addr, Cycle> prefetchInFlight_;
+    InFlightTable prefetchInFlight_;
 
     MemSysStats stats_;
 };

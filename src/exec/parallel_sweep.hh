@@ -36,6 +36,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/wait_help.hh"
 #include "exec/thread_pool.hh"
 
 namespace membw {
@@ -190,70 +191,74 @@ parallelSweep(std::size_t n, const SweepOptions &opt, Fn &&fn)
             owned.emplace(opt.jobs);
             pool = &*owned;
         }
+        // Claim and run one cell; false once none is left to start.
+        auto runOne = [&shared, &result, &opt, &fn, n] {
+            std::size_t i;
+            {
+                std::lock_guard<std::mutex> lock(shared.mutex);
+                if (shared.aborted || shared.cancelled ||
+                    shared.next >= n)
+                    return false;
+                if (opt.cancel && opt.cancel()) {
+                    shared.cancelled = true;
+                    return false;
+                }
+                i = shared.next++;
+            }
+            R value{};
+            bool ok = true;
+            bool tolerated = false;
+            std::string why;
+            try {
+                value = fn(i);
+            } catch (const std::exception &e) {
+                if (opt.tolerateCellFailures &&
+                    !(opt.abortAnyway && opt.abortAnyway(e))) {
+                    tolerated = true;
+                    why = e.what();
+                } else {
+                    ok = false;
+                    std::lock_guard<std::mutex> lock(shared.mutex);
+                    shared.errors[i] = std::current_exception();
+                    shared.aborted = true;
+                }
+            } catch (...) {
+                // Non-std exceptions (phase-interrupt sentinels) are
+                // never tolerated.
+                ok = false;
+                std::lock_guard<std::mutex> lock(shared.mutex);
+                shared.errors[i] = std::current_exception();
+                shared.aborted = true;
+            }
+            if (ok) {
+                std::lock_guard<std::mutex> lock(shared.mutex);
+                if (tolerated) {
+                    shared.failed[i] = 1;
+                    shared.failMessage[i] = std::move(why);
+                } else {
+                    result.cells[i] = std::move(value);
+                }
+                shared.done[i] = 1;
+                bool grew = false;
+                while (shared.prefix < n && shared.done[shared.prefix]) {
+                    ++shared.prefix;
+                    grew = true;
+                }
+                if (grew && opt.onPrefix)
+                    opt.onPrefix(shared.prefix);
+            }
+            return true;
+        };
         // One task per worker, each draining cells until none remain:
         // cheaper than n queue round-trips and keeps the claim +
-        // cancel poll in one critical section.
+        // cancel poll in one critical section.  A cell that has to
+        // wait for another thread's result runs further cells
+        // meanwhile (WaitHelper).
         const unsigned nworkers = pool->threads();
         for (unsigned w = 0; w < nworkers; ++w) {
-            pool->submit([&shared, &result, &opt, &fn, n] {
-                for (;;) {
-                    std::size_t i;
-                    {
-                        std::lock_guard<std::mutex> lock(shared.mutex);
-                        if (shared.aborted || shared.cancelled ||
-                            shared.next >= n)
-                            return;
-                        if (opt.cancel && opt.cancel()) {
-                            shared.cancelled = true;
-                            return;
-                        }
-                        i = shared.next++;
-                    }
-                    R value{};
-                    bool ok = true;
-                    bool tolerated = false;
-                    std::string why;
-                    try {
-                        value = fn(i);
-                    } catch (const std::exception &e) {
-                        if (opt.tolerateCellFailures &&
-                            !(opt.abortAnyway && opt.abortAnyway(e))) {
-                            tolerated = true;
-                            why = e.what();
-                        } else {
-                            ok = false;
-                            std::lock_guard<std::mutex> lock(
-                                shared.mutex);
-                            shared.errors[i] =
-                                std::current_exception();
-                            shared.aborted = true;
-                        }
-                    } catch (...) {
-                        // Non-std exceptions (phase-interrupt
-                        // sentinels) are never tolerated.
-                        ok = false;
-                        std::lock_guard<std::mutex> lock(shared.mutex);
-                        shared.errors[i] = std::current_exception();
-                        shared.aborted = true;
-                    }
-                    if (ok) {
-                        std::lock_guard<std::mutex> lock(shared.mutex);
-                        if (tolerated) {
-                            shared.failed[i] = 1;
-                            shared.failMessage[i] = std::move(why);
-                        } else {
-                            result.cells[i] = std::move(value);
-                        }
-                        shared.done[i] = 1;
-                        bool grew = false;
-                        while (shared.prefix < n &&
-                               shared.done[shared.prefix]) {
-                            ++shared.prefix;
-                            grew = true;
-                        }
-                        if (grew && opt.onPrefix)
-                            opt.onPrefix(shared.prefix);
-                    }
+            pool->submit([&runOne] {
+                WaitHelper helper(runOne);
+                while (runOne()) {
                 }
             });
         }

@@ -69,6 +69,21 @@ class Watchdog
         }
     }
 
+    /**
+     * Take in a finished run's record as if its events had been fed
+     * through advance(): progress up to @p last, with @p maxGap its
+     * largest gap.  Exact for a fresh watchdog.  Never trips; the
+     * caller checks the gap against budget() first.
+     */
+    void
+    replay(Cycle last, Cycle maxGap)
+    {
+        if (last > lastProgress_)
+            lastProgress_ = last;
+        if (maxGap > maxGap_)
+            maxGap_ = maxGap;
+    }
+
     /** Last cycle at which forward progress was recorded. */
     Cycle lastProgress() const { return lastProgress_; }
 

@@ -406,7 +406,7 @@ ServeServer::computeDecompose(const DecomposeRequest &req,
     auto stream = artifacts_.getOrBuild<InstrStream>(streamKey, [&] {
         auto built = std::make_shared<InstrStream>(
             buildDecomposeStream(req.workload, req.scale, req.seed));
-        const std::size_t bytes = built->size() * sizeof(MicroOp);
+        const std::size_t bytes = built->bytes();
         return ArtifactCache::Built<InstrStream>{std::move(built),
                                                  bytes};
     });

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "common/parse.hh"
+#include "common/wait_help.hh"
 #include "exec/parallel_sweep.hh"
 #include "exec/thread_pool.hh"
 
@@ -252,6 +253,37 @@ TEST(ParallelSweep, CancelBeforeStartRunsNothing)
     EXPECT_TRUE(r.interrupted);
     EXPECT_EQ(r.completed, 0u);
     EXPECT_EQ(ran.load(), 0);
+}
+
+TEST(ParallelSweep, WaitingCellRunsTheRemainingCells)
+{
+    // Cell 0 waits until every other cell has run, and cell 1 until
+    // some other cell has: on two workers both finish only if the
+    // waiting cell's worker runs cells meanwhile (WaitHelper).
+    constexpr std::size_t n = 16;
+    std::atomic<std::size_t> finished{0};
+    std::atomic<bool> timedOut{false};
+    const auto cells = parallelSweep(n, 2, [&](std::size_t i) {
+        if (i == 0) {
+            while (finished.load() < n - 1)
+                if (!WaitHelper::help())
+                    std::this_thread::yield();
+        } else {
+            if (i == 1) {
+                const auto deadline = std::chrono::steady_clock::now() +
+                                      std::chrono::seconds(10);
+                while (finished.load() == 0 && !timedOut)
+                    timedOut = std::chrono::steady_clock::now() > deadline;
+            }
+            ++finished;
+        }
+        return static_cast<int>(i) * 3;
+    });
+    EXPECT_FALSE(timedOut.load());
+    ASSERT_EQ(cells.size(), n);
+    for (std::size_t i = 0; i < n; ++i)
+        EXPECT_EQ(cells[i], static_cast<int>(i) * 3);
+    EXPECT_FALSE(WaitHelper::help()); // no helper outside a sweep
 }
 
 // ---------------------------------------------------------------

@@ -35,8 +35,8 @@ TEST(PcSynthesis, EveryOpHasACodeAddress)
     const InstrStream s = InstrStream::fromRun(smallRun(), 32_KiB, 7);
     ASSERT_GT(s.size(), 1000u);
     for (std::size_t i = 0; i < s.size(); i += 101) {
-        EXPECT_GE(s[i].pc, Addr{1} << 40); // code segment
-        EXPECT_EQ(s[i].pc % 4, 0u);
+        EXPECT_GE(s[i].pc(), Addr{1} << 40); // code segment
+        EXPECT_EQ(s[i].pc() % 4, 0u);
     }
 }
 
@@ -46,7 +46,7 @@ TEST(PcSynthesis, FootprintBoundedByCodeBytes)
     const InstrStream s = InstrStream::fromRun(smallRun(), code, 7);
     std::unordered_set<Addr> blocks;
     for (const MicroOp &op : s)
-        blocks.insert(op.pc / 64);
+        blocks.insert(op.pc() / 64);
     EXPECT_LE(blocks.size(), code / 64 + 1);
 }
 
@@ -58,7 +58,7 @@ TEST(PcSynthesis, LoopStructureMakesHotBlocks)
         InstrStream::fromRun(smallRun(), 32_KiB, 7);
     std::unordered_map<Addr, std::uint64_t> counts;
     for (const MicroOp &op : s)
-        counts[op.pc / 64]++;
+        counts[op.pc() / 64]++;
     std::vector<std::uint64_t> hist;
     for (const auto &[b, c] : counts)
         hist.push_back(c);
@@ -82,8 +82,8 @@ TEST(PcSynthesis, DeterministicPerSeed)
     ASSERT_EQ(a.size(), b.size());
     bool same = true, differs = false;
     for (std::size_t i = 0; i < a.size(); ++i) {
-        same = same && a[i].pc == b[i].pc;
-        differs = differs || a[i].pc != c[i].pc;
+        same = same && a[i].pc() == b[i].pc();
+        differs = differs || a[i].pc() != c[i].pc();
     }
     EXPECT_TRUE(same);
     EXPECT_TRUE(differs);
