@@ -1,7 +1,5 @@
 #include "dram/dram.hh"
 
-#include "obs/registry.hh"
-
 #include <algorithm>
 #include <cmath>
 
@@ -117,24 +115,6 @@ DramModel::access(Addr addr, Bytes bytes, Cycle when)
     bank.busyUntil = result.done;
     stats_.busyCycles += result.done - start;
     return result;
-}
-
-void
-publishDramStats(StatsGroup &group, const DramStats &stats)
-{
-    auto &accesses =
-        group.addCounter("accesses", "DRAM accesses", "events");
-    accesses.set(stats.accesses);
-    auto &rowHits = group.addCounter(
-        "row_hits", "accesses hitting an open row", "events");
-    rowHits.set(stats.rowHits);
-    group.addCounter("row_misses",
-                     "accesses needing precharge+activate", "events")
-        .set(stats.rowMisses);
-    group.addRatio("row_hit_rate", "row_hits / accesses", rowHits,
-                   accesses);
-    group.addCounter("busy_cycles", "bank busy time", "cycles")
-        .set(stats.busyCycles);
 }
 
 } // namespace membw

@@ -27,8 +27,6 @@
 
 namespace membw {
 
-class StatsGroup;
-
 /** Mid-1990s DRAM interface generations (Prince [34]). */
 enum class DramKind : std::uint8_t
 {
@@ -116,9 +114,6 @@ class DramModel
     DramStats stats_;
     MemProbe *probe_ = nullptr;
 };
-
-/** Publish @p stats under @p group (typically "dram"). */
-void publishDramStats(StatsGroup &group, const DramStats &stats);
 
 } // namespace membw
 

@@ -16,7 +16,7 @@
  *  - if cells throw, the exception from the lowest-index failing
  *    cell that ran is rethrown after all in-flight cells drain (with
  *    jobs == 1 that is exactly the first failure, and no later cell
- *    has started);
+ *    has started unless a cell waited on another thread's result);
  *  - a cancel() poll stops *scheduling* new cells; in-flight cells
  *    drain to completion and the result reports the contiguous
  *    completed prefix, so --sigterm-after N can truncate output to a
@@ -51,7 +51,8 @@ struct CellFailure
 /** Knobs for parallelSweep(). */
 struct SweepOptions
 {
-    /** Worker count; 1 (or n == 1) runs inline with no pool. */
+    /** Worker count; 1 (or n == 1) runs on the calling thread with
+     * no pool. */
     unsigned jobs = 1;
 
     /**
@@ -62,7 +63,7 @@ struct SweepOptions
      * the pool must be otherwise idle for the duration — callers
      * that share a pool must serialize sweeps on it.  jobs is
      * ignored when set (the pool's thread count wins), except for
-     * the jobs <= 1 inline path, which never touches the pool.
+     * the jobs <= 1 path, which never touches the pool.
      */
     ThreadPool *pool = nullptr;
 
@@ -139,34 +140,6 @@ parallelSweep(std::size_t n, const SweepOptions &opt, Fn &&fn)
     SweepResult<R> result;
     result.cells.resize(n);
 
-    const unsigned jobs =
-        opt.pool ? opt.pool->threads() : opt.jobs;
-    if (jobs <= 1 || n <= 1) {
-        for (std::size_t i = 0; i < n; ++i) {
-            if (opt.cancel && opt.cancel()) {
-                result.interrupted = true;
-                return result;
-            }
-            if (opt.tolerateCellFailures) {
-                try {
-                    result.cells[i] = fn(i);
-                } catch (const std::exception &e) {
-                    if (opt.abortAnyway && opt.abortAnyway(e))
-                        throw;
-                    result.failedCells.push_back(
-                        CellFailure{i, e.what()});
-                    result.cells[i] = R{};
-                }
-            } else {
-                result.cells[i] = fn(i);
-            }
-            result.completed = i + 1;
-            if (opt.onPrefix)
-                opt.onPrefix(result.completed);
-        }
-        return result;
-    }
-
     struct Shared
     {
         std::mutex mutex;
@@ -184,84 +157,87 @@ parallelSweep(std::size_t n, const SweepOptions &opt, Fn &&fn)
     shared.failMessage.resize(n);
     shared.errors.resize(n);
 
-    {
+    // Claim and run one cell; false once none is left to start.
+    auto runOne = [&shared, &result, &opt, &fn, n] {
+        std::size_t i;
+        {
+            std::lock_guard<std::mutex> lock(shared.mutex);
+            if (shared.aborted || shared.cancelled ||
+                shared.next >= n)
+                return false;
+            if (opt.cancel && opt.cancel()) {
+                shared.cancelled = true;
+                return false;
+            }
+            i = shared.next++;
+        }
+        R value{};
+        bool ok = true;
+        bool tolerated = false;
+        std::string why;
+        try {
+            value = fn(i);
+        } catch (const std::exception &e) {
+            if (opt.tolerateCellFailures &&
+                !(opt.abortAnyway && opt.abortAnyway(e))) {
+                tolerated = true;
+                why = e.what();
+            } else {
+                ok = false;
+                std::lock_guard<std::mutex> lock(shared.mutex);
+                shared.errors[i] = std::current_exception();
+                shared.aborted = true;
+            }
+        } catch (...) {
+            // Non-std exceptions (phase-interrupt sentinels) are
+            // never tolerated.
+            ok = false;
+            std::lock_guard<std::mutex> lock(shared.mutex);
+            shared.errors[i] = std::current_exception();
+            shared.aborted = true;
+        }
+        if (ok) {
+            std::lock_guard<std::mutex> lock(shared.mutex);
+            if (tolerated) {
+                shared.failed[i] = 1;
+                shared.failMessage[i] = std::move(why);
+            } else {
+                result.cells[i] = std::move(value);
+            }
+            shared.done[i] = 1;
+            bool grew = false;
+            while (shared.prefix < n && shared.done[shared.prefix]) {
+                ++shared.prefix;
+                grew = true;
+            }
+            if (grew && opt.onPrefix)
+                opt.onPrefix(shared.prefix);
+        }
+        return true;
+    };
+    // Every worker, the calling thread included when there is no
+    // pool, drains cells until none remain: one claim loop, with the
+    // claim and the cancel poll in one critical section.  A cell that
+    // has to wait for another thread's result runs further cells
+    // meanwhile (WaitHelper).
+    auto drain = [&runOne] {
+        WaitHelper helper(runOne);
+        while (runOne()) {
+        }
+    };
+    const unsigned jobs = opt.pool ? opt.pool->threads() : opt.jobs;
+    if (jobs <= 1 || n <= 1) {
+        drain();
+    } else {
         std::optional<ThreadPool> owned;
         ThreadPool *pool = opt.pool;
         if (!pool) {
             owned.emplace(opt.jobs);
             pool = &*owned;
         }
-        // Claim and run one cell; false once none is left to start.
-        auto runOne = [&shared, &result, &opt, &fn, n] {
-            std::size_t i;
-            {
-                std::lock_guard<std::mutex> lock(shared.mutex);
-                if (shared.aborted || shared.cancelled ||
-                    shared.next >= n)
-                    return false;
-                if (opt.cancel && opt.cancel()) {
-                    shared.cancelled = true;
-                    return false;
-                }
-                i = shared.next++;
-            }
-            R value{};
-            bool ok = true;
-            bool tolerated = false;
-            std::string why;
-            try {
-                value = fn(i);
-            } catch (const std::exception &e) {
-                if (opt.tolerateCellFailures &&
-                    !(opt.abortAnyway && opt.abortAnyway(e))) {
-                    tolerated = true;
-                    why = e.what();
-                } else {
-                    ok = false;
-                    std::lock_guard<std::mutex> lock(shared.mutex);
-                    shared.errors[i] = std::current_exception();
-                    shared.aborted = true;
-                }
-            } catch (...) {
-                // Non-std exceptions (phase-interrupt sentinels) are
-                // never tolerated.
-                ok = false;
-                std::lock_guard<std::mutex> lock(shared.mutex);
-                shared.errors[i] = std::current_exception();
-                shared.aborted = true;
-            }
-            if (ok) {
-                std::lock_guard<std::mutex> lock(shared.mutex);
-                if (tolerated) {
-                    shared.failed[i] = 1;
-                    shared.failMessage[i] = std::move(why);
-                } else {
-                    result.cells[i] = std::move(value);
-                }
-                shared.done[i] = 1;
-                bool grew = false;
-                while (shared.prefix < n && shared.done[shared.prefix]) {
-                    ++shared.prefix;
-                    grew = true;
-                }
-                if (grew && opt.onPrefix)
-                    opt.onPrefix(shared.prefix);
-            }
-            return true;
-        };
-        // One task per worker, each draining cells until none remain:
-        // cheaper than n queue round-trips and keeps the claim +
-        // cancel poll in one critical section.  A cell that has to
-        // wait for another thread's result runs further cells
-        // meanwhile (WaitHelper).
-        const unsigned nworkers = pool->threads();
-        for (unsigned w = 0; w < nworkers; ++w) {
-            pool->submit([&runOne] {
-                WaitHelper helper(runOne);
-                while (runOne()) {
-                }
-            });
-        }
+        // One task per worker: cheaper than n queue round-trips.
+        for (unsigned w = 0; w < pool->threads(); ++w)
+            pool->submit(drain);
         pool->wait();
     }
 

@@ -95,4 +95,22 @@ writeFileOrDie(const std::string &path, const std::string &contents)
     (void)GuardedFile::writeAtomic(path, contents).orDie();
 }
 
+std::string
+readFileOrDie(const std::string &path)
+{
+    std::FILE *f = std::fopen(path.c_str(), "rb");
+    if (!f)
+        fatal("cannot open '" + path + "' for reading");
+    std::string out;
+    char buf[1 << 16];
+    std::size_t n;
+    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
+        out.append(buf, n);
+    const bool bad = std::ferror(f);
+    std::fclose(f);
+    if (bad)
+        fatal("cannot read '" + path + "'");
+    return out;
+}
+
 } // namespace membw

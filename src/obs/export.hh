@@ -1,6 +1,7 @@
 /**
  * @file
- * Registry exporters: pretty text (TextTable), JSON, and CSV.
+ * Registry exporters: pretty text (TextTable), JSON, and CSV, plus
+ * the whole-file write and read helpers the tools share.
  *
  * All three walk the registry in registration order, so identical
  * runs produce byte-identical output — the property the determinism
@@ -36,6 +37,9 @@ std::string exportCsv(const StatsRegistry &registry);
 /** Write @p contents to @p path; fatal() on I/O failure. */
 void writeFileOrDie(const std::string &path,
                     const std::string &contents);
+
+/** The whole of @p path; fatal() if it cannot be opened or read. */
+std::string readFileOrDie(const std::string &path);
 
 } // namespace membw
 

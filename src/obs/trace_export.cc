@@ -168,12 +168,6 @@ tracingInit(const std::string &path, const std::string &tool)
     }
 }
 
-void
-tracingFlushNow()
-{
-    flushAtExit();
-}
-
 #endif // MEMBW_TRACING_ENABLED
 
 // ---------------------------------------------------------------

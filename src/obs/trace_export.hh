@@ -68,12 +68,9 @@ void tracingWriteChromeTrace(const std::string &path,
 /**
  * Turn recording on and arrange for the trace to be written to
  * @p path when the process exits (std::exit included, so the
- * SIGTERM drain paths flush too) or when tracingFlushNow() runs.
+ * SIGTERM drain paths flush too).
  */
 void tracingInit(const std::string &path, const std::string &tool);
-
-/** Write the registered --trace-out file now (idempotent per run). */
-void tracingFlushNow();
 
 #else // !MEMBW_TRACING_ENABLED
 
@@ -85,7 +82,6 @@ tracingChromeJson(const std::string &)
 inline void tracingWriteChromeTrace(const std::string &,
                                     const std::string &) {}
 inline void tracingInit(const std::string &, const std::string &) {}
-inline void tracingFlushNow() {}
 
 #endif // MEMBW_TRACING_ENABLED
 

@@ -3,12 +3,12 @@
 # exactly to the run's end-of-run aggregates, and those aggregates
 # must agree with the counters the same run writes to its stats
 # manifest — the profiler observes the simulation, it must never
-# perturb or re-derive it.  membw_profile_report enforces the
+# perturb or re-derive it.  membw_report enforces the
 # Σ(epochs) == aggregate half on every file it reads (exit 1 on any
 # mismatch); the python snippets cross-check profile aggregates
 # against the manifest by name.
 #
-# Usage: profile_equivalence_test.sh <membw_sim> <membw_profile_report>
+# Usage: profile_equivalence_test.sh <membw_sim> <membw_report>
 #        <fig4> <table7> <table8> <multilevel> <membw_decompose>
 set -u
 
@@ -176,5 +176,9 @@ json.dump(d, open("doctored.json", "w"))
 EOF
 "$PREPORT" doctored.json > /dev/null 2>&1
 [ $? -eq 1 ] || fail "doctored profile (sum != aggregate) not rejected"
+
+# A trace-only flag on a profile is a usage error.
+"$PREPORT" sp.json --series s.jsonl > /dev/null 2>&1
+[ $? -eq 2 ] || fail "--series on a profile did not exit 2"
 
 echo "PASS"

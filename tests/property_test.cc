@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <vector>
 
 #include "cache/cache.hh"
@@ -51,6 +52,15 @@ struct MinOptimalityCase
     Bytes blockBytes;
     ReplPolicy online;
 };
+
+/** Names each case by its fields: the struct's padding bytes would
+ * otherwise leak into the test name as garbage. */
+void
+PrintTo(const MinOptimalityCase &c, std::ostream *os)
+{
+    *os << "seed=" << c.seed << " size=" << formatSize(c.cacheSize)
+        << " block=" << c.blockBytes << "B policy=" << toString(c.online);
+}
 
 class MinOptimality
     : public ::testing::TestWithParam<MinOptimalityCase>

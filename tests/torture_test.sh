@@ -7,18 +7,17 @@
 #     "degraded" manifest, a failed_cells record, byte-identical
 #     output at --jobs 1 and --jobs 4, and surviving-cell counters
 #     identical to a clean run's.
-#  3. Report tools classify truncated/garbage/deeply-nested input
+#  3. membw_report classifies truncated/garbage/deeply-nested input
 #     with a clean exit 1 — never an uncaught exception.
 #
-# Usage: torture_test.sh TORTURE SIM TRACE_REPORT PROFILE_REPORT
+# Usage: torture_test.sh TORTURE SIM REPORT
 # Env:   TORTURE_SCHEDULES (default 200), TORTURE_DIR (artifact dir,
 #        kept on failure).
 set -u
 
 TORTURE=$1
 SIM=$2
-TRACE_REPORT=$3
-PROFILE_REPORT=$4
+REPORT=$3
 SCHEDULES=${TORTURE_SCHEDULES:-200}
 
 WORK=$(mktemp -d "${TMPDIR:-/tmp}/membw_torture_test.XXXXXX")
@@ -103,7 +102,7 @@ if bad:
 EOF
     fail "surviving-cell counters do not match the clean run"
 
-# --- 3. report tools on malformed input ---------------------------------
+# --- 3. report tool on malformed input ----------------------------------
 run_report() { # tool file
     "$1" "$2" > "$WORK/report.out" 2>&1
     local status=$?
@@ -127,11 +126,9 @@ printf 'not json at all {{{' > "$WORK/garbage.json"
 awk 'BEGIN { for (i = 0; i < 10000; i++) printf "[" }' \
     > "$WORK/deep.json"
 
-run_report "$PROFILE_REPORT" "$WORK/prof_trunc.json"
-run_report "$PROFILE_REPORT" "$WORK/garbage.json"
-run_report "$PROFILE_REPORT" "$WORK/deep.json"
-run_report "$TRACE_REPORT" "$WORK/trace_trunc.json"
-run_report "$TRACE_REPORT" "$WORK/garbage.json"
-run_report "$TRACE_REPORT" "$WORK/deep.json"
+run_report "$REPORT" "$WORK/prof_trunc.json"
+run_report "$REPORT" "$WORK/trace_trunc.json"
+run_report "$REPORT" "$WORK/garbage.json"
+run_report "$REPORT" "$WORK/deep.json"
 
 echo "torture_test: all robustness gates passed"

@@ -1,13 +1,13 @@
 #!/usr/bin/env bash
-# End-to-end check for --trace-out/--series-out and the
-# membw_trace_report analyzer: a traced parallel sweep must produce a
+# End-to-end check for --trace-out/--series-out and membw_report's
+# trace analyses: a traced parallel sweep must produce a
 # valid Chrome trace (complete X events, per-thread monotonic ts —
-# membw_trace_report exits 1 on either violation), a non-empty JSONL
+# membw_report exits 1 on either violation), a non-empty JSONL
 # series, the three report analyses, and a report wall-clock that
 # agrees with the manifest's wall_seconds (golden cross-check: the
 # "run" span brackets the same interval the manifest times).
 #
-# Usage: trace_report_test.sh <membw_sim> <membw_trace_report>
+# Usage: trace_report_test.sh <membw_sim> <membw_report>
 set -u
 
 SIM="$(readlink -f "$1")"
@@ -46,7 +46,7 @@ LINES=$(wc -l < s.jsonl)
 grep -q '"cells_done"' s.jsonl || fail "series lacks cells_done"
 
 "$REPORT" t.json --series s.jsonl > report.txt 2>&1 ||
-    fail "membw_trace_report rejected a fresh trace: $(cat report.txt)"
+    fail "membw_report rejected a fresh trace: $(cat report.txt)"
 
 # All three analyses present.
 grep -q "self time per phase" report.txt || fail "no self-time table"
@@ -106,7 +106,15 @@ printf '%s' '{"traceEvents": [
     > partial.json
 expect_exit 1 "$REPORT" partial.json
 
+# A valid JSON object that is neither a trace nor a profile.
+printf '{"schema": "membw-profile-v0", "events": []}' > neither.json
+expect_exit 1 "$REPORT" neither.json
+
 expect_exit 2 "$REPORT"               # no trace argument
 expect_exit 2 "$REPORT" --bogus-flag t.json
+expect_exit 2 "$REPORT" t.json --top abc
+expect_exit 2 "$REPORT" t.json --top 0
+expect_exit 2 "$REPORT" t.json --csv out.csv   # a profile-only flag
+[ ! -e out.csv ] || fail "--csv on a trace wrote a file"
 
 echo "PASS: trace report end-to-end checks"

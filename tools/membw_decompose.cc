@@ -107,13 +107,14 @@ usage(int code)
         "  --stable-json        omit wall-clock fields from the JSON\n"
         "  --stats-every N      stderr progress line every N instrs\n"
         "  --trace-out FILE     write a Chrome trace-event JSON "
-        "(Perfetto)\n"
+        "(Perfetto;\n"
+        "                       inspect with membw_report)\n"
         "  --series-out FILE    append a JSONL time series of live "
         "counters\n"
         "  --profile-out FILE   write per-epoch model telemetry JSON "
         "(one run\n"
         "                       per phase; inspect with "
-        "membw_profile_report)\n"
+        "membw_report)\n"
         "  --profile-epoch N    simulated micro-ops per epoch "
         "(default 65536)\n"
         "Provenance:\n"

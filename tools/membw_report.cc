@@ -1,40 +1,54 @@
 /**
  * @file
- * membw_profile_report — offline analyzer for --profile-out files.
+ * membw_report — offline analyzer for --trace-out span traces and
+ * --profile-out epoch profiles.
  *
- * Reads the membw-profile-v1 JSON written by membw_sim /
- * membw_decompose / the instrumented benches and prints:
+ * The input is read and parsed once; what it holds picks the
+ * analyses:
  *
- *   - a run inventory (epochs, clamped/dropped, sources);
- *   - a phase table per run, clustering consecutive epochs into
- *     miss-rate regimes (where does the workload change behaviour?);
- *   - the peak pin-demand epoch (max per-epoch r_total when the run
- *     carries a pin_mbs attribute, max below-traffic delta
- *     otherwise) and the hottest conflict sets from the churn
- *     heatmap.
+ *   - a Chrome trace-event object (a traceEvents array) gets
+ *     self-time per phase (wall time inside each span name minus its
+ *     nested children), per-worker utilization (fraction of the trace
+ *     window each thread spent inside top-level spans), and the
+ *     critical-path cell (the longest sweep cell, with its
+ *     config/route detail).  --series validates and summarizes a
+ *     --series-out JSONL file alongside.
+ *   - a membw-profile-v1 object gets a run inventory (epochs,
+ *     clamped/dropped, sources), a phase table per run clustering
+ *     consecutive epochs into miss-rate regimes, the peak pin-demand
+ *     epoch (max per-epoch r_total when the run carries a pin_mbs
+ *     attribute, max below-traffic delta otherwise), and the hottest
+ *     conflict sets from the churn heatmap.  --csv and --gnuplot dump
+ *     the per-epoch columns.
  *
- * The file is validated on the way in: the schema string must match,
- * column lengths must agree with the epoch count, and for every
- * ended source the per-epoch columns must sum exactly to the
- * end-of-run aggregate — the delta-snapshot invariant the profiler
- * promises.  A violation exits 1 instead of printing nonsense.
+ * Either kind is validated on the way in, so a malformed input exits
+ * 1 instead of printing a nonsense table.  A trace must hold complete
+ * "X" events with timestamps monotonic per thread track.  A profile's
+ * column lengths must agree with its epoch count, and for every ended
+ * source the per-epoch columns must sum exactly to the end-of-run
+ * aggregate — the delta-snapshot invariant the profiler promises.
  *
- *   membw_profile_report profile.json
- *   membw_profile_report profile.json --csv epochs.csv
- *   membw_profile_report profile.json --gnuplot missrate.gp
+ *   membw_report trace.json --series series.jsonl --top 10
+ *   membw_report profile.json --csv epochs.csv --gnuplot missrate.gp
  */
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
+#include <map>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "common/log.hh"
+#include "common/parse.hh"
 #include "common/stats.hh"
 #include "common/table.hh"
 #include "obs/emit.hh"
+#include "obs/export.hh"
 #include "obs/json.hh"
 #include "resilience/exit_codes.hh"
 
@@ -46,40 +60,376 @@ namespace {
 usage(int code)
 {
     std::printf(
-        "membw_profile_report — analyze a --profile-out epoch "
-        "profile\n\n"
-        "  membw_profile_report PROFILE.json [--csv FILE] "
-        "[--gnuplot FILE]\n\n"
+        "membw_report — analyze a --trace-out span trace or a "
+        "--profile-out epoch profile\n\n"
+        "  membw_report TRACE.json [--series FILE] [--top N]\n"
+        "  membw_report PROFILE.json [--csv FILE] [--gnuplot FILE]\n\n"
+        "  TRACE.json      Chrome trace-event file from --trace-out\n"
+        "  --series FILE   also validate/summarize a --series-out "
+        "JSONL file\n"
+        "  --top N         rows in the self-time table (default "
+        "15)\n"
         "  PROFILE.json    membw-profile-v1 file from --profile-out\n"
         "  --csv FILE      long-format per-epoch dump "
         "(run,epoch,end_ref,source,metric,delta)\n"
         "  --gnuplot FILE  gnuplot script plotting per-epoch miss "
         "rates\n\n"
-        "Prints the run inventory, a miss-rate phase table per run,\n"
-        "the peak pin-demand epoch, and the hottest conflict sets.\n"
-        "Exits 1 on a malformed profile (wrong schema, ragged\n"
-        "columns, or epoch sums that disagree with the run "
-        "aggregate).\n");
+        "A trace prints self time per phase, per-worker utilization,\n"
+        "and the critical-path (longest) sweep cell.  A profile prints\n"
+        "the run inventory, a miss-rate phase table per run, the peak\n"
+        "pin-demand epoch, and the hottest conflict sets.\n"
+        "Exits 1 on a malformed input (incomplete events, non-monotonic\n"
+        "per-thread timestamps, ragged profile columns, or epoch sums\n"
+        "that disagree with the run aggregate) and 2 on a flag that the\n"
+        "input's kind does not take.\n");
     std::exit(code);
 }
 
-std::string
-readFileOrDie(const std::string &path)
+// ================================================================
+// Span traces
+// ================================================================
+
+/** One complete ("X") span event, timestamps in microseconds. */
+struct Span
 {
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f)
-        fatal("cannot open '" + path + "' for reading");
-    std::string out;
-    char buf[1 << 16];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
-        out.append(buf, n);
-    const bool bad = std::ferror(f);
-    std::fclose(f);
-    if (bad)
-        fatal("cannot read '" + path + "'");
+    std::string name;
+    std::string detail;
+    std::int64_t tid = 0;
+    double ts = 0.0;
+    double dur = 0.0;
+};
+
+struct TraceDoc
+{
+    std::vector<Span> spans;
+    std::map<std::int64_t, std::string> threadNames;
+    std::set<std::int64_t> tids; ///< every track with any event
+    std::uint64_t counters = 0;
+    std::uint64_t instants = 0;
+    std::uint64_t dropped = 0;
+    std::string tool;
+};
+
+double
+numField(const JsonValue &ev, const char *key, std::size_t index)
+{
+    const JsonValue *v = ev.find(key);
+    if (!v || !v->isNumber())
+        fatal("malformed trace: event " + std::to_string(index) +
+              " lacks numeric '" + key + "'");
+    return v->number;
+}
+
+/** @p evs is the document's traceEvents array. */
+TraceDoc
+loadTrace(const JsonValue &doc, const JsonValue &evs)
+{
+    TraceDoc out;
+    if (const JsonValue *other = doc.find("otherData")) {
+        if (const JsonValue *t = other->find("tool"))
+            out.tool = t->isString() ? t->string : "";
+        if (const JsonValue *d = other->find("dropped_events"))
+            out.dropped =
+                d->isNumber() ? static_cast<std::uint64_t>(d->number)
+                              : 0;
+    }
+
+    // File-order monotonicity per thread track: the exporters sort
+    // by (tid, ts), and Perfetto relies on it.
+    std::map<std::int64_t, double> lastTs;
+    for (std::size_t i = 0; i < evs.array.size(); ++i) {
+        const JsonValue &ev = evs.array[i];
+        if (!ev.isObject())
+            fatal("malformed trace: event " + std::to_string(i) +
+                  " is not an object");
+        const JsonValue *ph = ev.find("ph");
+        if (!ph || !ph->isString())
+            fatal("malformed trace: event " + std::to_string(i) +
+                  " lacks 'ph'");
+        const std::string &kind = ph->string;
+        if (kind == "M")
+            continue; // metadata handled below
+        if (kind == "B" || kind == "E")
+            fatal("malformed trace: event " + std::to_string(i) +
+                  " is an unmatched begin/end ('" + kind +
+                  "'); the exporters only emit complete X events");
+
+        const auto tid =
+            static_cast<std::int64_t>(numField(ev, "tid", i));
+        const double ts = numField(ev, "ts", i);
+        auto [it, fresh] = lastTs.try_emplace(tid, ts);
+        if (!fresh && ts < it->second)
+            fatal("malformed trace: ts not monotonic on tid " +
+                  std::to_string(tid) + " at event " +
+                  std::to_string(i));
+        it->second = ts;
+        out.tids.insert(tid);
+
+        if (kind == "C") {
+            out.counters++;
+            continue;
+        }
+        if (kind == "i") {
+            out.instants++;
+            continue;
+        }
+        if (kind != "X")
+            fatal("malformed trace: event " + std::to_string(i) +
+                  " has unsupported ph '" + kind + "'");
+
+        Span s;
+        const JsonValue *name = ev.find("name");
+        if (!name || !name->isString())
+            fatal("malformed trace: X event " + std::to_string(i) +
+                  " lacks a name");
+        s.name = name->string;
+        s.tid = tid;
+        s.ts = ts;
+        s.dur = numField(ev, "dur", i);
+        if (s.dur < 0)
+            fatal("malformed trace: X event " + std::to_string(i) +
+                  " has negative dur");
+        if (const JsonValue *args = ev.find("args"))
+            if (const JsonValue *d = args->find("detail"))
+                if (d->isString())
+                    s.detail = d->string;
+        out.spans.push_back(std::move(s));
+    }
+
+    for (const JsonValue &ev : evs.array) {
+        const JsonValue *ph = ev.find("ph");
+        if (!ph || ph->string != "M")
+            continue;
+        const JsonValue *name = ev.find("name");
+        const JsonValue *tid = ev.find("tid");
+        const JsonValue *args = ev.find("args");
+        if (name && name->string == "thread_name" && tid &&
+            tid->isNumber() && args)
+            if (const JsonValue *n = args->find("name"))
+                out.threadNames[static_cast<std::int64_t>(
+                    tid->number)] = n->string;
+    }
     return out;
 }
+
+struct PhaseAgg
+{
+    double selfUs = 0.0;
+    double totalUs = 0.0;
+    std::uint64_t count = 0;
+};
+
+/**
+ * Nesting pass over one thread's spans (sorted by begin ts, ties
+ * broken longest-first so parents precede their children): a span is
+ * a child of the nearest enclosing open span; self = dur − children.
+ * Returns the thread's top-level busy time in µs.
+ */
+double
+selfTimes(std::vector<const Span *> &track,
+          std::map<std::string, PhaseAgg> &byPhase)
+{
+    std::stable_sort(track.begin(), track.end(),
+                     [](const Span *a, const Span *b) {
+                         if (a->ts != b->ts)
+                             return a->ts < b->ts;
+                         return a->dur > b->dur;
+                     });
+    struct Open
+    {
+        const Span *span;
+        double childUs = 0.0;
+    };
+    std::vector<Open> stack;
+    double busyUs = 0.0;
+    auto close = [&](const Open &top) {
+        PhaseAgg &agg = byPhase[top.span->name];
+        agg.selfUs += top.span->dur - top.childUs;
+        agg.totalUs += top.span->dur;
+        agg.count++;
+    };
+    for (const Span *s : track) {
+        while (!stack.empty() &&
+               stack.back().span->ts + stack.back().span->dur <=
+                   s->ts) {
+            close(stack.back());
+            stack.pop_back();
+        }
+        if (stack.empty())
+            busyUs += s->dur;
+        else
+            stack.back().childUs += s->dur;
+        stack.push_back(Open{s});
+    }
+    while (!stack.empty()) {
+        close(stack.back());
+        stack.pop_back();
+    }
+    return busyUs;
+}
+
+std::string
+fmtMs(double us)
+{
+    return fixed(us / 1e3, 3);
+}
+
+/** Validate and summarize a --series-out JSONL file. */
+void
+printSeries(const std::string &seriesPath)
+{
+    // An absent or empty series file is a normal outcome (a run that
+    // never sampled, or telemetry disabled), not a malformed input:
+    // note it and keep the exit status clean.
+    std::FILE *probe = std::fopen(seriesPath.c_str(), "rb");
+    if (!probe) {
+        std::printf("\nseries: %s (no samples: file absent)\n",
+                    seriesPath.c_str());
+        return;
+    }
+    std::fclose(probe);
+    const std::string text = readFileOrDie(seriesPath);
+    std::size_t lines = 0;
+    double tMin = 0.0, tMax = 0.0;
+    std::set<std::string> fields;
+    std::size_t pos = 0;
+    while (pos < text.size()) {
+        std::size_t eol = text.find('\n', pos);
+        if (eol == std::string::npos)
+            eol = text.size();
+        const std::string_view line(text.data() + pos, eol - pos);
+        pos = eol + 1;
+        if (line.empty())
+            continue;
+        const JsonValue v = parseJson(line);
+        if (!v.isObject())
+            fatal("malformed series: line " +
+                  std::to_string(lines + 1) + " is not an object");
+        const JsonValue *t = v.find("t");
+        if (!t || !t->isNumber())
+            fatal("malformed series: line " +
+                  std::to_string(lines + 1) + " lacks numeric 't'");
+        if (lines == 0)
+            tMin = t->number;
+        tMax = t->number;
+        for (const auto &[k, val] : v.object)
+            if (k != "t")
+                fields.insert(k);
+        lines++;
+    }
+    std::string names;
+    for (const auto &f : fields)
+        names += (names.empty() ? "" : ", ") + f;
+    if (lines == 0)
+        std::printf("\nseries: %s (no samples)\n", seriesPath.c_str());
+    else
+        std::printf("\nseries: %s (%zu samples over %.3f s: %s)\n",
+                    seriesPath.c_str(), lines, tMax - tMin,
+                    names.empty() ? "no fields" : names.c_str());
+}
+
+int
+reportTrace(const std::string &tracePath, const TraceDoc &doc,
+            const std::string &seriesPath, std::size_t topN)
+{
+    if (doc.spans.empty()) {
+        std::printf("%s: no span events (%llu counters, %llu "
+                    "instants, %llu dropped)\n",
+                    tracePath.c_str(),
+                    static_cast<unsigned long long>(doc.counters),
+                    static_cast<unsigned long long>(doc.instants),
+                    static_cast<unsigned long long>(doc.dropped));
+        return exitOk;
+    }
+
+    double beginUs = doc.spans.front().ts, endUs = 0.0;
+    for (const Span &s : doc.spans) {
+        beginUs = std::min(beginUs, s.ts);
+        endUs = std::max(endUs, s.ts + s.dur);
+    }
+    const double wallUs = endUs - beginUs;
+
+    std::printf("trace: %s (%s)\n", tracePath.c_str(),
+                doc.tool.empty() ? "unknown tool" : doc.tool.c_str());
+    std::printf("spans %zu | counters %llu | instants %llu | "
+                "dropped %llu | threads %zu\n",
+                doc.spans.size(),
+                static_cast<unsigned long long>(doc.counters),
+                static_cast<unsigned long long>(doc.instants),
+                static_cast<unsigned long long>(doc.dropped),
+                doc.tids.size());
+    // Stable machine-readable line for the telemetry golden test.
+    std::printf("trace wall seconds: %.6f\n", wallUs / 1e6);
+
+    // ---- self-time per phase ------------------------------------
+    std::map<std::int64_t, std::vector<const Span *>> tracks;
+    for (const Span &s : doc.spans)
+        tracks[s.tid].push_back(&s);
+
+    std::map<std::string, PhaseAgg> byPhase;
+    std::map<std::int64_t, double> busyUs;
+    for (auto &[tid, track] : tracks)
+        busyUs[tid] = selfTimes(track, byPhase);
+
+    std::vector<std::pair<std::string, PhaseAgg>> phases(
+        byPhase.begin(), byPhase.end());
+    std::sort(phases.begin(), phases.end(),
+              [](const auto &a, const auto &b) {
+                  return a.second.selfUs > b.second.selfUs;
+              });
+
+    TextTable pt;
+    pt.header({"phase", "self ms", "total ms", "count", "self %"});
+    std::size_t rows = 0;
+    for (const auto &[name, agg] : phases) {
+        if (rows++ >= topN)
+            break;
+        pt.row({name, fmtMs(agg.selfUs), fmtMs(agg.totalUs),
+                std::to_string(agg.count),
+                wallUs > 0 ? fixed(100.0 * agg.selfUs / wallUs, 1)
+                           : "0.0"});
+    }
+    std::printf("\nself time per phase (top %zu of %zu):\n%s\n",
+                std::min(topN, phases.size()), phases.size(),
+                pt.render().c_str());
+
+    // ---- per-worker utilization ---------------------------------
+    TextTable ut;
+    ut.header({"tid", "thread", "busy ms", "util %"});
+    for (const auto &[tid, busy] : busyUs) {
+        const auto nameIt = doc.threadNames.find(tid);
+        ut.row({std::to_string(tid),
+                nameIt != doc.threadNames.end() ? nameIt->second
+                                                : "?",
+                fmtMs(busy),
+                wallUs > 0 ? fixed(100.0 * busy / wallUs, 1)
+                           : "0.0"});
+    }
+    std::printf("per-worker utilization (window %.3f ms):\n%s\n",
+                wallUs / 1e3, ut.render().c_str());
+
+    // ---- critical-path cell -------------------------------------
+    const Span *longest = nullptr;
+    for (const Span &s : doc.spans)
+        if (s.name == "cell" && (!longest || s.dur > longest->dur))
+            longest = &s;
+    if (longest)
+        std::printf("critical-path cell: %.3f ms on tid %lld (%s)\n",
+                    longest->dur / 1e3,
+                    static_cast<long long>(longest->tid),
+                    longest->detail.empty() ? "no detail"
+                                            : longest->detail.c_str());
+    else
+        std::printf("critical-path cell: no sweep cells in trace\n");
+
+    if (!seriesPath.empty())
+        printSeries(seriesPath);
+    return exitOk;
+}
+
+// ================================================================
+// Epoch profiles
+// ================================================================
 
 std::uint64_t
 u64Field(const JsonValue &obj, const char *key, const std::string &ctx)
@@ -132,7 +482,6 @@ struct ProfileDoc
     std::uint64_t clamped = 0;
     std::uint64_t dropped = 0;
     std::vector<RunData> runs;
-    JsonValue raw; ///< for set_churn / region_heat / probe_totals
 };
 
 std::vector<double>
@@ -240,25 +589,16 @@ loadRun(const JsonValue &rv, std::size_t index)
 }
 
 ProfileDoc
-loadProfile(const std::string &path)
+loadProfile(const JsonValue &root)
 {
     ProfileDoc doc;
-    doc.raw = parseJson(readFileOrDie(path));
-    if (!doc.raw.isObject())
-        fatal("malformed profile: top level is not an object");
-    const JsonValue *schema = doc.raw.find("schema");
-    if (!schema || !schema->isString())
-        fatal("malformed profile: no schema string");
-    if (schema->string != "membw-profile-v1")
-        fatal("unsupported profile schema '" + schema->string +
-              "' (expected membw-profile-v1)");
-    if (const JsonValue *t = doc.raw.find("tool"))
+    if (const JsonValue *t = root.find("tool"))
         doc.tool = t->isString() ? t->string : "";
-    doc.epochRefs = u64Field(doc.raw, "epoch_refs", "top level");
-    doc.clamped = u64Field(doc.raw, "clamped_epochs", "top level");
-    doc.dropped = u64Field(doc.raw, "dropped_epochs", "top level");
+    doc.epochRefs = u64Field(root, "epoch_refs", "top level");
+    doc.clamped = u64Field(root, "clamped_epochs", "top level");
+    doc.dropped = u64Field(root, "dropped_epochs", "top level");
 
-    const JsonValue *runs = doc.raw.find("runs");
+    const JsonValue *runs = root.find("runs");
     if (!runs || !runs->isArray())
         fatal("malformed profile: no runs array");
     for (std::size_t i = 0; i < runs->array.size(); ++i)
@@ -343,7 +683,7 @@ clusterRegimes(const SourceData &src, std::size_t accIdx,
 }
 
 void
-printRun(const ProfileDoc &doc, const RunData &run)
+printRun(const RunData &run)
 {
     std::string srcNames;
     for (const SourceData &s : run.sources)
@@ -421,13 +761,13 @@ printRun(const ProfileDoc &doc, const RunData &run)
                         last.component.c_str());
         }
     }
-    (void)doc;
 }
 
+/** The set_churn / region_heat / probe_totals sections of @p root. */
 void
-printStructural(const ProfileDoc &doc)
+printStructural(const JsonValue &root)
 {
-    const JsonValue *churn = doc.raw.find("set_churn");
+    const JsonValue *churn = root.find("set_churn");
     if (churn && churn->isArray() && !churn->array.empty()) {
         std::printf("\nhottest conflict sets:\n");
         for (const JsonValue &lv : churn->array) {
@@ -460,7 +800,7 @@ printStructural(const ProfileDoc &doc)
         }
     }
 
-    const JsonValue *heat = doc.raw.find("region_heat");
+    const JsonValue *heat = root.find("region_heat");
     if (heat && heat->isObject()) {
         const JsonValue *buckets = heat->find("buckets");
         const std::size_t n =
@@ -487,7 +827,7 @@ printStructural(const ProfileDoc &doc)
         }
     }
 
-    if (const JsonValue *totals = doc.raw.find("probe_totals")) {
+    if (const JsonValue *totals = root.find("probe_totals")) {
         const auto hits = static_cast<unsigned long long>(
             totals->at("dram_row_hits").asNumber());
         const auto misses = static_cast<unsigned long long>(
@@ -499,18 +839,6 @@ printStructural(const ProfileDoc &doc)
                         "misses, %llu MTC victim-scan pops\n",
                         hits, misses, pops);
     }
-}
-
-void
-writeTextFile(const std::string &path, const std::string &text)
-{
-    std::FILE *f = std::fopen(path.c_str(), "wb");
-    if (!f)
-        fatal("cannot open '" + path + "' for writing");
-    const bool bad =
-        std::fwrite(text.data(), 1, text.size(), f) != text.size();
-    if (std::fclose(f) != 0 || bad)
-        fatal("cannot write '" + path + "'");
 }
 
 /** Long-format CSV: one row per (run, epoch, source, metric). */
@@ -535,7 +863,7 @@ std::string
 gnuplotDump(const ProfileDoc &doc)
 {
     std::string out =
-        "# membw_profile_report --gnuplot: per-epoch miss rate\n"
+        "# membw_report --gnuplot: per-epoch miss rate\n"
         "set xlabel 'references'\n"
         "set ylabel 'miss rate'\n"
         "set key outside\n"
@@ -572,10 +900,11 @@ gnuplotDump(const ProfileDoc &doc)
 }
 
 int
-report(const std::string &profilePath, const std::string &csvPath,
-       const std::string &gnuplotPath)
+reportProfile(const std::string &profilePath, const JsonValue &root,
+              const std::string &csvPath,
+              const std::string &gnuplotPath)
 {
-    const ProfileDoc doc = loadProfile(profilePath);
+    const ProfileDoc doc = loadProfile(root);
 
     std::size_t ended = 0;
     for (const RunData &r : doc.runs)
@@ -596,18 +925,30 @@ report(const std::string &profilePath, const std::string &csvPath,
                 static_cast<unsigned long long>(totalEpochs));
 
     for (const RunData &run : doc.runs)
-        printRun(doc, run);
-    printStructural(doc);
+        printRun(run);
+    printStructural(root);
 
     if (!csvPath.empty()) {
-        writeTextFile(csvPath, csvDump(doc));
+        writeFileOrDie(csvPath, csvDump(doc));
         std::printf("csv: %s\n", csvPath.c_str());
     }
     if (!gnuplotPath.empty()) {
-        writeTextFile(gnuplotPath, gnuplotDump(doc));
+        writeFileOrDie(gnuplotPath, gnuplotDump(doc));
         std::printf("gnuplot: %s\n", gnuplotPath.c_str());
     }
     return exitOk;
+}
+
+/** A flag the input's kind does not take is a usage error. */
+void
+rejectFlag(const std::string &flag, const std::string &path,
+           const char *kind)
+{
+    if (flag.empty())
+        return;
+    emitLine(flag + " does not apply to '" + path + "', which is " +
+             kind);
+    std::exit(exitUsage);
 }
 
 } // namespace
@@ -616,7 +957,10 @@ int
 main(int argc, char **argv)
 {
     try {
-        std::string profilePath, csvPath, gnuplotPath;
+        std::string path, seriesPath, csvPath, gnuplotPath;
+        std::size_t topN = 15;
+        // The last flag given that only one input kind takes.
+        std::string traceFlag, profileFlag;
         for (int i = 1; i < argc; ++i) {
             const std::string a = argv[i];
             auto need = [&]() -> std::string {
@@ -626,20 +970,53 @@ main(int argc, char **argv)
                 }
                 return argv[++i];
             };
-            if (a == "--help" || a == "-h")
+            if (a == "--help" || a == "-h") {
                 usage(exitOk);
-            else if (a == "--csv")
+            } else if (a == "--series") {
+                seriesPath = need();
+                traceFlag = a;
+            } else if (a == "--top") {
+                const std::string v = need();
+                const auto r = tryParseInt(
+                    v, 1, std::numeric_limits<int>::max());
+                if (!r.ok()) {
+                    emitLine("invalid value '" + v + "' for --top: " +
+                             r.error().message +
+                             " (example: --top 15)");
+                    std::exit(exitUsage);
+                }
+                topN = static_cast<std::size_t>(r.value());
+                traceFlag = a;
+            } else if (a == "--csv") {
                 csvPath = need();
-            else if (a == "--gnuplot")
+                profileFlag = a;
+            } else if (a == "--gnuplot") {
                 gnuplotPath = need();
-            else if (!a.empty() && a[0] != '-' && profilePath.empty())
-                profilePath = a;
-            else
+                profileFlag = a;
+            } else if (!a.empty() && a[0] != '-' && path.empty()) {
+                path = a;
+            } else {
                 usage(exitUsage);
+            }
         }
-        if (profilePath.empty())
+        if (path.empty())
             usage(exitUsage);
-        return report(profilePath, csvPath, gnuplotPath);
+
+        const JsonValue doc = parseJson(readFileOrDie(path));
+        const JsonValue *schema = doc.find("schema");
+        if (schema && schema->isString() &&
+            schema->string == "membw-profile-v1") {
+            rejectFlag(traceFlag, path, "a membw-profile-v1 profile");
+            return reportProfile(path, doc, csvPath, gnuplotPath);
+        }
+        const JsonValue *evs = doc.find("traceEvents");
+        if (evs && evs->isArray()) {
+            rejectFlag(profileFlag, path, "a --trace-out trace");
+            return reportTrace(path, loadTrace(doc, *evs), seriesPath,
+                               topN);
+        }
+        fatal("'" + path + "' is neither a --trace-out trace nor a "
+              "membw-profile-v1 profile");
     } catch (const FatalError &e) {
         emitLine(e.what());
         return exitFatal;

@@ -155,13 +155,13 @@ usage(int code)
         "  --stats-every N     stderr progress line every N refs\n"
         "  --trace-out FILE    write a Chrome trace-event JSON "
         "(load in Perfetto;\n"
-        "                      inspect with membw_trace_report)\n"
+        "                      inspect with membw_report)\n"
         "  --series-out FILE   append a JSONL time series of live "
         "counters\n"
         "  --profile-out FILE  write per-epoch model telemetry JSON "
         "(per-level\n"
         "                      traffic, R_i, heatmaps; inspect with "
-        "membw_profile_report)\n"
+        "membw_report)\n"
         "  --profile-epoch N   simulated references per epoch "
         "(default 65536)\n\n"
         "Provenance:\n"

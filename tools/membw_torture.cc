@@ -53,6 +53,7 @@
 #include "common/parse.hh"
 #include "common/rng.hh"
 #include "obs/emit.hh"
+#include "obs/export.hh"
 #include "obs/json.hh"
 #include "resilience/exit_codes.hh"
 #include "serve/client.hh"
@@ -157,21 +158,6 @@ fileExists(const std::string &path)
 {
     struct stat st;
     return ::stat(path.c_str(), &st) == 0;
-}
-
-std::string
-slurp(const std::string &path)
-{
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f)
-        fatal("cannot open '" + path + "' for reading");
-    std::string out;
-    char buf[65536];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
-        out.append(buf, n);
-    std::fclose(f);
-    return out;
 }
 
 void
@@ -291,7 +277,7 @@ runSchedule(const Options &o, std::size_t index,
             fail("final stats file was never written");
             return;
         }
-        if (slurp(statsJson) != baseline)
+        if (readFileOrDie(statsJson) != baseline)
             fail("final stats diverged from the uninterrupted "
                  "baseline");
     };
@@ -738,7 +724,7 @@ main(int argc, char **argv)
         if (runLeg(o.sim, base, o.dir + "/base.log") != exitOk)
             fatal("baseline run failed (see " + o.dir +
                   "/base.log)");
-        const std::string baseline = slurp(basePath);
+        const std::string baseline = readFileOrDie(basePath);
         const std::uint64_t refs = static_cast<std::uint64_t>(
             parseJson(baseline).at("manifest").at("refs").asNumber());
         if (refs == 0)
