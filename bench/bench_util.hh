@@ -69,7 +69,6 @@ struct BenchOptions
      * the exact one-pass sweep engines (equivalence testing). */
     bool noCollapse = false;
     std::string traceOut;  ///< --trace-out FILE (Chrome trace JSON)
-    std::string seriesOut; ///< --series-out FILE (JSONL time series)
     std::string profileOut; ///< --profile-out FILE (epoch telemetry)
     std::uint64_t profileEpoch = 0; ///< --profile-epoch N (refs)
 };
@@ -77,11 +76,11 @@ struct BenchOptions
 /**
  * Parse bench arguments: a bare positive number (legacy positional
  * scale), --scale S, --json FILE, --jobs N, --stable-json,
- * --no-collapse, --trace-out FILE, --series-out FILE,
- * --profile-out FILE, and --profile-epoch N.
+ * --no-collapse, --trace-out FILE, --profile-out FILE, and
+ * --profile-epoch N.
  * $MEMBW_SCALE applies when no explicit scale is given; an empty
- * value counts as unset.  Tracing and the series sampler are armed
- * here, so drivers need no extra setup.
+ * value counts as unset.  Tracing and the profiler are armed here,
+ * so drivers need no extra setup.
  */
 inline BenchOptions
 parseOptions(int argc, char **argv, double dfltScale)
@@ -114,8 +113,6 @@ parseOptions(int argc, char **argv, double dfltScale)
             o.noCollapse = true;
         } else if (a == "--trace-out") {
             o.traceOut = need();
-        } else if (a == "--series-out") {
-            o.seriesOut = need();
         } else if (a == "--profile-out") {
             o.profileOut = need();
         } else if (a == "--profile-epoch") {
@@ -129,16 +126,14 @@ parseOptions(int argc, char **argv, double dfltScale)
             cliFatal("unknown bench flag '" + a +
                      "' (expected SCALE, --scale S, --json FILE, "
                      "--jobs N, --stable-json, --no-collapse, "
-                     "--trace-out FILE, --series-out FILE, "
-                     "--profile-out FILE, or --profile-epoch N)");
+                     "--trace-out FILE, --profile-out FILE, or "
+                     "--profile-epoch N)");
         }
     }
     if (o.profileEpoch && o.profileOut.empty())
         cliFatal("--profile-epoch requires --profile-out");
     if (!o.traceOut.empty())
         tracingInit(o.traceOut, argc > 0 ? argv[0] : "bench");
-    if (!o.seriesOut.empty())
-        SeriesWriter::global().init(o.seriesOut);
     if (!o.profileOut.empty()) {
         if (o.profileEpoch == 0)
             o.profileEpoch = 65536;

@@ -152,8 +152,7 @@ class Cache
     /**
      * Attach @p probe (null to detach) reporting this cache's
      * evictions and below-traffic as hierarchy level @p level.  One
-     * null check per miss-frequency event when unattached; stripped
-     * entirely under -DMEMBW_PROFILING=OFF.
+     * null check per miss-frequency event when unattached.
      */
     void
     setProbe(MemProbe *probe, unsigned level)

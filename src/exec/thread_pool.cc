@@ -1,40 +1,17 @@
 #include "exec/thread_pool.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 
 #include "obs/trace_span.hh"
 
 namespace membw {
 
-namespace {
-
-// Process-wide occupancy gauges (see poolQueueDepth()).  Relaxed is
-// fine: every mutation happens under a pool's mutex and readers only
-// want a recent value.
-std::atomic<std::size_t> g_queueDepth{0};
-std::atomic<std::size_t> g_busyWorkers{0};
-
-} // namespace
-
 unsigned
 defaultJobs()
 {
     const unsigned hw = std::thread::hardware_concurrency();
     return hw ? std::min(hw, maxParallelJobs) : 1u;
-}
-
-std::size_t
-poolQueueDepth()
-{
-    return g_queueDepth.load(std::memory_order_relaxed);
-}
-
-std::size_t
-poolBusyWorkers()
-{
-    return g_busyWorkers.load(std::memory_order_relaxed);
 }
 
 ThreadPool::ThreadPool(unsigned threads)
@@ -67,7 +44,6 @@ ThreadPool::submit(std::function<void()> task)
         queue_.push_back(std::move(task));
         depth = queue_.size();
     }
-    g_queueDepth.fetch_add(1, std::memory_order_relaxed);
     tracingCounter("pool.queue_depth", static_cast<double>(depth));
     workCv_.notify_one();
 }
@@ -100,8 +76,6 @@ ThreadPool::workerLoop(unsigned index)
             depth = queue_.size();
             busy = running_;
         }
-        g_queueDepth.fetch_sub(1, std::memory_order_relaxed);
-        g_busyWorkers.fetch_add(1, std::memory_order_relaxed);
         if (!named && tracingActive()) {
             // Lazy so workers spawned before tracingInit() still
             // register under their pool name, not "thread-N".
@@ -118,7 +92,6 @@ ThreadPool::workerLoop(unsigned index)
             if (queue_.empty() && !running_)
                 idleCv_.notify_all();
         }
-        g_busyWorkers.fetch_sub(1, std::memory_order_relaxed);
         tracingCounter("pool.busy_workers", static_cast<double>(busy));
     }
 }

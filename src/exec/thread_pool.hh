@@ -32,15 +32,6 @@ namespace membw {
  */
 unsigned defaultJobs();
 
-/**
- * Live occupancy across every ThreadPool in the process (queued
- * tasks / tasks mid-execution).  Telemetry only — values are racy
- * snapshots for the trace counters and --series-out sampler, never
- * for scheduling decisions.
- */
-std::size_t poolQueueDepth();
-std::size_t poolBusyWorkers();
-
 /** Fixed-size FIFO worker pool. */
 class ThreadPool
 {

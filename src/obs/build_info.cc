@@ -26,11 +26,6 @@ buildInfo()
 #else
         false,
 #endif
-#ifdef MEMBW_PROFILING_ENABLED
-        true,
-#else
-        false,
-#endif
     };
     return info;
 }
@@ -56,8 +51,6 @@ formatBuildInfo(std::string_view tool)
     std::string out = formatVersionLine(tool);
     out += "\n  tracing:    ";
     out += onoff(b.tracing);
-    out += "\n  profiling:  ";
-    out += onoff(b.profiling);
     out += "\n  sanitizer:  ";
     out += b.sanitizer;
     out += "\n";

@@ -5,8 +5,8 @@
  *
  * Every long-lived deployment eventually asks "which binary is this?"
  * — the answer here is the git describe string, the compile-time
- * feature set (tracing probes, profiling hooks, sanitizer), and the
- * project version, all baked in at configure time.
+ * feature set (tracing probes, sanitizer), and the project version,
+ * all baked in at configure time.
  */
 
 #ifndef MEMBW_OBS_BUILD_INFO_HH
@@ -24,7 +24,6 @@ struct BuildInfo
     std::string_view gitDescribe; ///< `git describe` or "unknown"
     std::string_view sanitizer;   ///< "none", "address", or "thread"
     bool tracing = false;         ///< span-tracing probes compiled in
-    bool profiling = false;       ///< profiling hooks compiled in
 };
 
 /** The provenance of this binary. */

@@ -266,11 +266,7 @@ EpochProfiler::saveState(ChkWriter &w) const
     w.beginSection(chkTag("PROF"));
     w.u32(profStateVersion);
     w.u64(epochRefs_);
-#ifdef MEMBW_PROFILING_ENABLED
-    w.u8(1);
-#else
-    w.u8(0);
-#endif
+    w.u8(1); // probes compiled in; loadState rejects 0
     w.u64(dramRowHits_);
     w.u64(dramRowMisses_);
     w.u64(mtcScanPops_);
@@ -361,15 +357,10 @@ EpochProfiler::loadState(ChkReader &r)
                    std::to_string(epochRefs_));
         return;
     }
-#ifdef MEMBW_PROFILING_ENABLED
-    const std::uint8_t probesHere = 1;
-#else
-    const std::uint8_t probesHere = 0;
-#endif
-    if (probes != probesHere) {
+    if (probes != 1) {
         r.fail(Errc::Mismatch,
-               "checkpoint was taken by a build with a different "
-               "MEMBW_PROFILING setting");
+               "checkpoint was taken by a build without the "
+               "profiling probes");
         return;
     }
 
@@ -666,11 +657,7 @@ EpochProfiler::json(const std::string &tool) const
     w.field("schema", std::string("membw-profile-v1"));
     w.field("tool", tool);
     w.field("epoch_refs", epochRefs_);
-#ifdef MEMBW_PROFILING_ENABLED
     w.field("probes_compiled", true);
-#else
-    w.field("probes_compiled", false);
-#endif
     w.field("clamped_epochs", clampedEpochs());
     w.field("dropped_epochs", droppedEpochs());
 

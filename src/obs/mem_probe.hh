@@ -5,13 +5,8 @@
  * The model layers (Cache, MinCacheSim, DramModel) carry an optional
  * MemProbe pointer and report their miss-frequency events — line
  * evictions, downstream byte movement, DRAM row outcomes, MTC
- * victim-scan work — through the MEMBW_PROBE macro.  The discipline
- * mirrors MEMBW_SPAN (trace_span.hh):
- *
- *  - with MEMBW_PROFILING on (default) each call site is one null
- *    check until a profiler attaches (--profile-out);
- *  - with -DMEMBW_PROFILING=OFF the macro expands to nothing, so
- *    overhead-baseline builds carry zero probe code.
+ * victim-scan work — through the MEMBW_PROBE macro.  Each call site
+ * is one null check until a profiler attaches (--profile-out).
  *
  * MemProbe is deliberately concrete, not a virtual interface: its
  * only consumer is the epoch profiler, and the hooks are small
@@ -110,20 +105,12 @@ class MemProbe
     std::uint64_t mtcScanPops_ = 0;
 };
 
-#ifdef MEMBW_PROFILING_ENABLED
-
 /** Dispatch @p call on @p probe when one is attached. */
 #define MEMBW_PROBE(probe, call)                                     \
     do {                                                             \
         if (probe)                                                   \
             (probe)->call;                                           \
     } while (0)
-
-#else // !MEMBW_PROFILING_ENABLED
-
-#define MEMBW_PROBE(probe, call) ((void)0)
-
-#endif // MEMBW_PROFILING_ENABLED
 
 } // namespace membw
 

@@ -1,12 +1,12 @@
 #include "obs/trace_export.hh"
 
 #include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 
 #include "common/log.hh"
 #include "obs/export.hh"
 #include "obs/json.hh"
-#include "resilience/fault_injection.hh"
 
 namespace membw {
 
@@ -144,7 +144,6 @@ flushAtExit()
             std::fprintf(stderr, "%s\n", e.what());
         }
     }
-    SeriesWriter::global().close();
 }
 
 } // namespace
@@ -154,11 +153,9 @@ tracingInit(const std::string &path, const std::string &tool)
 {
     // Construct everything flushAtExit() touches *before*
     // registering it: statics die in reverse construction order, so
-    // the ring registry (behind tracingStart) and the series writer
-    // must exist first or the exit-time flush reads destroyed
-    // objects.
+    // the ring registry (behind tracingStart) must exist first or
+    // the exit-time flush reads destroyed objects.
     tracingStart();
-    SeriesWriter::global();
     g_tracePath = path;
     g_traceTool = tool;
     g_flushed = false;
@@ -169,109 +166,5 @@ tracingInit(const std::string &path, const std::string &tool)
 }
 
 #endif // MEMBW_TRACING_ENABLED
-
-// ---------------------------------------------------------------
-// SeriesWriter
-// ---------------------------------------------------------------
-
-SeriesWriter &
-SeriesWriter::global()
-{
-    static SeriesWriter w;
-    return w;
-}
-
-SeriesWriter::~SeriesWriter()
-{
-    close();
-}
-
-void
-SeriesWriter::init(const std::string &path, double intervalSec)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (file_)
-        std::fclose(file_);
-    // Stage into '<path>.tmp'; close() renames the completed series
-    // into place so a crash mid-run never leaves a half-written file
-    // under the real name.
-    path_ = path;
-    tmp_ = path + ".tmp";
-    file_ = std::fopen(tmp_.c_str(), "w");
-    if (!file_)
-        fatal("cannot open '" + tmp_ + "' for writing");
-    intervalSec_ = intervalSec > 0 ? intervalSec : 0.25;
-    epoch_ = std::chrono::steady_clock::now();
-    sampledOnce_ = false;
-    lines_ = 0;
-}
-
-bool
-SeriesWriter::sample(Fields fields, bool force)
-{
-    if (!file_)
-        return false;
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (!file_)
-        return false;
-    const auto now = std::chrono::steady_clock::now();
-    if (!force && sampledOnce_ &&
-        std::chrono::duration<double>(now - lastSample_).count() <
-            intervalSec_)
-        return false;
-    lastSample_ = now;
-    sampledOnce_ = true;
-
-    std::string line = "{\"t\": ";
-    line += formatJsonNumber(
-        std::chrono::duration<double>(now - epoch_).count());
-    for (const auto &[name, value] : fields) {
-        line += ", \"";
-        line += name;
-        line += "\": ";
-        line += formatJsonNumber(value);
-    }
-    line += "}\n";
-    if (MEMBW_FAULT_POINT("series-write")) {
-        degradeLocked("injected series write failure");
-        return false;
-    }
-    if (std::fwrite(line.data(), 1, line.size(), file_) !=
-            line.size() ||
-        std::fflush(file_) != 0) {
-        degradeLocked("write error");
-        return false;
-    }
-    ++lines_;
-    return true;
-}
-
-void
-SeriesWriter::degradeLocked(const std::string &why)
-{
-    // The series is telemetry, not the result: dropping it must not
-    // take the simulation down with it.
-    warn("series output '" + path_ + "' dropped: " + why);
-    std::fclose(file_);
-    file_ = nullptr;
-    std::remove(tmp_.c_str());
-}
-
-void
-SeriesWriter::close()
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (file_) {
-        const bool flushed = std::fflush(file_) == 0;
-        const bool closed = std::fclose(file_) == 0;
-        file_ = nullptr;
-        if (!flushed || !closed ||
-            std::rename(tmp_.c_str(), path_.c_str()) != 0) {
-            warn("series output '" + path_ + "' dropped: "
-                 "cannot finalise");
-            std::remove(tmp_.c_str());
-        }
-    }
-}
 
 } // namespace membw

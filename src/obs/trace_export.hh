@@ -5,24 +5,18 @@
  *  - tracingInit()/tracingWriteChromeTrace(): flush the per-thread
  *    ring buffers to a Chrome trace-event JSON file ("X" complete
  *    events, "C" counter tracks, "M" thread-name metadata) that
- *    Perfetto and chrome://tracing load directly;
- *  - SeriesWriter: an append-only JSONL time series ({"t": seconds,
- *    name: value, ...} per line) sampled from the run's live
- *    counters (refs retired, sweep cells done, pool queue depth,
- *    checkpoint age) on an interval.
+ *    Perfetto and chrome://tracing load directly.
  *
- * Both are no-ops when tracing is configured out or never
- * initialised, so call sites need no guards.
+ * Live run counters (refs retired, sweep cells done, pool occupancy)
+ * are "C" counter tracks in the same file, recorded with
+ * tracingCounter().  Everything is a no-op when tracing is
+ * configured out or never initialised, so call sites need no guards.
  */
 
 #ifndef MEMBW_OBS_TRACE_EXPORT_HH
 #define MEMBW_OBS_TRACE_EXPORT_HH
 
-#include <chrono>
 #include <cstdint>
-#include <cstdio>
-#include <initializer_list>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -84,69 +78,6 @@ inline void tracingWriteChromeTrace(const std::string &,
 inline void tracingInit(const std::string &, const std::string &) {}
 
 #endif // MEMBW_TRACING_ENABLED
-
-/**
- * Interval-sampled JSONL time series.  One writer per process (the
- * --series-out file); every sample() call is cheap when the file is
- * closed or the interval has not elapsed, so hot loops may call it
- * on a stride without further guards.  Thread-safe.
- */
-class SeriesWriter
-{
-  public:
-    using Fields =
-        std::initializer_list<std::pair<const char *, double>>;
-
-    /** The process-wide writer behind --series-out. */
-    static SeriesWriter &global();
-
-    SeriesWriter() = default;
-    ~SeriesWriter();
-    SeriesWriter(const SeriesWriter &) = delete;
-    SeriesWriter &operator=(const SeriesWriter &) = delete;
-
-    /**
-     * Open @p path and start the clock.  @p intervalSec is the
-     * minimum spacing between un-forced samples (default 250ms).
-     * Samples stage into '<path>.tmp'; close() renames the finished
-     * series into place, so readers never see a torn file.  A write
-     * failure mid-run degrades (drops the series with a warning)
-     * rather than killing the simulation.
-     */
-    void init(const std::string &path, double intervalSec = 0.25);
-
-    bool enabled() const { return file_ != nullptr; }
-
-    /**
-     * Append one {"t": seconds, ...fields} line when the interval
-     * has elapsed (or always, with @p force).  Returns true when a
-     * line was written.
-     */
-    bool sample(Fields fields, bool force = false);
-
-    /**
-     * Flush, close, and rename the staged file into place; further
-     * samples are dropped.  Idempotent.
-     */
-    void close();
-
-    /** Samples written so far. */
-    std::uint64_t lines() const { return lines_; }
-
-  private:
-    /** Drop the series after a write failure (mutex_ held). */
-    void degradeLocked(const std::string &why);
-
-    std::mutex mutex_;
-    std::FILE *file_ = nullptr;
-    std::string path_;
-    std::string tmp_;
-    double intervalSec_ = 0.25;
-    std::chrono::steady_clock::time_point epoch_{};
-    std::chrono::steady_clock::time_point lastSample_{};
-    bool sampledOnce_ = false;
-    std::uint64_t lines_ = 0;
-};
 
 } // namespace membw
 

@@ -40,6 +40,22 @@ namespace membw {
 /** Fixed per-event payload space for `key=value` detail strings. */
 constexpr std::size_t traceDetailBytes = 48;
 
+/** Progress units (references, micro-ops) per counter-track sample. */
+constexpr std::uint64_t traceCounterStride = 65536;
+
+/**
+ * True when progress moving from @p before to @p after crosses a
+ * multiple of traceCounterStride.  Loops that feed counter tracks
+ * gate on this, so however small their own step (a --stats-every or
+ * --checkpoint-every slice), they cannot flood the thread's ring and
+ * overwrite its spans.
+ */
+constexpr bool
+crossesCounterStride(std::uint64_t before, std::uint64_t after)
+{
+    return before / traceCounterStride != after / traceCounterStride;
+}
+
 #ifdef MEMBW_TRACING_ENABLED
 
 /** True while recording is on (one relaxed atomic load). */

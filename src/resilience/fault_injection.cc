@@ -35,9 +35,8 @@ struct Plan
 std::mutex g_mutex;
 Plan g_plan;
 
-constexpr const char *knownSites[] = {
-    "io-write", "io-rename", "enospc",      "alloc",
-    "crash",    "cell",      "series-write"};
+constexpr const char *knownSites[] = {"io-write", "io-rename", "enospc",
+                                      "alloc",    "crash",     "cell"};
 
 bool
 siteKnown(const std::string &site)
@@ -248,7 +247,7 @@ armFaultPlan(const std::string &spec)
                 Errc::BadValue,
                 "unknown fault site '" + c.site +
                     "' (known: io-write, io-rename, enospc, alloc, "
-                    "crash, cell, series-write)");
+                    "crash, cell)");
         const std::string trigger =
             clause.substr(colon + 1, eq - colon - 1);
         if (trigger == "at" || trigger == "ref") {

@@ -39,7 +39,6 @@
  *   enospc       GuardedFile write fails hard (no retry)
  *   io-rename    GuardedFile commit rename fails
  *   alloc        trace/checkpoint image allocation fails
- *   series-write a SeriesWriter line write fails (series dropped)
  *   cell         a sweep cell throws (degraded mode)
  *   crash        the process _Exit(137)s at the site — the hook never
  *                returns, simulating kill -9 mid-run

@@ -1,24 +1,30 @@
 #include "resilience/signals.hh"
 
+#include <atomic>
 #include <csignal>
 
 namespace membw {
 
 namespace {
 
-volatile std::sig_atomic_t pendingSignal = 0;
+// The handler may run on any thread (membw_served raises SIGTERM
+// from a broker thread) while the main thread polls.
+static_assert(std::atomic<int>::is_always_lock_free,
+              "the shutdown flag must be lock-free to be written from "
+              "a signal handler");
+std::atomic<int> pendingSignal{0};
 
 extern "C" void
 shutdownHandler(int signum)
 {
-    if (pendingSignal != 0) {
+    if (pendingSignal.load(std::memory_order_acquire) != 0) {
         // Second request: restore default disposition and re-raise,
         // so a stuck drain can still be killed from the keyboard.
         std::signal(signum, SIG_DFL);
         std::raise(signum);
         return;
     }
-    pendingSignal = signum;
+    pendingSignal.store(signum, std::memory_order_release);
 }
 
 } // namespace
@@ -33,13 +39,13 @@ installShutdownHandlers()
 int
 shutdownRequested()
 {
-    return static_cast<int>(pendingSignal);
+    return pendingSignal.load(std::memory_order_acquire);
 }
 
 const char *
 shutdownSignalName()
 {
-    switch (pendingSignal) {
+    switch (pendingSignal.load(std::memory_order_acquire)) {
       case SIGINT: return "SIGINT";
       case SIGTERM: return "SIGTERM";
       default: return "";
@@ -49,7 +55,7 @@ shutdownSignalName()
 void
 clearShutdownRequest()
 {
-    pendingSignal = 0;
+    pendingSignal.store(0, std::memory_order_release);
 }
 
 } // namespace membw

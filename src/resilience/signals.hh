@@ -3,11 +3,12 @@
  * Async-signal-safe graceful-shutdown plumbing.
  *
  * installShutdownHandlers() registers SIGINT/SIGTERM handlers that do
- * nothing but store the signal number into a volatile sig_atomic_t —
- * the only action the C and POSIX standards guarantee is safe inside
- * a handler.  Simulation loops poll shutdownRequested() between
- * references (so the current reference always drains), then write a
- * final checkpoint and partial stats and exit with exitInterrupted.
+ * nothing but store the signal number into a lock-free std::atomic —
+ * safe inside a handler, and race-free when the signal is delivered
+ * on a thread other than the one that polls.  Simulation loops poll
+ * shutdownRequested() between references (so the current reference
+ * always drains), then write a final checkpoint and partial stats and
+ * exit with exitInterrupted.
  *
  * A second delivery of the same signal while the first is still being
  * drained re-raises with default disposition, so an impatient Ctrl-C

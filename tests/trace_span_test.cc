@@ -3,8 +3,8 @@
  * Tests for the span tracing layer (obs/trace_span.hh) and its
  * exporters (obs/trace_export.hh): ring wrap-around accounting,
  * open-span clipping at flush, empty traces, per-thread timestamp
- * monotonicity in the Chrome JSON, the JSONL series writer, the span
- * on a direct cache run, and the phase spans of a decomposition.
+ * monotonicity in the Chrome JSON, the span on a direct cache run,
+ * and the phase spans of a decomposition.
  *
  * Every test that records events resets the tracing runtime first;
  * gtest runs tests in one process, and the rings are process-global.
@@ -13,7 +13,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdio>
 #include <map>
 #include <string>
 #include <thread>
@@ -236,53 +235,3 @@ TEST(TraceSpan, DecompositionRecordsEveryPhase)
 }
 
 #endif // MEMBW_TRACING_ENABLED
-
-TEST(SeriesWriter, LinesParseAsJson)
-{
-    const std::string path = "series_writer_test.jsonl";
-    SeriesWriter w;
-    w.init(path, 0.0);
-    EXPECT_TRUE(w.enabled());
-    EXPECT_TRUE(w.sample({{"refs", 100.0}, {"cells_done", 2.0}}));
-    EXPECT_TRUE(w.sample({{"refs", 200.0}}, /*force=*/true));
-    EXPECT_EQ(w.lines(), 2u);
-    w.close();
-    EXPECT_FALSE(w.sample({{"refs", 300.0}}, true));
-
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    ASSERT_NE(f, nullptr);
-    std::string text;
-    char buf[4096];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof buf, f)) > 0)
-        text.append(buf, n);
-    std::fclose(f);
-    std::remove(path.c_str());
-
-    std::size_t lines = 0, pos = 0;
-    double lastT = -1.0;
-    while (pos < text.size()) {
-        std::size_t eol = text.find('\n', pos);
-        ASSERT_NE(eol, std::string::npos) << "unterminated line";
-        const JsonValue v =
-            parseJson(std::string_view(text.data() + pos, eol - pos));
-        ASSERT_TRUE(v.isObject());
-        EXPECT_GE(v.at("t").asNumber(), lastT);
-        lastT = v.at("t").asNumber();
-        if (lines == 0) {
-            EXPECT_DOUBLE_EQ(v.at("refs").asNumber(), 100.0);
-            EXPECT_DOUBLE_EQ(v.at("cells_done").asNumber(), 2.0);
-        }
-        ++lines;
-        pos = eol + 1;
-    }
-    EXPECT_EQ(lines, 2u);
-}
-
-TEST(SeriesWriter, DisabledWriterDropsSamples)
-{
-    SeriesWriter w;
-    EXPECT_FALSE(w.enabled());
-    EXPECT_FALSE(w.sample({{"refs", 1.0}}, true));
-    EXPECT_EQ(w.lines(), 0u);
-}

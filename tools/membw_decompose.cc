@@ -109,8 +109,6 @@ usage(int code)
         "  --trace-out FILE     write a Chrome trace-event JSON "
         "(Perfetto;\n"
         "                       inspect with membw_report)\n"
-        "  --series-out FILE    append a JSONL time series of live "
-        "counters\n"
         "  --profile-out FILE   write per-epoch model telemetry JSON "
         "(one run\n"
         "                       per phase; inspect with "
@@ -119,7 +117,7 @@ usage(int code)
         "(default 65536)\n"
         "Provenance:\n"
         "  --version            print tool version and git describe\n"
-        "  --build-info         print build flags (tracing, profiling, "
+        "  --build-info         print build flags (tracing, "
         "sanitizer)\n\n"
         "%s",
         exitCodeHelp);
@@ -289,7 +287,6 @@ main(int argc, char **argv)
         bool stableJson = false;
         std::uint64_t statsEvery = 0;
         std::string traceOut;
-        std::string seriesOut;
         std::string profileOut;
         std::uint64_t profileEpoch = 0;
         std::string checkpoint;
@@ -361,8 +358,6 @@ main(int argc, char **argv)
                 statsEvery = countFlag(a, need(i));
             else if (a == "--trace-out")
                 traceOut = need(i);
-            else if (a == "--series-out")
-                seriesOut = need(i);
             else if (a == "--profile-out")
                 profileOut = need(i);
             else if (a == "--profile-epoch")
@@ -400,8 +395,6 @@ main(int argc, char **argv)
         installShutdownHandlers();
         if (!traceOut.empty())
             tracingInit(traceOut, "membw_decompose");
-        if (!seriesOut.empty())
-            SeriesWriter::global().init(seriesOut);
 
         // Shared with the membw_served daemon (serve layer), which is
         // what keeps served decompose responses byte-identical to
@@ -473,15 +466,11 @@ main(int argc, char **argv)
                        nullptr;
             };
             sopt.cancel = [] { return shutdownRequested(); };
-            sopt.onPrefix = [&](std::size_t prefix) {
-                // Serialized under the sweep mutex.
-                SeriesWriter::global().sample(
-                    {{"cells_done", static_cast<double>(prefix)},
-                     {"cells_total", static_cast<double>(nCells)},
-                     {"pool_queue_depth",
-                      static_cast<double>(poolQueueDepth())},
-                     {"pool_busy_workers",
-                      static_cast<double>(poolBusyWorkers())}});
+            tracingCounter("sweep.cells_total",
+                           static_cast<double>(nCells));
+            sopt.onPrefix = [](std::size_t prefix) {
+                tracingCounter("sweep.cells_done",
+                               static_cast<double>(prefix));
             };
 
             SweepResult<CoreResult> sweep;
@@ -632,6 +621,7 @@ main(int argc, char **argv)
         // the same phase.
         bool sigtermFired = false;
         std::uint64_t opsCompleted = phasesDone * stream.size();
+        std::uint64_t lastCounterOps = opsCompleted;
         cfg.core.progressEvery = statsEvery ? statsEvery : 65536;
         cfg.core.progress = [&](std::size_t done, std::size_t total) {
             // Stride-driven epoch clock: boundaries may overshoot by
@@ -639,13 +629,15 @@ main(int argc, char **argv)
             if (prof)
                 prof->advanceTo(done);
             meter.tick(done, total);
-            SeriesWriter::global().sample(
-                {{"ops",
-                  static_cast<double>(opsCompleted + done)},
-                 {"phase", static_cast<double>(livePhase)},
-                 {"wd_slack", liveWatchdog
-                                  ? liveWatchdog->headroom()
-                                  : 1.0}});
+            if (crossesCounterStride(lastCounterOps,
+                                     opsCompleted + done)) {
+                lastCounterOps = opsCompleted + done;
+                tracingCounter("decompose.ops",
+                               static_cast<double>(lastCounterOps));
+                tracingCounter("decompose.wd_slack",
+                               liveWatchdog ? liveWatchdog->headroom()
+                                            : 1.0);
+            }
             if (sigtermAfter && !sigtermFired &&
                 opsCompleted + done >= sigtermAfter) {
                 sigtermFired = true;
@@ -667,6 +659,7 @@ main(int argc, char **argv)
             cfg.core.watchdog = &watchdog;
             liveWatchdog = &watchdog;
             livePhase = phasesDone;
+            tracingCounter("decompose.phase", phasesDone);
             // Profile each phase as its own run: sources live only
             // as long as the phase's MemorySystem, so attachment and
             // the closing endRun() both happen inside the hooks.

@@ -11,8 +11,8 @@
  *     nested children), per-worker utilization (fraction of the trace
  *     window each thread spent inside top-level spans), and the
  *     critical-path cell (the longest sweep cell, with its
- *     config/route detail).  --series validates and summarizes a
- *     --series-out JSONL file alongside.
+ *     config/route detail), and one line per counter track (samples,
+ *     time span, last value).
  *   - a membw-profile-v1 object gets a run inventory (epochs,
  *     clamped/dropped, sources), a phase table per run clustering
  *     consecutive epochs into miss-rate regimes, the peak pin-demand
@@ -28,7 +28,7 @@
  * source the per-epoch columns must sum exactly to the end-of-run
  * aggregate — the delta-snapshot invariant the profiler promises.
  *
- *   membw_report trace.json --series series.jsonl --top 10
+ *   membw_report trace.json --top 10
  *   membw_report profile.json --csv epochs.csv --gnuplot missrate.gp
  */
 
@@ -62,11 +62,9 @@ usage(int code)
     std::printf(
         "membw_report — analyze a --trace-out span trace or a "
         "--profile-out epoch profile\n\n"
-        "  membw_report TRACE.json [--series FILE] [--top N]\n"
+        "  membw_report TRACE.json [--top N]\n"
         "  membw_report PROFILE.json [--csv FILE] [--gnuplot FILE]\n\n"
         "  TRACE.json      Chrome trace-event file from --trace-out\n"
-        "  --series FILE   also validate/summarize a --series-out "
-        "JSONL file\n"
         "  --top N         rows in the self-time table (default "
         "15)\n"
         "  PROFILE.json    membw-profile-v1 file from --profile-out\n"
@@ -75,9 +73,10 @@ usage(int code)
         "  --gnuplot FILE  gnuplot script plotting per-epoch miss "
         "rates\n\n"
         "A trace prints self time per phase, per-worker utilization,\n"
-        "and the critical-path (longest) sweep cell.  A profile prints\n"
-        "the run inventory, a miss-rate phase table per run, the peak\n"
-        "pin-demand epoch, and the hottest conflict sets.\n"
+        "the critical-path (longest) sweep cell, and one line per\n"
+        "counter track.  A profile prints the run inventory, a\n"
+        "miss-rate phase table per run, the peak pin-demand epoch,\n"
+        "and the hottest conflict sets.\n"
         "Exits 1 on a malformed input (incomplete events, non-monotonic\n"
         "per-thread timestamps, ragged profile columns, or epoch sums\n"
         "that disagree with the run aggregate) and 2 on a flag that the\n"
@@ -99,9 +98,19 @@ struct Span
     double dur = 0.0;
 };
 
+/** One counter track: every "C" event of one name, across threads. */
+struct CounterTrack
+{
+    std::uint64_t samples = 0;
+    double firstTs = 0.0; ///< µs
+    double lastTs = 0.0;  ///< µs
+    double last = 0.0;    ///< value of the latest sample
+};
+
 struct TraceDoc
 {
     std::vector<Span> spans;
+    std::map<std::string, CounterTrack> counterTracks;
     std::map<std::int64_t, std::string> threadNames;
     std::set<std::int64_t> tids; ///< every track with any event
     std::uint64_t counters = 0;
@@ -167,6 +176,22 @@ loadTrace(const JsonValue &doc, const JsonValue &evs)
 
         if (kind == "C") {
             out.counters++;
+            const JsonValue *name = ev.find("name");
+            const JsonValue *args = ev.find("args");
+            const JsonValue *value = args ? args->find("value") : nullptr;
+            if (!name || !name->isString() || !value ||
+                !value->isNumber())
+                fatal("malformed trace: C event " + std::to_string(i) +
+                      " lacks a name or numeric args.value");
+            auto [c, first] = out.counterTracks.try_emplace(name->string);
+            CounterTrack &track = c->second;
+            if (first || ts < track.firstTs)
+                track.firstTs = ts;
+            if (first || ts >= track.lastTs) {
+                track.lastTs = ts;
+                track.last = value->number;
+            }
+            track.samples++;
             continue;
         }
         if (kind == "i") {
@@ -274,63 +299,9 @@ fmtMs(double us)
     return fixed(us / 1e3, 3);
 }
 
-/** Validate and summarize a --series-out JSONL file. */
-void
-printSeries(const std::string &seriesPath)
-{
-    // An absent or empty series file is a normal outcome (a run that
-    // never sampled, or telemetry disabled), not a malformed input:
-    // note it and keep the exit status clean.
-    std::FILE *probe = std::fopen(seriesPath.c_str(), "rb");
-    if (!probe) {
-        std::printf("\nseries: %s (no samples: file absent)\n",
-                    seriesPath.c_str());
-        return;
-    }
-    std::fclose(probe);
-    const std::string text = readFileOrDie(seriesPath);
-    std::size_t lines = 0;
-    double tMin = 0.0, tMax = 0.0;
-    std::set<std::string> fields;
-    std::size_t pos = 0;
-    while (pos < text.size()) {
-        std::size_t eol = text.find('\n', pos);
-        if (eol == std::string::npos)
-            eol = text.size();
-        const std::string_view line(text.data() + pos, eol - pos);
-        pos = eol + 1;
-        if (line.empty())
-            continue;
-        const JsonValue v = parseJson(line);
-        if (!v.isObject())
-            fatal("malformed series: line " +
-                  std::to_string(lines + 1) + " is not an object");
-        const JsonValue *t = v.find("t");
-        if (!t || !t->isNumber())
-            fatal("malformed series: line " +
-                  std::to_string(lines + 1) + " lacks numeric 't'");
-        if (lines == 0)
-            tMin = t->number;
-        tMax = t->number;
-        for (const auto &[k, val] : v.object)
-            if (k != "t")
-                fields.insert(k);
-        lines++;
-    }
-    std::string names;
-    for (const auto &f : fields)
-        names += (names.empty() ? "" : ", ") + f;
-    if (lines == 0)
-        std::printf("\nseries: %s (no samples)\n", seriesPath.c_str());
-    else
-        std::printf("\nseries: %s (%zu samples over %.3f s: %s)\n",
-                    seriesPath.c_str(), lines, tMax - tMin,
-                    names.empty() ? "no fields" : names.c_str());
-}
-
 int
 reportTrace(const std::string &tracePath, const TraceDoc &doc,
-            const std::string &seriesPath, std::size_t topN)
+            std::size_t topN)
 {
     if (doc.spans.empty()) {
         std::printf("%s: no span events (%llu counters, %llu "
@@ -422,8 +393,17 @@ reportTrace(const std::string &tracePath, const TraceDoc &doc,
     else
         std::printf("critical-path cell: no sweep cells in trace\n");
 
-    if (!seriesPath.empty())
-        printSeries(seriesPath);
+    // ---- counter tracks -----------------------------------------
+    // Several threads may feed one track, so "last" is the value of
+    // the latest timestamp, not of the last event in file order.
+    TextTable ct;
+    ct.header({"counter", "samples", "span ms", "last"});
+    for (const auto &[name, track] : doc.counterTracks)
+        ct.row({name, std::to_string(track.samples),
+                fmtMs(track.lastTs - track.firstTs),
+                formatJsonNumber(track.last)});
+    std::printf("\ncounter tracks (%zu):\n%s\n",
+                doc.counterTracks.size(), ct.render().c_str());
     return exitOk;
 }
 
@@ -957,7 +937,7 @@ int
 main(int argc, char **argv)
 {
     try {
-        std::string path, seriesPath, csvPath, gnuplotPath;
+        std::string path, csvPath, gnuplotPath;
         std::size_t topN = 15;
         // The last flag given that only one input kind takes.
         std::string traceFlag, profileFlag;
@@ -972,9 +952,6 @@ main(int argc, char **argv)
             };
             if (a == "--help" || a == "-h") {
                 usage(exitOk);
-            } else if (a == "--series") {
-                seriesPath = need();
-                traceFlag = a;
             } else if (a == "--top") {
                 const std::string v = need();
                 const auto r = tryParseInt(
@@ -1012,8 +989,7 @@ main(int argc, char **argv)
         const JsonValue *evs = doc.find("traceEvents");
         if (evs && evs->isArray()) {
             rejectFlag(profileFlag, path, "a --trace-out trace");
-            return reportTrace(path, loadTrace(doc, *evs), seriesPath,
-                               topN);
+            return reportTrace(path, loadTrace(doc, *evs), topN);
         }
         fatal("'" + path + "' is neither a --trace-out trace nor a "
               "membw-profile-v1 profile");

@@ -156,8 +156,6 @@ usage(int code)
         "  --trace-out FILE    write a Chrome trace-event JSON "
         "(load in Perfetto;\n"
         "                      inspect with membw_report)\n"
-        "  --series-out FILE   append a JSONL time series of live "
-        "counters\n"
         "  --profile-out FILE  write per-epoch model telemetry JSON "
         "(per-level\n"
         "                      traffic, R_i, heatmaps; inspect with "
@@ -166,7 +164,7 @@ usage(int code)
         "(default 65536)\n\n"
         "Provenance:\n"
         "  --version           print tool version and git describe\n"
-        "  --build-info        print build flags (tracing, profiling, "
+        "  --build-info        print build flags (tracing, "
         "sanitizer)\n\n"
         "%s",
         exitCodeHelp);
@@ -266,7 +264,6 @@ struct Options
     bool stableJson = false;
     std::uint64_t statsEvery = 0;
     std::string traceOut;
-    std::string seriesOut;
     std::string profileOut;
     std::uint64_t profileEpoch = 0;
     std::string checkpoint;
@@ -397,8 +394,6 @@ parse(int argc, char **argv)
             o.statsEvery = countFlag(a, need(i));
         } else if (a == "--trace-out") {
             o.traceOut = need(i);
-        } else if (a == "--series-out") {
-            o.seriesOut = need(i);
         } else if (a == "--profile-out") {
             o.profileOut = need(i);
         } else if (a == "--profile-epoch") {
@@ -606,10 +601,7 @@ shutdownNow(const Options &o, const RunState &state, const Trace &trace,
             double wallSeconds)
 {
     tracingInstant("shutdown", shutdownSignalName());
-    SeriesWriter::global().sample(
-        {{"refs", static_cast<double>(state.cursor)},
-         {"phase", static_cast<double>(state.phase)}},
-        /*force=*/true);
+    tracingCounter("sim.refs", static_cast<double>(state.cursor));
     emitLinef("\n%s received: drained reference %llu, shutting "
               "down",
               shutdownSignalName(),
@@ -721,15 +713,9 @@ runSweep(const Options &o, const Trace &trace)
                       collapsed.ladderPasses(),
                       collapsed.ladderPasses() == 1 ? "" : "es");
     };
+    tracingCounter("sweep.cells_total", static_cast<double>(nCells));
     eopts.onPrefix = [&](std::size_t prefix) {
-        // Serialized under the sweep mutex, so sampling here is safe.
-        SeriesWriter::global().sample(
-            {{"cells_done", static_cast<double>(prefix)},
-             {"cells_total", static_cast<double>(nCells)},
-             {"pool_queue_depth",
-              static_cast<double>(poolQueueDepth())},
-             {"pool_busy_workers",
-              static_cast<double>(poolBusyWorkers())}});
+        tracingCounter("sweep.cells_done", static_cast<double>(prefix));
         if (o.statsEvery)
             emitLinef("membw_sim: sweep %zu/%zu cells", prefix,
                       nCells);
@@ -738,10 +724,6 @@ runSweep(const Options &o, const Trace &trace)
     };
 
     SweepOutcome outcome = executeSweep(req, trace, eopts);
-    SeriesWriter::global().sample(
-        {{"cells_done", static_cast<double>(outcome.completed)},
-         {"cells_total", static_cast<double>(nCells)}},
-        /*force=*/true);
     // A signal latched after the last cancel poll still counts.
     outcome.interrupted =
         outcome.interrupted || shutdownRequested() != 0;
@@ -817,8 +799,6 @@ main(int argc, char **argv)
         installShutdownHandlers();
         if (!o.traceOut.empty())
             tracingInit(o.traceOut, "membw_sim");
-        if (!o.seriesOut.empty())
-            SeriesWriter::global().init(o.seriesOut);
         if (!o.profileOut.empty() && o.sweepSizes.empty())
             profilerInit(o.profileOut, o.profileEpoch)
                 .setVerbose(logEnabled(LogLevel::Debug));
@@ -920,8 +900,7 @@ main(int argc, char **argv)
         const bool perRefState =
             !o.checkpoint.empty() || !o.resume.empty() ||
             o.sigtermAfter != 0 || o.statsEvery != 0 ||
-            !o.profileOut.empty() || !o.seriesOut.empty() ||
-            !o.faultInject.empty();
+            !o.profileOut.empty() || !o.faultInject.empty();
         if (state.phase == phaseHierarchy && o.jobs > 1 &&
             !perRefState && !o.haveL2 && ladderKernelSupported(o.l1)) {
             // All-word traces (the QPT recording invariant — every
@@ -978,6 +957,7 @@ main(int argc, char **argv)
         // Phase 0: the functional hierarchy, reference by reference.
         if (state.phase == phaseHierarchy) {
             MEMBW_SPAN("phase.hierarchy");
+            tracingCounter("sim.phase", phaseHierarchy);
             if (prof) {
                 // On --resume this re-enters the interrupted run and
                 // re-attaches the sources over the restored prev
@@ -1000,16 +980,15 @@ main(int argc, char **argv)
                 if (prof)
                     prof->advanceTo(state.cursor);
                 meter.tick(state.cursor, total);
-                // Stride-gated so the sampler's clock read stays off
-                // the per-reference path.
-                if ((state.cursor & 0xFFFF) == 0)
-                    SeriesWriter::global().sample(
-                        {{"refs",
-                          static_cast<double>(state.cursor)},
-                         {"ckpt_age_refs",
-                          static_cast<double>(state.cursor -
-                                              lastCkptRef)},
-                         {"wd_slack", hier.eventHeadroom()}});
+                if (state.cursor % traceCounterStride == 0) {
+                    tracingCounter("sim.refs",
+                                   static_cast<double>(state.cursor));
+                    tracingCounter("sim.ckpt_age_refs",
+                                   static_cast<double>(state.cursor -
+                                                       lastCkptRef));
+                    tracingCounter("sim.wd_slack",
+                                   hier.eventHeadroom());
+                }
                 if (o.sigtermAfter && state.cursor == o.sigtermAfter)
                     std::raise(SIGTERM);
                 if (!o.checkpoint.empty() &&
@@ -1065,6 +1044,7 @@ main(int argc, char **argv)
                            ? static_cast<std::size_t>(o.statsEvery)
                            : std::size_t{1} << 20);
             MEMBW_SPAN("phase.mtc");
+            tracingCounter("sim.phase", phaseMtc);
             if (prof) {
                 prof->beginRun("mtc");
                 prof->addSource(
@@ -1097,12 +1077,13 @@ main(int argc, char **argv)
                 if (prof)
                     prof->advanceTo(state.cursor);
                 meter.tick(state.cursor, total);
-                SeriesWriter::global().sample(
-                    {{"refs", static_cast<double>(state.cursor)},
-                     {"ckpt_age_refs",
-                      static_cast<double>(state.cursor -
-                                          lastCkptRef)},
-                     {"phase", 1.0}});
+                if (crossesCounterStride(before, state.cursor)) {
+                    tracingCounter("sim.refs",
+                                   static_cast<double>(state.cursor));
+                    tracingCounter("sim.ckpt_age_refs",
+                                   static_cast<double>(state.cursor -
+                                                       lastCkptRef));
+                }
                 if (o.sigtermAfter && before < o.sigtermAfter &&
                     state.cursor >= o.sigtermAfter)
                     std::raise(SIGTERM);
