@@ -54,11 +54,17 @@ main(int argc, char **argv)
     labels.push_back("RDRAM + half pins");
     configs.push_back(narrow);
 
-    for (const char *name : {"Swm", "Compress"}) {
-        const InstrStream stream =
-            buildDecomposeStream(name, scale, WorkloadParams{}.seed);
-        jreport.addRefs(stream.size());
-        const auto results = decomposeEach(stream, configs, opt.jobs);
+    const char *const names[] = {"Swm", "Compress"};
+    std::vector<DecomposeJob> jobs;
+    for (const char *name : names)
+        jobs.push_back(
+            decomposeJob(name, scale, WorkloadParams{}.seed, configs));
+    const auto done = decomposeEach(jobs, opt.jobs);
+    for (std::size_t j = 0; j < jobs.size(); ++j) {
+        const char *const name = names[j];
+        jreport.addRefs(done[j].streamOps);
+        const std::vector<DecompositionResult> &results =
+            done[j].results;
 
         TextTable t;
         t.header({"memory", "cycles", "f_P", "f_L", "f_B",

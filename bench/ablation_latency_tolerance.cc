@@ -32,10 +32,6 @@ main(int argc, char **argv)
                               "Experiment E knobs", opt);
     jreport.manifest().workload = "Swm";
 
-    const InstrStream stream =
-        buildDecomposeStream("Swm", scale, WorkloadParams{}.seed);
-    jreport.addRefs(stream.size());
-
     const ExperimentConfig base = makeExperiment('E', false);
     std::vector<std::string> labels = {"E (baseline)"};
     std::vector<ExperimentConfig> configs = {base};
@@ -58,7 +54,11 @@ main(int argc, char **argv)
 
     TextTable t;
     t.header({"variant", "cycles", "f_P", "f_L", "f_B"});
-    const auto results = decomposeEach(stream, configs, opt.jobs);
+    const JobDecompositions done = decomposeEach(
+        {decomposeJob("Swm", scale, WorkloadParams{}.seed, configs)},
+        opt.jobs)[0];
+    jreport.addRefs(done.streamOps);
+    const std::vector<DecompositionResult> &results = done.results;
     for (std::size_t i = 0; i < configs.size(); ++i) {
         const DecompositionResult &r = results[i];
         t.row({labels[i], std::to_string(r.split.fullCycles),

@@ -22,47 +22,46 @@ using namespace membw;
 
 namespace {
 
-void
-runSet(const std::vector<std::string> &names, bool spec95,
-       const bench::BenchOptions &opt, bench::JsonReport &report)
+std::vector<ExperimentConfig>
+machines(bool spec95)
 {
-    std::printf("---- %s benchmarks ----\n",
-                spec95 ? "SPEC95" : "SPEC92");
     std::vector<ExperimentConfig> configs;
     for (char e = 'A'; e <= 'F'; ++e)
         configs.push_back(makeExperiment(e, spec95));
-    for (const auto &name : names) {
-        const InstrStream stream =
-            buildDecomposeStream(name, opt.scale, WorkloadParams{}.seed);
-        report.addRefs(stream.size());
-        const auto results = decomposeEach(stream, configs, opt.jobs);
+    return configs;
+}
 
-        TextTable t;
-        t.header({"exp", "norm T", "f_P", "f_L", "f_B", "IPC",
-                  "L1 miss%", "mispred"});
-        const double base_tp =
-            static_cast<double>(results.front().split.perfectCycles);
-        for (std::size_t e = 0; e < configs.size(); ++e) {
-            const DecompositionResult &r = results[e];
-            const double norm =
-                static_cast<double>(r.split.fullCycles) / base_tp;
-            const double miss_pct =
-                r.full.mem.loads
-                    ? 100.0 * r.full.mem.l1Misses / r.full.mem.loads
-                    : 0.0;
-            t.row({std::string(1, configs[e].letter), fixed(norm, 2),
-                   fixed(r.split.fP(), 2), fixed(r.split.fL(), 2),
-                   fixed(r.split.fB(), 2), fixed(r.full.ipc, 2),
-                   fixed(miss_pct, 1),
-                   std::to_string(r.full.mispredicts)});
-        }
-        std::printf("%s (%zu ops)\n%s\n", name.c_str(),
-                    stream.size(), t.render().c_str());
-        report.addTable((spec95 ? std::string("spec95/")
-                                : std::string("spec92/")) +
-                            name,
-                        t);
+void
+printWorkload(const std::string &name, bool spec95,
+              const std::vector<ExperimentConfig> &configs,
+              const JobDecompositions &job, bench::JsonReport &report)
+{
+    report.addRefs(job.streamOps);
+    const std::vector<DecompositionResult> &results = job.results;
+    TextTable t;
+    t.header({"exp", "norm T", "f_P", "f_L", "f_B", "IPC", "L1 miss%",
+              "mispred"});
+    const double base_tp =
+        static_cast<double>(results.front().split.perfectCycles);
+    for (std::size_t e = 0; e < configs.size(); ++e) {
+        const DecompositionResult &r = results[e];
+        const double norm =
+            static_cast<double>(r.split.fullCycles) / base_tp;
+        const double miss_pct =
+            r.full.mem.loads
+                ? 100.0 * r.full.mem.l1Misses / r.full.mem.loads
+                : 0.0;
+        t.row({std::string(1, configs[e].letter), fixed(norm, 2),
+               fixed(r.split.fP(), 2), fixed(r.split.fL(), 2),
+               fixed(r.split.fB(), 2), fixed(r.full.ipc, 2),
+               fixed(miss_pct, 1), std::to_string(r.full.mispredicts)});
     }
+    std::printf("%s (%zu ops)\n%s\n", name.c_str(), job.streamOps,
+                t.render().c_str());
+    report.addTable((spec95 ? std::string("spec95/")
+                            : std::string("spec92/")) +
+                        name,
+                    t);
 }
 
 } // namespace
@@ -75,8 +74,27 @@ main(int argc, char **argv)
     bench::banner(
         "Figure 3: effect of latency-reduction techniques", opt.scale);
     bench::JsonReport report("fig3_decomposition", "Figure 3", opt);
-    runSet(spec92Names(), false, opt, report);
-    runSet(spec95Names(), true, opt, report);
+    // Both sets in one call: every stream builds on the pool, and no
+    // workload waits for the one before it.
+    const std::vector<std::string> sets[] = {spec92Names(),
+                                             spec95Names()};
+    std::vector<DecomposeJob> jobs;
+    for (bool spec95 : {false, true})
+        for (const auto &name : sets[spec95])
+            jobs.push_back(decomposeJob(name, opt.scale,
+                                        WorkloadParams{}.seed,
+                                        machines(spec95)));
+    const auto done = decomposeEach(jobs, opt.jobs);
+    std::size_t j = 0;
+    for (bool spec95 : {false, true}) {
+        std::printf("---- %s benchmarks ----\n",
+                    spec95 ? "SPEC95" : "SPEC92");
+        for (const auto &name : sets[spec95]) {
+            printWorkload(name, spec95, jobs[j].configs, done[j],
+                          report);
+            ++j;
+        }
+    }
     std::printf("Paper's headline: applying latency tolerance "
                 "(A->F) grows f_B until it\ngenerally exceeds f_L "
                 "— compare the f_L and f_B columns of A vs F.\n");

@@ -77,12 +77,17 @@ main(int argc, char **argv)
     iram.mem.memAccessCycles = 18;
     iram.mem.memBusBytes = 32;
 
-    for (const char *name : {"Swim", "Applu", "Vortex"}) {
-        const InstrStream stream =
-            buildDecomposeStream(name, scale, WorkloadParams{}.seed);
-        report.addRefs(stream.size());
-        const auto results =
-            decomposeEach(stream, {conv, iram}, opt.jobs);
+    const char *const names[] = {"Swim", "Applu", "Vortex"};
+    std::vector<DecomposeJob> jobs;
+    for (const char *name : names)
+        jobs.push_back(decomposeJob(name, scale, WorkloadParams{}.seed,
+                                    {conv, iram}));
+    const auto done = decomposeEach(jobs, opt.jobs);
+    for (std::size_t j = 0; j < jobs.size(); ++j) {
+        const char *const name = names[j];
+        report.addRefs(done[j].streamOps);
+        const std::vector<DecompositionResult> &results =
+            done[j].results;
         const DecompositionResult &rc = results[0];
 
         TextTable t;

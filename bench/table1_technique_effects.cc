@@ -57,10 +57,6 @@ main(int argc, char **argv)
                              opt);
     report.manifest().workload = "Su2cor";
 
-    const InstrStream stream =
-        buildDecomposeStream("Su2cor", scale, WorkloadParams{}.seed);
-    report.addRefs(stream.size());
-
     // Every distinct machine runs once; each row compares two of them.
     enum Machine { A, B, C, D, E, FastClock, WideIssue, Packaging, OnChip };
     std::vector<ExperimentConfig> machines;
@@ -88,7 +84,11 @@ main(int argc, char **argv)
     mem.mem.l2Size *= 4;
     machines.push_back(mem);
 
-    const auto results = decomposeEach(stream, machines, opt.jobs);
+    const JobDecompositions done = decomposeEach(
+        {decomposeJob("Su2cor", scale, WorkloadParams{}.seed, machines)},
+        opt.jobs)[0];
+    report.addRefs(done.streamOps);
+    const std::vector<DecompositionResult> &results = done.results;
 
     TextTable t;
     t.header({"technique", "f_P", "f_L", "f_B", "paper f_B"});

@@ -42,19 +42,20 @@ main(int argc, char **argv)
     TextTable t;
     t.header({"benchmark", "A: f_L%", "A: f_B%", "F: f_L%",
               "F: f_B%", "F: f_B>f_L"});
-    unsigned bw_dominant = 0;
-    for (const Row &row : rows) {
-        const InstrStream stream =
-            buildDecomposeStream(row.name, scale, WorkloadParams{}.seed);
-        report.addRefs(stream.size());
+    std::vector<DecomposeJob> jobs;
+    for (const Row &row : rows)
+        jobs.push_back(decomposeJob(row.name, scale,
+                                    WorkloadParams{}.seed,
+                                    {makeExperiment('A', row.spec95),
+                                     makeExperiment('F', row.spec95)}));
+    const auto done = decomposeEach(jobs, opt.jobs);
 
-        const auto results = decomposeEach(
-            stream,
-            {makeExperiment('A', row.spec95),
-             makeExperiment('F', row.spec95)},
-            opt.jobs);
-        const DecompositionResult &a = results[0];
-        const DecompositionResult &f = results[1];
+    unsigned bw_dominant = 0;
+    for (std::size_t j = 0; j < jobs.size(); ++j) {
+        const Row &row = rows[j];
+        report.addRefs(done[j].streamOps);
+        const DecompositionResult &a = done[j].results[0];
+        const DecompositionResult &f = done[j].results[1];
         const bool dominated = f.split.fB() > f.split.fL();
         bw_dominant += dominated;
         t.row({row.name, fixed(a.split.fL() * 100, 1),

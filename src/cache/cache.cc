@@ -416,7 +416,8 @@ Cache::spanError() const
 AccessResult
 Cache::access(const MemRef &ref)
 {
-    checkRef(ref);
+    if (blockAddr(ref.addr) != blockAddr(ref.addr + ref.size - 1))
+        spanError();
 
     AccessResult result;
     const Addr block = blockAddr(ref.addr);

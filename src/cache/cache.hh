@@ -123,21 +123,10 @@ class Cache
 
     /**
      * Simulate one reference.  @p ref must not span a block boundary
-     * of this cache.
+     * of this cache (FatalError "NAME: reference spans a block
+     * boundary").
      */
     AccessResult access(const MemRef &ref);
-
-    /**
-     * The input check access() makes first, alone: throw FatalError
-     * if @p ref spans a block boundary of this cache.  For callers
-     * that model every access as a hit without simulating it.
-     */
-    void
-    checkRef(const MemRef &ref) const
-    {
-        if (blockAddr(ref.addr) != blockAddr(ref.addr + ref.size - 1))
-            spanError();
-    }
 
     /**
      * Write back all dirty data and invalidate (program completion;

@@ -120,13 +120,19 @@ InFlightTable::rehash(std::size_t slots)
 
 MemorySystem::MemorySystem(const MemSysConfig &config)
     : config_(config),
-      l1_(std::make_unique<Cache>(l1Config(config))),
-      l2_(std::make_unique<Cache>(l2Config(config))),
       l1l2Bus_(config.l1l2BusBytes, config.busRatio,
                config.mode != MemMode::Full),
       memBus_(config.memBusBytes, config.busRatio,
               config.mode != MemMode::Full)
 {
+    if (config.mode == MemMode::Perfect) {
+        // Every access hits: no cache is built, but a geometry that
+        // would not build still fails here.
+        validate(config);
+        return;
+    }
+    l1_ = std::make_unique<Cache>(l1Config(config));
+    l2_ = std::make_unique<Cache>(l2Config(config));
     // L2's misses and write-backs go to main memory: accumulate the
     // byte counts so the enclosing L1 event can be costed.
     l2_->setBelow(&MemorySystem::memFetch,
@@ -204,6 +210,23 @@ MemorySystem::l1Writeback(void *ctx, Addr addr, Bytes bytes)
 }
 
 MemorySystem::~MemorySystem() = default;
+
+const CacheStats &
+MemorySystem::noCacheStats()
+{
+    static const CacheStats zero{};
+    return zero;
+}
+
+void
+MemorySystem::checkPerfectRef(Addr addr, Bytes size, bool ifetch) const
+{
+    // Cache::access's span test and message, without the cache.
+    const Addr block = ~(static_cast<Addr>(config_.l1Block) - 1);
+    if ((addr & block) != ((addr + size - 1) & block))
+        fatal(std::string(ifetch && config_.splitL1 ? "IL1" : "L1") +
+              ": reference spans a block boundary");
+}
 
 AccessResult
 MemorySystem::functionalAccess(Cache &cache, const MemRef &ref)
@@ -351,7 +374,7 @@ MemorySystem::load(Addr addr, Bytes size, Cycle when)
 {
     stats_.loads++;
     if (config_.mode == MemMode::Perfect) {
-        l1_->checkRef(MemRef{addr, size, RefKind::Load});
+        checkPerfectRef(addr, size, false);
         return when + 1;
     }
     const AccessResult result =
@@ -420,11 +443,11 @@ Cycle
 MemorySystem::ifetch(Addr addr, Bytes bytes, Cycle when)
 {
     stats_.ifetches++;
-    Cache &icache = il1_ ? *il1_ : *l1_;
     if (config_.mode == MemMode::Perfect) {
-        icache.checkRef(MemRef{addr, bytes, RefKind::Load});
+        checkPerfectRef(addr, bytes, true);
         return when;
     }
+    Cache &icache = il1_ ? *il1_ : *l1_;
     const AccessResult result = functionalAccess(
         icache, MemRef{addr, bytes, RefKind::Load});
 
@@ -471,7 +494,7 @@ MemorySystem::store(Addr addr, Bytes size, Cycle when)
 {
     stats_.stores++;
     if (config_.mode == MemMode::Perfect) {
-        l1_->checkRef(MemRef{addr, size, RefKind::Store});
+        checkPerfectRef(addr, size, false);
         return;
     }
     functionalAccess(*l1_, MemRef{addr, size, RefKind::Store});
@@ -485,7 +508,7 @@ MemorySystem::wrongPathLoad(Addr addr, Cycle when)
 {
     stats_.wrongPathLoads++;
     if (config_.mode == MemMode::Perfect) {
-        l1_->checkRef(MemRef{addr, wordBytes, RefKind::Load});
+        checkPerfectRef(addr, wordBytes, false);
         return;
     }
     functionalAccess(*l1_, MemRef{addr, wordBytes, RefKind::Load});

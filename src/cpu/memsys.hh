@@ -9,9 +9,9 @@
  *  - Full: finite bus widths, clock ratios, and queueing (measures T).
  *
  * Perfect mode simulates no caches: every access hits, so it only
- * counts the reference and checks that it fits in one L1 block.
- * The caches are still built and read zero.  In the other two modes
- * the functional cache state (hits, evictions, prefetches) is
+ * counts the reference and checks that it fits in one L1 block.  It
+ * builds no caches, and its cache stats read zero.  In the other two
+ * modes the functional cache state (hits, evictions, prefetches) is
  * identical, because the access sequence does not depend on timing;
  * only the timing differs, which is exactly what the paper's
  * decomposition requires.
@@ -195,14 +195,26 @@ class MemorySystem
     void wrongPathLoad(Addr addr, Cycle when);
 
     MemSysStats stats() const;
-    const CacheStats &l1Stats() const { return l1_->stats(); }
-    const CacheStats &l2Stats() const { return l2_->stats(); }
+
+    /** Cache stats; zero in Perfect mode, which builds no caches. */
+    const CacheStats &
+    l1Stats() const
+    {
+        return l1_ ? l1_->stats() : noCacheStats();
+    }
+    const CacheStats &
+    l2Stats() const
+    {
+        return l2_ ? l2_->stats() : noCacheStats();
+    }
 
     /** Split-L1 instruction cache stats; null when unified. */
     const CacheStats *
     il1Stats() const
     {
-        return il1_ ? &il1_->stats() : nullptr;
+        if (!config_.splitL1)
+            return nullptr;
+        return il1_ ? &il1_->stats() : &noCacheStats();
     }
 
     /**
@@ -214,8 +226,10 @@ class MemorySystem
     void
     attachProbe(MemProbe *probe)
     {
-        l1_->setProbe(probe, 0);
-        l2_->setProbe(probe, 1);
+        if (l1_)
+            l1_->setProbe(probe, 0);
+        if (l2_)
+            l2_->setProbe(probe, 1);
         if (il1_)
             il1_->setProbe(probe, 2);
         if (dram_)
@@ -244,6 +258,14 @@ class MemorySystem
         Cycle dataReady = 0;
         Cycle freeAt = 0;
     };
+
+    /** Stats of a cache Perfect mode does not build. */
+    static const CacheStats &noCacheStats();
+
+    /** Perfect mode's block-span check: the fatal() message
+     * Cache::access gives for the L1, or the IL1 when @p ifetch and
+     * the L1 is split. */
+    void checkPerfectRef(Addr addr, Bytes size, bool ifetch) const;
 
     /** Run the functional access, capturing this access's events. */
     AccessResult functionalAccess(Cache &cache, const MemRef &ref);
@@ -276,9 +298,9 @@ class MemorySystem
     DramAccess dramService(Addr addr, Bytes bytes, Cycle ready);
 
     MemSysConfig config_;
-    std::unique_ptr<Cache> l1_;
-    std::unique_ptr<Cache> il1_; ///< null when the L1 is unified
-    std::unique_ptr<Cache> l2_;
+    std::unique_ptr<Cache> l1_;  ///< null in Perfect mode
+    std::unique_ptr<Cache> il1_; ///< null when unified or Perfect
+    std::unique_ptr<Cache> l2_;  ///< null in Perfect mode
     std::unique_ptr<DramModel> dram_; ///< null = flat-latency model
     Bus l1l2Bus_;
     Bus memBus_;

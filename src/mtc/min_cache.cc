@@ -321,12 +321,21 @@ MinCacheSim::accessOne(const MemRef &ref, Tick nu)
 void
 MinCacheSim::step(std::size_t n)
 {
-    MEMBW_SPAN("mtc.step");
     const std::size_t end =
         cursor_ + std::min(n, trace_.size() - cursor_);
     const std::vector<Tick> &nextUse = *nextUse_;
-    for (; cursor_ < end; ++cursor_)
-        accessOne(trace_[cursor_], nextUse[cursor_]);
+    auto advance = [&] {
+        for (; cursor_ < end; ++cursor_)
+            accessOne(trace_[cursor_], nextUse[cursor_]);
+    };
+    // Trace only the slices that cross a counter stride or finish
+    // the trace, so small slices cannot flood the thread's ring.
+    if (!crossesCounterStride(cursor_, end) && end != trace_.size()) {
+        advance();
+        return;
+    }
+    MEMBW_SPAN("mtc.step");
+    advance();
     tracingCounter("mtc.victim_scan_pops",
                    static_cast<double>(victimScanPops_));
 }

@@ -11,10 +11,10 @@
  * bytes.
  *
  * Serial execution is a correctness choice, not a simplification:
- * each sweep already fans across the shared ThreadPool internally
- * (parallelSweep submits drain-tasks and wait()s), so the pool must
- * be otherwise idle per sweep — the dispatcher is what serializes
- * sweeps onto it.
+ * each sweep, and each decomposition's three phases, already fan
+ * across the shared ThreadPool internally (parallelSweep submits
+ * drain-tasks and wait()s), so the pool must be otherwise idle per
+ * request — the dispatcher is what serializes requests onto it.
  *
  * Shutdown contract: drainAndStop() stops admitting, finishes every
  * already-admitted job, and joins the dispatcher — so SIGTERM drains

@@ -1,5 +1,10 @@
 #include "serve/decompose_service.hh"
 
+#include <algorithm>
+#include <condition_variable>
+#include <exception>
+#include <mutex>
+
 #include "common/log.hh"
 #include "dram/dram.hh"
 #include "obs/epoch_profiler.hh"
@@ -82,24 +87,234 @@ decomposeRequestKey(const DecomposeRequest &req)
     return key;
 }
 
-SweepResult<CoreResult>
-decomposeCells(const InstrStream &stream,
-               const std::vector<ExperimentConfig> &configs,
+namespace {
+
+/**
+ * The streams of one decomposeCells() call.  A stream is built when
+ * a cell first needs it, or ahead of need by a worker whose own
+ * stream another worker is still building; it is dropped after its
+ * job's last cell.  Builds ahead of need keep at most maxAlive
+ * streams alive.
+ */
+class StreamSlots
+{
+  public:
+    StreamSlots(const std::vector<DecomposeJob> &jobs,
+                const std::vector<std::size_t> &first,
+                std::size_t maxAlive)
+        : jobs_(jobs), slots_(jobs.size()), maxAlive_(maxAlive)
+    {
+        for (std::size_t j = 0; j < jobs.size(); ++j) {
+            slots_[j].cellsLeft = first[j + 1] - first[j];
+            if (!slots_[j].cellsLeft)
+                slots_[j].state = State::Freed; // never needed
+        }
+    }
+
+    /** Job @p job's stream, built by this thread if nobody has. */
+    std::shared_ptr<const InstrStream>
+    acquire(std::size_t job)
+    {
+        std::unique_lock lock(mutex_);
+        for (;;) {
+            Slot &slot = slots_[job];
+            switch (slot.state) {
+              case State::Ready:
+                return slot.stream;
+              case State::Failed:
+                std::rethrow_exception(slot.error);
+              case State::Idle:
+                build(lock, job);
+                break;
+              case State::Building:
+                if (!buildAhead(lock))
+                    built_.wait(lock);
+                break;
+              case State::Freed:
+                panic("decomposeCells: stream used after its last "
+                      "cell");
+            }
+        }
+    }
+
+    /** One cell of @p job has finished and dropped its stream. */
+    void
+    release(std::size_t job)
+    {
+        // Declared before the lock, so the last reference drops
+        // after the unlock: no cell waits for the free.
+        std::shared_ptr<const InstrStream> last;
+        std::lock_guard lock(mutex_);
+        Slot &slot = slots_[job];
+        if (--slot.cellsLeft)
+            return;
+        if (slot.state == State::Ready) {
+            last = std::move(slot.stream);
+            setAlive(alive_ - 1);
+        }
+        // A stream still building is dropped with the call.
+        if (slot.state != State::Building)
+            slot.state = State::Freed;
+    }
+
+    std::vector<std::size_t>
+    streamOps() const
+    {
+        std::vector<std::size_t> ops;
+        for (const Slot &slot : slots_)
+            ops.push_back(slot.ops);
+        return ops;
+    }
+
+  private:
+    enum class State : std::uint8_t
+    {
+        Idle,
+        Building,
+        Ready,
+        Failed,
+        Freed
+    };
+
+    struct Slot
+    {
+        State state = State::Idle;
+        std::shared_ptr<const InstrStream> stream;
+        std::exception_ptr error;
+        std::size_t cellsLeft = 0;
+        std::size_t ops = 0;
+    };
+
+    /** Build @p job's stream outside the lock. */
+    void
+    build(std::unique_lock<std::mutex> &lock, std::size_t job)
+    {
+        slots_[job].state = State::Building;
+        setAlive(alive_ + 1);
+        lock.unlock();
+        std::shared_ptr<const InstrStream> stream;
+        std::exception_ptr error;
+        try {
+            stream = jobs_[job].stream();
+        } catch (...) {
+            error = std::current_exception();
+        }
+        lock.lock();
+        Slot &slot = slots_[job];
+        if (error) {
+            slot.state = State::Failed;
+            slot.error = error;
+            setAlive(alive_ - 1);
+        } else {
+            slot.state = State::Ready;
+            slot.ops = stream->size();
+            slot.stream = std::move(stream);
+        }
+        built_.notify_all();
+    }
+
+    void
+    setAlive(std::size_t alive)
+    {
+        alive_ = alive;
+        tracingCounter("decompose.streams_alive",
+                       static_cast<double>(alive));
+    }
+
+    /** Build the next unstarted job's stream if the cap allows. */
+    bool
+    buildAhead(std::unique_lock<std::mutex> &lock)
+    {
+        while (nextIdle_ < slots_.size() &&
+               slots_[nextIdle_].state != State::Idle)
+            ++nextIdle_;
+        if (nextIdle_ == slots_.size() || alive_ >= maxAlive_)
+            return false;
+        build(lock, nextIdle_);
+        return true;
+    }
+
+    const std::vector<DecomposeJob> &jobs_;
+    std::mutex mutex_;
+    std::condition_variable built_;
+    std::vector<Slot> slots_;
+    std::size_t alive_ = 0;    ///< streams building or ready
+    std::size_t nextIdle_ = 0; ///< no unstarted job lies before it
+    const std::size_t maxAlive_;
+};
+
+} // namespace
+
+DecomposeJob
+decomposeJob(const std::string &workload, double scale,
+             std::uint64_t seed, std::vector<ExperimentConfig> configs)
+{
+    return {[workload, scale, seed] {
+                return std::make_shared<const InstrStream>(
+                    buildDecomposeStream(workload, scale, seed));
+            },
+            std::move(configs)};
+}
+
+DecomposeJob
+decomposeJob(const InstrStream &stream,
+             std::vector<ExperimentConfig> configs)
+{
+    return {[&stream] {
+                // Non-owning: the caller keeps the stream alive.
+                return std::shared_ptr<const InstrStream>(
+                    std::shared_ptr<const InstrStream>(), &stream);
+            },
+            std::move(configs)};
+}
+
+DecomposeSweep
+decomposeCells(const std::vector<DecomposeJob> &jobs,
                const SweepOptions &opt)
 {
-    return parallelSweep(
-        configs.size() * decompositionPhases, opt,
-        [&](std::size_t i) {
-            MEMBW_SPAN_D("cell", decomposeCellLabel(configs, i));
+    // first[j]: index of job j's first cell.
+    std::vector<std::size_t> first(jobs.size() + 1, 0);
+    for (std::size_t j = 0; j < jobs.size(); ++j)
+        first[j + 1] =
+            first[j] + jobs[j].configs.size() * decompositionPhases;
+    const unsigned workers = opt.pool ? opt.pool->threads() : opt.jobs;
+    StreamSlots streams(jobs, first, std::size_t{workers} + 1);
+
+    DecomposeSweep out;
+    static_cast<SweepResult<CoreResult> &>(out) = parallelSweep(
+        first.back(), opt, [&](std::size_t i) {
+            const std::size_t job = static_cast<std::size_t>(
+                std::upper_bound(first.begin(), first.end(), i) -
+                first.begin() - 1);
+            const std::size_t cell = i - first[job];
+            const std::vector<ExperimentConfig> &configs =
+                jobs[job].configs;
+            MEMBW_SPAN_D("cell", decomposeCellLabel(configs, cell));
+            std::shared_ptr<const InstrStream> stream;
+            // Counts the cell done on every exit, failures included.
+            struct Release
+            {
+                StreamSlots &streams;
+                std::size_t job;
+                std::shared_ptr<const InstrStream> &stream;
+                ~Release()
+                {
+                    stream.reset();
+                    streams.release(job);
+                }
+            } release{streams, job, stream};
             // Keyed by index, like executeSweep's cells, so
             // 'cell:at=N' hits cell N-1 at any --jobs value.
             if (MEMBW_FAULT_POINT_AT("cell", i))
                 fatal("injected cell fault (cell " +
                       std::to_string(i) + ")");
-            return runPhase(stream, configs[i / decompositionPhases],
+            stream = streams.acquire(job);
+            return runPhase(*stream, configs[cell / decompositionPhases],
                             static_cast<unsigned>(
-                                i % decompositionPhases));
+                                cell % decompositionPhases));
         });
+    out.streamOps = streams.streamOps();
+    return out;
 }
 
 std::string
@@ -111,31 +326,36 @@ decomposeCellLabel(const std::vector<ExperimentConfig> &configs,
            phaseName(static_cast<unsigned>(cell % decompositionPhases));
 }
 
-std::vector<DecompositionResult>
-decomposeEach(const InstrStream &stream,
-              const std::vector<ExperimentConfig> &configs,
-              unsigned jobs)
+std::vector<JobDecompositions>
+decomposeEach(const std::vector<DecomposeJob> &jobs, unsigned workers)
 {
     SweepOptions opt;
-    opt.jobs = jobs;
-    const std::vector<CoreResult> cells =
-        decomposeCells(stream, configs, opt).cells;
-    std::vector<DecompositionResult> out;
-    out.reserve(configs.size());
-    for (std::size_t e = 0; e < configs.size(); ++e)
-        out.push_back(assembleDecomposition(
-            cells[e * decompositionPhases],
-            cells[e * decompositionPhases + 1],
-            cells[e * decompositionPhases + 2]));
+    opt.jobs = workers;
+    const DecomposeSweep sweep = decomposeCells(jobs, opt);
+    std::vector<JobDecompositions> out(jobs.size());
+    const CoreResult *cell = sweep.cells.data();
+    for (std::size_t j = 0; j < jobs.size(); ++j) {
+        out[j].streamOps = sweep.streamOps[j];
+        for (std::size_t e = 0; e < jobs[j].configs.size(); ++e) {
+            out[j].results.push_back(
+                assembleDecomposition(cell[0], cell[1], cell[2]));
+            cell += decompositionPhases;
+        }
+    }
     return out;
 }
 
 DecompositionResult
-executeDecompose(const DecomposeRequest &req, const InstrStream &stream)
+executeDecompose(const DecomposeRequest &req, const InstrStream &stream,
+                 ThreadPool *pool)
 {
     ExperimentConfig cfg = decomposeConfig(req);
     cfg.core.watchdogCycles = req.watchdogCycles;
-    return decomposeEach(stream, {cfg}, 1).front();
+    SweepOptions opt;
+    opt.pool = pool;
+    const std::vector<CoreResult> cells =
+        decomposeCells({decomposeJob(stream, {cfg})}, opt).cells;
+    return assembleDecomposition(cells[0], cells[1], cells[2]);
 }
 
 std::string

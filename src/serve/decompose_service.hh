@@ -15,6 +15,8 @@
 #define MEMBW_SERVE_DECOMPOSE_SERVICE_HH
 
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -63,39 +65,81 @@ InstrStream buildDecomposeStream(const std::string &workload,
 std::string decomposeRequestKey(const DecomposeRequest &req);
 
 /**
- * The Section 3.1 decomposition of every machine in @p configs over
- * @p stream, as 3·N independent phase cells fanned out by
- * parallelSweep(): cell i is phase i % 3 of configs[i / 3], and the
- * cells come back in that order at any opt.jobs.  Each cell records
- * a "cell" span and is the 'cell:at=N' fault site for N = i + 1.
- * The watchdog budget and progress hook travel in each config's
- * core; cancellation and degraded mode in @p opt.
+ * One workload's share of a decomposeCells() call: the machines to
+ * decompose and the builder of the stream they run on.  The builder
+ * runs once, on whichever worker first needs the stream (or builds
+ * it ahead); it must not wait on the call's other cells.
  */
-SweepResult<CoreResult>
-decomposeCells(const InstrStream &stream,
-               const std::vector<ExperimentConfig> &configs,
-               const SweepOptions &opt);
+struct DecomposeJob
+{
+    std::function<std::shared_ptr<const InstrStream>()> stream;
+    std::vector<ExperimentConfig> configs;
+};
 
-/** Label of decomposeCells() cell @p cell ("exp=F phase=full"). */
+/** A job whose stream buildDecomposeStream() builds. */
+DecomposeJob decomposeJob(const std::string &workload, double scale,
+                          std::uint64_t seed,
+                          std::vector<ExperimentConfig> configs);
+
+/** A job over @p stream, which the caller keeps alive for the
+ * call. */
+DecomposeJob decomposeJob(const InstrStream &stream,
+                          std::vector<ExperimentConfig> configs);
+
+/** decomposeCells() outcome: the sweep over every job's cells, and
+ * the length of each job's stream (0 if it was never built). */
+struct DecomposeSweep : SweepResult<CoreResult>
+{
+    std::vector<std::size_t> streamOps;
+};
+
+/**
+ * The Section 3.1 decomposition of every machine of every job, as
+ * independent phase cells fanned out by one parallelSweep() (on
+ * opt.pool when set).  Job j's cells follow job j-1's; within a job,
+ * cell i is phase i % 3 of configs[i / 3].  Cells come back in that
+ * order at any opt.jobs.  Each cell records a "cell" span and is the
+ * 'cell:at=N' fault site for N = its index + 1.  The watchdog budget
+ * and progress hook travel in each config's core; cancellation and
+ * degraded mode in @p opt.
+ *
+ * There is no barrier between jobs.  The first cell of a job builds
+ * its stream on its worker; a cell whose stream another worker is
+ * building builds a later job's stream meanwhile, while fewer than
+ * workers + 1 streams are alive, and otherwise blocks.  A stream is
+ * freed after its job's last cell.
+ */
+DecomposeSweep decomposeCells(const std::vector<DecomposeJob> &jobs,
+                              const SweepOptions &opt);
+
+/** Label of cell @p cell of a job over @p configs
+ * ("exp=F phase=full"). */
 std::string decomposeCellLabel(const std::vector<ExperimentConfig> &configs,
                                std::size_t cell);
 
-/**
- * decomposeCells() across @p jobs workers, failures propagating,
- * assembled into one DecompositionResult per config.
- */
-std::vector<DecompositionResult>
-decomposeEach(const InstrStream &stream,
-              const std::vector<ExperimentConfig> &configs,
-              unsigned jobs);
+/** One job's decompositions, one per config. */
+struct JobDecompositions
+{
+    std::size_t streamOps = 0;
+    std::vector<DecompositionResult> results;
+};
 
 /**
- * The decomposition for @p req: its one machine at jobs 1, inline on
- * the calling thread, with req.watchdogCycles as each phase's
- * watchdog budget.
+ * decomposeCells() across @p workers, failures propagating,
+ * assembled per job in request order.
+ */
+std::vector<JobDecompositions>
+decomposeEach(const std::vector<DecomposeJob> &jobs, unsigned workers);
+
+/**
+ * The decomposition for @p req: its one machine, with
+ * req.watchdogCycles as each phase's watchdog budget.  The three
+ * phases run on @p pool, which must be otherwise idle for the call;
+ * without one they run inline on the calling thread.
  */
 DecompositionResult executeDecompose(const DecomposeRequest &req,
-                                     const InstrStream &stream);
+                                     const InstrStream &stream,
+                                     ThreadPool *pool = nullptr);
 
 /**
  * The stats-JSON document for a completed decomposition —

@@ -412,7 +412,10 @@ ServeServer::computeDecompose(const DecomposeRequest &req,
     });
 
     WallTimer timer;
-    DecompositionResult r = executeDecompose(req, *stream);
+    // The dispatcher runs one request at a time, so the pool is
+    // idle: the three phases run on it, as a sweep's cells do.
+    DecompositionResult r =
+        executeDecompose(req, *stream, pool_ ? &*pool_ : nullptr);
     const std::string body = renderDecomposeStatsJson(
         req, stream->size(), r, timer.seconds());
     results_.put(digest, key, CachedResult{body, exitOk});

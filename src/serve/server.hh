@@ -10,8 +10,9 @@
  *
  *   parse line → result-cache probe (warm path: one lookup, one
  *   write) → RequestBroker::submit (admission control + coalescing)
- *   → compute on the dispatcher thread via the shared services
- *   (executeSweep / executeDecompose with artifact-cache providers)
+ *   → compute from the dispatcher thread via the shared services
+ *   (executeSweep / executeDecompose with artifact-cache providers),
+ *   which fan the request's cells across the shared pool
  *   → cache + respond.
  *
  * Shutdown contract (exit-code contract of docs/resilience.md):

@@ -272,6 +272,53 @@ TEST(MemorySystem, PerfectModeKeepsTheBlockSpanCheck)
     }
 }
 
+TEST(MemorySystem, PerfectModeBuildsNoCaches)
+{
+    // With no cache built, the span check names the cache that would
+    // have taken the reference, unified L1 or split, and the cache
+    // stats read zero, with an IL1 exactly when the L1 is split.
+    for (bool split : {false, true}) {
+        SCOPED_TRACE(split ? "split L1" : "unified L1");
+        MemSysConfig cfg = testMem(MemMode::Perfect);
+        cfg.splitL1 = split;
+        MemorySystem mem(cfg);
+        MemProbe probe;
+        mem.attachProbe(&probe);
+        auto message = [&mem](auto access) {
+            try {
+                access(mem);
+            } catch (const FatalError &e) {
+                return std::string(e.what());
+            }
+            return std::string("no FatalError");
+        };
+        const std::string l1 =
+            "fatal: L1: reference spans a block boundary";
+        EXPECT_EQ(message([](MemorySystem &m) { m.load(0x1e, 4, 0); }),
+                  l1);
+        EXPECT_EQ(message([](MemorySystem &m) { m.store(0x3e, 4, 0); }),
+                  l1);
+        EXPECT_EQ(message([](MemorySystem &m) {
+                      m.wrongPathLoad(0x5e, 0);
+                  }),
+                  l1);
+        EXPECT_EQ(message([](MemorySystem &m) {
+                      m.ifetch(0x10, 32, 0);
+                  }),
+                  split ? "fatal: IL1: reference spans a block boundary"
+                        : l1);
+        mem.load(0x40, 4, 0);
+        mem.attachProbe(nullptr);
+        EXPECT_EQ(mem.stats().loads, 2u);
+        EXPECT_EQ(mem.l1Stats().accesses, 0u);
+        EXPECT_EQ(mem.l2Stats().accesses, 0u);
+        ASSERT_EQ(mem.il1Stats() != nullptr, split);
+        if (split) {
+            EXPECT_EQ(mem.il1Stats()->accesses, 0u);
+        }
+    }
+}
+
 InstrStream
 streamFromWorkload(double scale)
 {

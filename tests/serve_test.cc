@@ -12,6 +12,8 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -23,11 +25,15 @@
 #include "cpu/core.hh"
 #include "dram/dram.hh"
 #include "resilience/checkpoint.hh"
+#include "resilience/exit_codes.hh"
+#include "resilience/fault_injection.hh"
 #include "serve/artifact_cache.hh"
 #include "serve/broker.hh"
+#include "serve/client.hh"
 #include "serve/decompose_service.hh"
 #include "serve/protocol.hh"
 #include "serve/result_cache.hh"
+#include "serve/server.hh"
 #include "serve/sweep_service.hh"
 
 using namespace membw;
@@ -411,11 +417,12 @@ TEST(DecomposeCells, ParallelCellsMatchSerialReference)
 
     SweepOptions opt;
     opt.jobs = 4;
-    const SweepResult<CoreResult> cells =
-        decomposeCells(stream, configs, opt);
+    const DecomposeSweep cells =
+        decomposeCells({decomposeJob(stream, configs)}, opt);
     ASSERT_EQ(cells.completed, configs.size() * decompositionPhases);
+    ASSERT_EQ(cells.streamOps, std::vector<std::size_t>{stream.size()});
     const std::vector<DecompositionResult> each =
-        decomposeEach(stream, configs, 4);
+        decomposeEach({decomposeJob(stream, configs)}, 4)[0].results;
     ASSERT_EQ(each.size(), configs.size());
 
     for (std::size_t e = 0; e < configs.size(); ++e) {
@@ -436,4 +443,122 @@ TEST(DecomposeCells, ParallelCellsMatchSerialReference)
                       coreResultBytes(*want[phase]));
         }
     }
+}
+
+TEST(DecomposeCells, JobsMatchReferenceInOrderAndFreeTheirStreams)
+{
+    // Two workloads, experiments {A, F}: four decompositions whose
+    // cells must come back job after job, each equal to the live
+    // serial reference, at one worker and at four.
+    const char *const names[] = {"Swm", "Compress"};
+    const std::vector<ExperimentConfig> configs = {
+        makeExperiment('A', false), makeExperiment('F', false)};
+    std::vector<DecompositionResult> want;
+    for (const char *name : names) {
+        const InstrStream stream = buildDecomposeStream(name, 0.02, 42);
+        for (const ExperimentConfig &cfg : configs)
+            want.push_back(runDecomposition(stream, cfg));
+    }
+
+    for (unsigned workers : {1u, 4u}) {
+        SCOPED_TRACE("workers " + std::to_string(workers));
+        std::mutex mutex;
+        std::vector<std::weak_ptr<const InstrStream>> built(2);
+        // What each build saw of the streams built before it.
+        std::vector<bool> earlierAlive(2, false);
+        std::vector<DecomposeJob> jobs;
+        for (std::size_t j = 0; j < 2; ++j) {
+            jobs.push_back({[&, j] {
+                                auto stream =
+                                    std::make_shared<const InstrStream>(
+                                        buildDecomposeStream(names[j],
+                                                             0.02, 42));
+                                std::lock_guard lock(mutex);
+                                earlierAlive[j] =
+                                    j > 0 && !built[j - 1].expired();
+                                built[j] = stream;
+                                return stream;
+                            },
+                            configs});
+        }
+        SweepOptions opt;
+        opt.jobs = workers;
+        const DecomposeSweep sweep = decomposeCells(jobs, opt);
+        ASSERT_EQ(sweep.completed, 2 * configs.size() *
+                                       decompositionPhases);
+        for (std::size_t d = 0; d < want.size(); ++d) {
+            SCOPED_TRACE(std::string(names[d / 2]) + " exp=" +
+                         configs[d % 2].letter);
+            const CoreResult *ref[] = {&want[d].perfect,
+                                       &want[d].infinite,
+                                       &want[d].full};
+            for (unsigned p = 0; p < decompositionPhases; ++p)
+                EXPECT_EQ(coreResultBytes(
+                              sweep.cells[d * decompositionPhases + p]),
+                          coreResultBytes(*ref[p]));
+        }
+        for (std::size_t j = 0; j < 2; ++j) {
+            EXPECT_GT(sweep.streamOps[j], 0u);
+            // Freed after the job's last cell, before the call
+            // returns.
+            EXPECT_TRUE(built[j].expired());
+        }
+        // One worker runs job 0's cells before job 1's first cell
+        // builds its stream, so job 0's stream is gone by then.
+        if (workers == 1) {
+            EXPECT_FALSE(earlierAlive[1]);
+        }
+    }
+}
+
+TEST(DecomposeCells, SingleJobCellsKeepTheirFaultIndices)
+{
+    const InstrStream stream = buildDecomposeStream("Swm", 0.02, 42);
+    const std::vector<ExperimentConfig> configs = {
+        makeExperiment('A', false), makeExperiment('F', false)};
+    // 'cell:at=5' fails cell 4: phase 1 of the second machine.
+    ASSERT_TRUE(armFaultPlan("cell:at=5").ok());
+    SweepOptions opt;
+    opt.jobs = 4;
+    opt.tolerateCellFailures = true;
+    const DecomposeSweep sweep =
+        decomposeCells({decomposeJob(stream, configs)}, opt);
+    disarmFaultPlan();
+    ASSERT_EQ(sweep.failedCells.size(), 1u);
+    EXPECT_EQ(sweep.failedCells[0].cell, 4u);
+    EXPECT_EQ(decomposeCellLabel(configs, 4),
+              "exp=F phase=infinite-width");
+}
+
+TEST(ServeServer, DecomposeWatchdogErrorSameAtAnyJobs)
+{
+    // Budget 60 passes Swm's perfect phase under experiment F and
+    // trips both later phases.  In turn (--jobs 1) the infinite-width
+    // trip ends the request; on the pool (--jobs 4) both trips happen
+    // and the lower cell's must still be the one reported.
+    const std::string request =
+        "{\"op\":\"decompose\",\"workload\":\"Swm\","
+        "\"experiment\":\"F\",\"scale\":0.02,\"watchdog\":60}";
+    std::vector<std::string> envelopes;
+    for (unsigned jobs : {1u, 4u}) {
+        SCOPED_TRACE("jobs " + std::to_string(jobs));
+        const std::string dir = tempDir();
+        ServerOptions so;
+        so.socketPath = dir + "/s.sock";
+        so.jobs = jobs;
+        ServeServer server(so);
+        int exitCode = -1;
+        std::thread serving([&] { exitCode = server.run(); });
+        EXPECT_TRUE(waitForServer(so.socketPath, 10000));
+        envelopes.push_back(
+            serveRequestOnce(so.socketPath, request).value_or(""));
+        serveRequestOnce(so.socketPath, "{\"op\":\"shutdown\"}");
+        serving.join();
+        EXPECT_EQ(exitCode, exitOk);
+        ::rmdir(dir.c_str());
+    }
+    EXPECT_EQ(envelopes[0], envelopes[1]);
+    EXPECT_NE(envelopes[0].find("\"status\":\"error\""),
+              std::string::npos);
+    EXPECT_NE(envelopes[0].find("(budget 60)"), std::string::npos);
 }

@@ -111,6 +111,18 @@ expect_tracks single.json sim.refs sim.ckpt_age_refs sim.wd_slack \
     sim.phase
 expect_counter_row single.json sim.refs
 
+# --stats-every 4 cuts the MTC phase into ~35k slices; ungated, their
+# mtc.step spans and mtc.victim_scan_pops samples would wrap the main
+# thread's ring and overwrite the hierarchy phase's span and track.
+"$SIM" --workload Compress --scale 0.1 --size 8K --mtc \
+    --stats-every 4 --trace-out mtc.json > /dev/null 2>&1 ||
+    fail "traced finely sliced MTC run failed"
+expect_tracks mtc.json sim.phase mtc.victim_scan_pops
+"$REPORT" mtc.json > mtc.txt 2>&1 ||
+    fail "membw_report rejected mtc.json: $(cat mtc.txt)"
+grep -Eq "^ *phase.hierarchy +[0-9.]+ +[0-9.]+ +1 " mtc.txt ||
+    fail "mtc.json lost its phase.hierarchy span"
+
 # --stats-every 16 calls the progress hook ~45k times; ungated, its
 # counters alone would wrap the main thread's 32k-event ring.
 "$DECOMPOSE" --workload Compress --scale 0.05 --experiment F \

@@ -473,9 +473,10 @@ main(int argc, char **argv)
                                static_cast<double>(prefix));
             };
 
-            SweepResult<CoreResult> sweep;
+            DecomposeSweep sweep;
             try {
-                sweep = decomposeCells(stream, configs, sopt);
+                sweep = decomposeCells(
+                    {decomposeJob(stream, configs)}, sopt);
             } catch (const PhaseInterrupt &) {
                 emitLinef("\n%s received: aborted --experiment "
                           "all sweep",
