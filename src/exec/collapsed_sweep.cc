@@ -9,6 +9,7 @@
 #include "exec/fa_sweep.hh"
 #include "exec/ladder_sweep.hh"
 #include "exec/parallel_sweep.hh"
+#include "exec/thread_pool.hh"
 #include "exec/time_partition.hh"
 #include "obs/trace_span.hh"
 #include "trace/block_stream.hh"
@@ -37,6 +38,12 @@ struct Group
     bool mattson = false; ///< false = ladder kernel
     std::vector<std::size_t> indices;
     std::vector<CacheConfig> configs;
+
+    /** Set-range parts; empty = one fused pass. */
+    std::vector<LadderPart> parts;
+    std::shared_ptr<const BlockStream> stream; ///< decoded for parts
+    std::vector<CacheStats> partStats;
+    std::vector<TrafficResult> results; ///< empty = uncovered
 };
 
 /** Per-config half of the faLruCollapsible() guard; the trace half
@@ -55,7 +62,11 @@ faCandidate(const CacheConfig &cfg)
 CollapsedSweep::CollapsedSweep(const Trace &trace,
                                const std::vector<CacheConfig> &configs,
                                unsigned jobs)
-    : CollapsedSweep(trace, configs, CollapseOptions{jobs})
+    : CollapsedSweep(trace, configs, [jobs] {
+          CollapseOptions options;
+          options.jobs = jobs;
+          return options;
+      }())
 {
 }
 
@@ -65,7 +76,6 @@ CollapsedSweep::CollapsedSweep(const Trace &trace,
 {
     results_.resize(configs.size());
     routes_.assign(configs.size(), CellRoute::Direct);
-    const unsigned jobs = std::max(options.jobs, 1u);
 
     // Group candidate configs by (block size, engine).  std::map
     // keeps group order deterministic.
@@ -90,8 +100,6 @@ CollapsedSweep::CollapsedSweep(const Trace &trace,
     groups.reserve(grouped.size());
     for (auto &[key, g] : grouped)
         groups.push_back(std::move(g));
-    if (groups.empty())
-        return;
 
     auto makeStream =
         [&](Bytes blockBytes) -> std::shared_ptr<const BlockStream> {
@@ -110,82 +118,108 @@ CollapsedSweep::CollapsedSweep(const Trace &trace,
         return faLruSizeSweep(trace, g.configs);
     };
 
-    // With fewer groups than workers, fanning groups across the pool
-    // leaves workers idle — the single-big-config case at --jobs N is
-    // exactly one group.  There the ladder groups run sequentially
-    // through the set-partitioned kernel instead, which spreads ONE
-    // pass over every worker and stays byte-identical to the serial
-    // kernel (see time_partition.hh).
-    const bool partition = jobs > 1 && groups.size() < jobs;
+    // Plan the units.  Every Mattson group and the side unit take one
+    // worker each; the workers left over go to the ladder groups.  A
+    // ladder group with two or more of them runs as set-range parts
+    // (exact, see time_partition.hh), so a sweep of one big group
+    // still uses every worker; otherwise each group is one fused pass.
+    const unsigned workers = options.pool ? options.pool->threads()
+                                          : std::max(options.jobs, 1u);
+    const std::size_t nLadder = static_cast<std::size_t>(
+        std::count_if(groups.begin(), groups.end(),
+                      [](const Group &g) { return !g.mattson; }));
+    const std::size_t fixed =
+        groups.size() - nLadder + (options.sideUnit ? 1 : 0);
+    const std::size_t spare = workers > fixed ? workers - fixed : 0;
+    const unsigned share =
+        nLadder > 0 && spare > nLadder
+            ? static_cast<unsigned>((spare + nLadder - 1) / nLadder)
+            : 1;
 
-    std::vector<std::vector<TrafficResult>> passResults;
-    std::vector<char> partitioned(groups.size(), 0);
-    if (partition) {
-        passResults.resize(groups.size());
-        for (std::size_t gi = 0; gi < groups.size(); ++gi) {
-            const Group &g = groups[gi];
-            MEMBW_SPAN_D(
-                g.mattson ? "collapse.mattson_pass"
-                          : "collapse.partitioned_ladder_pass",
-                "block=" + std::to_string(g.blockBytes) +
-                    "B cells=" + std::to_string(g.configs.size()));
-            if (g.mattson) {
-                passResults[gi] = runMattson(g);
-                continue;
-            }
-            const auto stream = makeStream(g.blockBytes);
-            if (!ladderCollapsible(*stream, g.configs))
-                continue;
-            PartitionOptions popt;
-            popt.jobs = jobs;
-            auto res =
-                partitionedLadderSweep(*stream, g.configs, popt);
-            if (res) {
-                passResults[gi] = std::move(*res);
-                partitioned[gi] = 1;
-            }
+    /** One unit: the side unit, a whole group, or one part of one. */
+    struct Unit
+    {
+        std::size_t group = 0;
+        std::size_t part = 0;
+        bool side = false;
+    };
+    std::vector<Unit> units;
+    if (options.sideUnit)
+        units.push_back(Unit{0, 0, true});
+    for (std::size_t gi = 0; gi < groups.size(); ++gi) {
+        Group &g = groups[gi];
+        if (g.mattson || share == 1) {
+            units.push_back(Unit{gi, 0, false});
+            continue;
         }
-    } else {
-        // One pass per group, fanned across the sweep workers.  A
-        // group whose guard fails at run time (e.g. an FA group over
-        // a trace with stores) simply stays uncovered.
-        SweepOptions sopt;
-        sopt.jobs = jobs;
-        sopt.pool = options.pool;
-        auto sweep = parallelSweep(
-            groups.size(), sopt,
-            [&](std::size_t gi) -> std::vector<TrafficResult> {
-                const Group &g = groups[gi];
-                MEMBW_SPAN_D(
-                    g.mattson ? "collapse.mattson_pass"
-                              : "collapse.ladder_pass",
-                    "block=" + std::to_string(g.blockBytes) +
-                        "B cells=" +
-                        std::to_string(g.configs.size()));
-                if (g.mattson)
-                    return runMattson(g);
-                const auto stream = makeStream(g.blockBytes);
-                if (!ladderCollapsible(*stream, g.configs))
-                    return {};
-                return ladderSweep(*stream, g.configs);
-            });
-        passResults = std::move(sweep.cells);
+        // Every part replays the whole stream, so it is decoded (or
+        // fetched) once, here on the calling thread, before any part
+        // starts.  A group outside the one-pass regime stays
+        // uncovered and gets no unit.
+        g.stream = makeStream(g.blockBytes);
+        if (!ladderCollapsible(*g.stream, g.configs))
+            continue;
+        g.parts = ladderParts(g.configs, share, 0);
+        g.partStats.resize(g.parts.size());
+        for (std::size_t k = 0; k < g.parts.size(); ++k)
+            units.push_back(Unit{gi, k, false});
     }
 
-    for (std::size_t gi = 0; gi < groups.size(); ++gi) {
-        const Group &g = groups[gi];
-        const auto &res = passResults[gi];
-        if (res.empty())
+    // One fan-out over every unit.  A group whose guard fails at run
+    // time (e.g. an FA group over a trace with stores) simply stays
+    // uncovered.
+    SweepOptions sopt;
+    sopt.jobs = workers;
+    sopt.pool = options.pool;
+    parallelSweep(units.size(), sopt, [&](std::size_t u) {
+        const Unit &unit = units[u];
+        if (unit.side) {
+            options.sideUnit();
+            return 0;
+        }
+        Group &g = groups[unit.group];
+        if (g.mattson) {
+            MEMBW_SPAN_D("collapse.mattson_pass",
+                         "block=" + std::to_string(g.blockBytes) +
+                             "B cells=" +
+                             std::to_string(g.configs.size()));
+            g.results = runMattson(g);
+        } else if (g.parts.empty()) {
+            MEMBW_SPAN_D("collapse.ladder_pass",
+                         "block=" + std::to_string(g.blockBytes) +
+                             "B cells=" +
+                             std::to_string(g.configs.size()));
+            const auto stream = makeStream(g.blockBytes);
+            if (ladderCollapsible(*stream, g.configs))
+                g.results = ladderSweep(*stream, g.configs);
+        } else {
+            const LadderPart &part = g.parts[unit.part];
+            MEMBW_SPAN_D("collapse.ladder_part",
+                         "block=" + std::to_string(g.blockBytes) +
+                             "B cell=" + std::to_string(part.cfg) +
+                             " sets=" + std::to_string(part.setLo) +
+                             "+" + std::to_string(part.setSpan));
+            g.partStats[unit.part] =
+                runLadderPart(*g.stream, g.configs[part.cfg], part);
+        }
+        return 0;
+    });
+
+    for (Group &g : groups) {
+        if (!g.parts.empty())
+            g.results = mergeLadderParts(*g.stream, g.configs.size(),
+                                         g.parts, g.partStats);
+        if (g.results.empty())
             continue;
         if (g.mattson) {
             mattsonPasses_++;
         } else {
             ladderPasses_++;
-            if (partitioned[gi])
+            if (!g.parts.empty())
                 partitionedPasses_++;
         }
         for (std::size_t k = 0; k < g.indices.size(); ++k) {
-            results_[g.indices[k]] = res[k];
+            results_[g.indices[k]] = g.results[k];
             routes_[g.indices[k]] =
                 g.mattson ? CellRoute::Mattson : CellRoute::Ladder;
             covered_++;

@@ -20,13 +20,14 @@
  * directly, so results stay exact everywhere.
  *
  * Intended use in a parallelSweep() caller: construct the planner
- * *before* the per-cell fan-out (group passes themselves fan across
- * the jobs workers, or — with fewer groups than workers — each
- * ladder pass is set-partitioned across them), then each cell
- * either consumes its precomputed TrafficResult or simulates
- * directly.  Precomputed results are index-addressed, so cell
- * accounting (ordering, --sigterm-after truncation, stats
- * publication) is unchanged.
+ * *before* the per-cell fan-out, then each cell either consumes its
+ * precomputed TrafficResult or simulates directly.  The planner runs
+ * one fan-out of its own over a single list of units: each group's
+ * pass — fused, or as set-range parts when workers would otherwise
+ * idle — plus an optional side unit the caller needs before its cells
+ * (executeSweep's MTC next-use table).  Precomputed results are
+ * index-addressed, so cell accounting (ordering, --sigterm-after
+ * truncation, stats publication) is unchanged.
  */
 
 #ifndef MEMBW_EXEC_COLLAPSED_SWEEP_HH
@@ -63,20 +64,21 @@ const char *cellRouteName(CellRoute route);
 /** Knobs for the planner (the 3-argument ctor fills defaults). */
 struct CollapseOptions
 {
-    /** Worker threads shared by group fan-out and set partitioning. */
+    /** Worker threads for the unit fan-out (ignored when pool is
+     * set). */
     unsigned jobs = 1;
 
     /**
-     * Externally-owned worker pool for the group fan-out (see
+     * Externally-owned worker pool for the unit fan-out (see
      * SweepOptions::pool — the same serialization contract applies).
-     * The set-partitioned kernel path still manages its own workers.
+     * With a pool the planner starts no thread of its own.
      */
     ThreadPool *pool = nullptr;
 
     /**
      * Artifact-cache hook: supply the decoded BlockStream for a block
      * size instead of decoding it fresh (the daemon memoizes streams
-     * by trace CRC + block size).  Must return a stream equivalent to
+     * by trace key + block size).  Must return a stream equivalent to
      * buildBlockStream(trace, blockBytes).
      */
     std::function<std::shared_ptr<const BlockStream>(Bytes blockBytes)>
@@ -91,6 +93,14 @@ struct CollapseOptions
     std::function<
         std::shared_ptr<const StackDistanceProfile>(Bytes blockBytes)>
         profileProvider;
+
+    /**
+     * One more unit for the fan-out, run beside the group passes and
+     * finished when the constructor returns (executeSweep builds its
+     * MTC next-use table here).  It takes a worker away from set
+     * partitioning.  Unset adds none.
+     */
+    std::function<void()> sideUnit;
 };
 
 class CollapsedSweep
@@ -101,20 +111,20 @@ class CollapsedSweep
 
     /**
      * Plan and run every collapsible group of @p configs over
-     * @p trace, fanning the group passes across @p jobs workers.
-     * Results are exact and jobs-independent.
+     * @p trace on @p jobs workers.  Results are exact and
+     * jobs-independent.
      */
     CollapsedSweep(const Trace &trace,
                    const std::vector<CacheConfig> &configs,
                    unsigned jobs);
 
     /**
-     * As above with full options.  With jobs > 1 and fewer groups
-     * than workers, ladder groups run the exact set-partitioned
-     * kernel (exec/time_partition.hh) so a single big configuration
-     * still uses every worker; otherwise the groups fan across the
-     * workers.  Results are byte-identical to the serial plan either
-     * way.
+     * As above with full options.  Every Mattson group and the side
+     * unit take one worker; when more than one worker per ladder
+     * group is left, each ladder group runs as set-range parts of
+     * the exact partitioned kernel (exec/time_partition.hh) over its
+     * share of them, otherwise as one fused pass.  Results are
+     * byte-identical to the serial plan either way.
      */
     CollapsedSweep(const Trace &trace,
                    const std::vector<CacheConfig> &configs,
@@ -154,8 +164,8 @@ class CollapsedSweep
     /** Ladder-kernel group passes run. */
     std::size_t ladderPasses() const { return ladderPasses_; }
 
-    /** Ladder passes that ran the set-partitioned parallel kernel
-     * (a subset of ladderPasses()). */
+    /** Ladder passes that ran as set-range parts (a subset of
+     * ladderPasses()). */
     std::size_t partitionedPasses() const { return partitionedPasses_; }
 
   private:

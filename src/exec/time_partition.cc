@@ -12,18 +12,6 @@
 
 namespace membw {
 
-namespace {
-
-/** One (config, set-range) work unit of a partitioned sweep. */
-struct PartCell
-{
-    std::size_t cfg = 0;
-    std::uint64_t setLo = 0;
-    std::uint64_t setSpan = 0;
-};
-
-} // namespace
-
 unsigned
 partitionPartsFor(const CacheConfig &cfg, unsigned jobs,
                   unsigned parts, std::size_t configCount)
@@ -51,6 +39,58 @@ partitionPartsFor(const CacheConfig &cfg, unsigned jobs,
     return std::max(p, 1u);
 }
 
+std::vector<LadderPart>
+ladderParts(const std::vector<CacheConfig> &configs, unsigned jobs,
+            unsigned parts)
+{
+    std::vector<LadderPart> out;
+    for (std::size_t j = 0; j < configs.size(); ++j) {
+        const unsigned p =
+            partitionPartsFor(configs[j], jobs, parts, configs.size());
+        const std::uint64_t sets = configs[j].sets();
+        const std::uint64_t span = sets / p;
+        const std::uint64_t rem = sets % p;
+        std::uint64_t lo = 0;
+        for (unsigned part = 0; part < p; ++part) {
+            const std::uint64_t s = span + (part < rem ? 1 : 0);
+            out.push_back(LadderPart{j, lo, s});
+            lo += s;
+        }
+    }
+    return out;
+}
+
+CacheStats
+runLadderPart(const BlockStream &stream, const CacheConfig &cfg,
+              const LadderPart &part)
+{
+    ladder::ConfigSim sim(cfg, part.setLo, part.setSpan);
+    sim.kernel =
+        ladder::selectKernel(sim.ways, part.setSpan != cfg.sets());
+    // One sim per part: no per-chunk locality to exploit, so replay
+    // the whole stream in one call.
+    sim.kernel(sim, stream, 0, stream.refs);
+    sim.flush();
+    return sim.stats;
+}
+
+std::vector<TrafficResult>
+mergeLadderParts(const BlockStream &stream, std::size_t nConfigs,
+                 const std::vector<LadderPart> &parts,
+                 const std::vector<CacheStats> &stats)
+{
+    // Integer sums are order-independent; part order keeps the merge
+    // deterministic anyway.
+    std::vector<CacheStats> merged(nConfigs);
+    for (std::size_t i = 0; i < parts.size(); ++i)
+        ladder::mergeStats(merged[parts[i].cfg], stats[i]);
+    std::vector<TrafficResult> out;
+    out.reserve(nConfigs);
+    for (const CacheStats &m : merged)
+        out.push_back(ladder::ladderTraffic(stream, m));
+    return out;
+}
+
 std::optional<std::vector<TrafficResult>>
 partitionedLadderSweep(const BlockStream &stream,
                        const std::vector<CacheConfig> &configs,
@@ -60,64 +100,25 @@ partitionedLadderSweep(const BlockStream &stream,
         fatal("partitionedLadderSweep: configs are outside the "
               "one-pass regime (check ladderCollapsible first)");
 
-    // Lay out the cell list: each config contributes its own
-    // (possibly clamped) number of contiguous set ranges, remainder
-    // sets spread over the leading parts.
-    std::vector<PartCell> cells;
-    std::vector<unsigned> partsPerCfg(configs.size(), 1);
-    for (std::size_t j = 0; j < configs.size(); ++j) {
-        const unsigned p = partitionPartsFor(
-            configs[j], opts.jobs, opts.parts, configs.size());
-        partsPerCfg[j] = p;
-        const std::uint64_t sets = configs[j].sets();
-        const std::uint64_t span = sets / p;
-        const std::uint64_t rem = sets % p;
-        std::uint64_t lo = 0;
-        for (unsigned part = 0; part < p; ++part) {
-            const std::uint64_t s = span + (part < rem ? 1 : 0);
-            cells.push_back(PartCell{j, lo, s});
-            lo += s;
-        }
-    }
+    const std::vector<LadderPart> parts =
+        ladderParts(configs, opts.jobs, opts.parts);
 
     MEMBW_SPAN_D("time_partition.sweep",
                  "configs=" + std::to_string(configs.size()) +
-                     " cells=" + std::to_string(cells.size()) +
+                     " cells=" + std::to_string(parts.size()) +
                      " jobs=" + std::to_string(opts.jobs));
 
     SweepOptions sweep;
     sweep.jobs = opts.jobs;
     sweep.cancel = opts.cancel;
-    SweepResult<CacheStats> run = parallelSweep(
-        cells.size(), sweep, [&](std::size_t i) {
-            const PartCell &cell = cells[i];
-            const CacheConfig &cfg = configs[cell.cfg];
-            const bool filtered =
-                cell.setSpan != cfg.sets();
-            ladder::ConfigSim sim(cfg, cell.setLo, cell.setSpan);
-            sim.kernel =
-                ladder::selectKernel(sim.ways, filtered);
-            // One sim per cell: no per-chunk locality to exploit,
-            // so replay the whole stream in one call.
-            sim.kernel(sim, stream, 0, stream.refs);
-            sim.flush();
-            return sim.stats;
+    SweepResult<CacheStats> run =
+        parallelSweep(parts.size(), sweep, [&](std::size_t i) {
+            return runLadderPart(stream, configs[parts[i].cfg],
+                                 parts[i]);
         });
     if (run.interrupted)
         return std::nullopt;
-
-    // Merge in part order (integer sums — order-independent, kept
-    // deterministic anyway) and apply the stream totals.
-    std::vector<TrafficResult> out;
-    out.reserve(configs.size());
-    std::size_t next = 0;
-    for (std::size_t j = 0; j < configs.size(); ++j) {
-        CacheStats merged;
-        for (unsigned part = 0; part < partsPerCfg[j]; ++part)
-            ladder::mergeStats(merged, run.cells[next++]);
-        out.push_back(ladder::ladderTraffic(stream, merged));
-    }
-    return out;
+    return mergeLadderParts(stream, configs.size(), parts, run.cells);
 }
 
 std::optional<TrafficResult>
@@ -140,17 +141,9 @@ partitionedLadderRunWord(const Trace &trace, const CacheConfig &cfg,
         fatal("partitionedLadderRunWord: config outside the ladder "
               "regime (check ladderKernelSupported() first)");
 
-    const unsigned p = partitionPartsFor(cfg, opts.jobs, opts.parts, 1);
     const std::uint64_t sets = cfg.sets();
-    const std::uint64_t span = sets / p;
-    const std::uint64_t rem = sets % p;
-    std::vector<PartCell> cells;
-    std::uint64_t lo = 0;
-    for (unsigned part = 0; part < p; ++part) {
-        const std::uint64_t s = span + (part < rem ? 1 : 0);
-        cells.push_back(PartCell{0, lo, s});
-        lo += s;
-    }
+    const std::vector<LadderPart> cells =
+        ladderParts({cfg}, opts.jobs, opts.parts);
 
     MEMBW_SPAN_D("time_partition.word_run",
                  "cells=" + std::to_string(cells.size()) +
@@ -170,7 +163,7 @@ partitionedLadderRunWord(const Trace &trace, const CacheConfig &cfg,
     sweep.cancel = opts.cancel;
     SweepResult<WordCell> run = parallelSweep(
         cells.size(), sweep, [&](std::size_t i) {
-            const PartCell &cell = cells[i];
+            const LadderPart &cell = cells[i];
             const bool filtered = cell.setSpan != sets;
             ladder::ConfigSim sim(cfg, cell.setLo, cell.setSpan);
             const ladder::WordKernel kernel =

@@ -25,6 +25,7 @@
 #define MEMBW_EXEC_TIME_PARTITION_HH
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <optional>
 #include <vector>
@@ -61,6 +62,36 @@ struct PartitionOptions
  */
 unsigned partitionPartsFor(const CacheConfig &cfg, unsigned jobs,
                            unsigned parts, std::size_t configCount);
+
+/** One (config, set-range) unit of a partitioned ladder pass. */
+struct LadderPart
+{
+    std::size_t cfg = 0; ///< index into the pass's configs
+    std::uint64_t setLo = 0;
+    std::uint64_t setSpan = 0;
+};
+
+/**
+ * The units of a partitioned pass over @p configs: each config's
+ * partitionPartsFor() contiguous set ranges, in config order, the
+ * remainder sets spread over its leading parts.
+ */
+std::vector<LadderPart>
+ladderParts(const std::vector<CacheConfig> &configs, unsigned jobs,
+            unsigned parts);
+
+/** Replay the sets @p part owns of @p cfg over the whole stream. */
+CacheStats runLadderPart(const BlockStream &stream,
+                         const CacheConfig &cfg, const LadderPart &part);
+
+/**
+ * Per-config traffic of a partitioned pass: @p stats[i] is the
+ * result of @p parts[i], summed per config in part order.
+ */
+std::vector<TrafficResult>
+mergeLadderParts(const BlockStream &stream, std::size_t nConfigs,
+                 const std::vector<LadderPart> &parts,
+                 const std::vector<CacheStats> &stats);
 
 /**
  * Exact set-partitioned equivalent of ladderSweep(): traffic results

@@ -3,10 +3,12 @@
  * Content-addressed LRU cache for immutable simulation artifacts.
  *
  * The daemon's warm path lives here: traces keyed by
- * (workload, scale, seed), BlockStreams by (trace CRC, block size),
- * Mattson stack-distance profiles and MTC next-use tables by
- * (trace CRC, granularity), instruction streams by
- * (workload, scale, seed).  Everything stored is immutable and
+ * (workload, scale, seed), and everything derived from a served
+ * trace — BlockStreams, Mattson stack-distance profiles and MTC
+ * next-use tables — by that same trace key plus the block size or
+ * granularity (a served trace is always generated from exactly those
+ * three values, so the key names its content); instruction streams
+ * by (workload, scale, seed).  Everything stored is immutable and
  * handed out as shared_ptr<const T>, so an entry can be evicted
  * while a request still computes over it — the bytes stay alive
  * until the last reader drops its reference.
@@ -15,11 +17,12 @@
  * Counters (hits, misses, evictions, bytes resident) feed the
  * daemon's `stats` op and the stats-registry export.
  *
- * Thread safety: every public method locks; getOrBuild() holds the
- * lock across the builder, which serializes builds.  That is the
- * intended admission behaviour — the daemon executes requests one at
- * a time, and two threads racing to build the same trace would waste
- * the work the cache exists to save.
+ * Thread safety: every public method locks, but getOrBuild() runs
+ * the builder outside the lock, so builds of different keys run at
+ * the same time (a sweep's fused group passes decode their block
+ * streams beside its next-use table).  Each key has at most one build in flight: a
+ * caller that finds one waits for it and counts as a hit, so two
+ * threads never build the same artifact twice.
  */
 
 #ifndef MEMBW_SERVE_ARTIFACT_CACHE_HH
@@ -27,6 +30,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <future>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -53,23 +57,55 @@ class ArtifactCache
     /**
      * Return the cached artifact under @p key, or invoke @p build,
      * cache the result, and return it.  An artifact larger than the
-     * whole cache is returned uncached.
+     * whole cache is returned uncached.  While one caller builds a
+     * key, other callers of that key wait for its result (a hit);
+     * if the builder throws, every waiter rethrows that exception and
+     * no entry is left behind, so a later call builds again.
      */
     template <typename T>
     std::shared_ptr<const T>
     getOrBuild(const std::string &key,
                const std::function<Built<T>()> &build)
     {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (auto it = entries_.find(key); it != entries_.end()) {
-            ++hits_;
-            touch(it->second);
-            return std::static_pointer_cast<const T>(it->second.ptr);
+        std::promise<std::shared_ptr<const void>> promise;
+        std::shared_future<std::shared_ptr<const void>> pending;
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            if (auto it = entries_.find(key); it != entries_.end()) {
+                ++hits_;
+                touch(it->second);
+                return std::static_pointer_cast<const T>(it->second.ptr);
+            }
+            if (auto it = building_.find(key); it != building_.end()) {
+                ++hits_;
+                pending = it->second;
+            } else {
+                ++misses_;
+                building_.emplace(key, promise.get_future().share());
+            }
         }
-        ++misses_;
-        auto [ptr, bytes] = build();
-        insert(key, std::static_pointer_cast<const void>(ptr), bytes);
-        return ptr;
+        // Another caller is building this key: wait for its result
+        // (or its exception) outside the lock.
+        if (pending.valid())
+            return std::static_pointer_cast<const T>(pending.get());
+        Built<T> built;
+        try {
+            built = build();
+        } catch (...) {
+            {
+                std::lock_guard<std::mutex> lock(mutex_);
+                building_.erase(key);
+            }
+            promise.set_exception(std::current_exception());
+            throw;
+        }
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            building_.erase(key);
+            insert(key, built.first, built.second);
+        }
+        promise.set_value(built.first);
+        return built.first;
     }
 
     std::uint64_t hits() const { return counter(hits_); }
@@ -112,6 +148,10 @@ class ArtifactCache
     const std::size_t maxBytes_;
     mutable std::mutex mutex_;
     std::unordered_map<std::string, Entry> entries_;
+    /** Keys whose build is in flight, with the result to wait on. */
+    std::unordered_map<std::string,
+                       std::shared_future<std::shared_ptr<const void>>>
+        building_;
     std::list<std::string> lru_; ///< front = least recently used
     std::size_t bytes_ = 0;
     std::uint64_t hits_ = 0;

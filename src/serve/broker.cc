@@ -1,5 +1,7 @@
 #include "serve/broker.hh"
 
+#include "obs/trace_span.hh"
+
 namespace membw {
 
 /** One admitted computation; waiters block on done. */
@@ -81,6 +83,10 @@ RequestBroker::dispatchLoop()
         }
         if (startHook)
             startHook(nth);
+        // Named per job, as pool workers are, so a dispatcher that
+        // started before tracing was switched on still shows up by
+        // name in a trace.
+        tracingSetThreadName("broker");
         // Compute outside every lock: the job can take seconds, and
         // coalescing joiners must be able to attach meanwhile.
         std::string result = job->compute();

@@ -15,12 +15,12 @@
 #include "obs/build_info.hh"
 #include "obs/manifest.hh"
 #include "obs/progress.hh"
+#include "obs/trace_span.hh"
 #include "resilience/exit_codes.hh"
 #include "resilience/signals.hh"
 #include "serve/decompose_service.hh"
 #include "serve/sweep_service.hh"
 #include "trace/block_stream.hh"
-#include "trace/trace_io.hh"
 #include "workloads/workload.hh"
 
 namespace membw {
@@ -54,12 +54,6 @@ formatScale(double scale)
 }
 
 } // namespace
-
-struct ServeServer::ServedTrace
-{
-    Trace trace;
-    std::uint32_t crc = 0;
-};
 
 ServeServer::ServeServer(ServerOptions opts)
     : opts_(std::move(opts)),
@@ -308,24 +302,28 @@ ServeServer::computeResponse(const ServeRequest &req,
     }
 }
 
-std::shared_ptr<const ServeServer::ServedTrace>
+std::string
+ServeServer::traceKey(const std::string &workload, double scale,
+                      std::uint64_t seed)
+{
+    return workload + "|" + formatScale(scale) + "|" +
+           std::to_string(seed);
+}
+
+std::shared_ptr<const Trace>
 ServeServer::traceFor(const std::string &workload, double scale,
                       std::uint64_t seed)
 {
-    const std::string key = "trace|" + workload + "|" +
-                            formatScale(scale) + "|" +
-                            std::to_string(seed);
-    return artifacts_.getOrBuild<ServedTrace>(key, [&] {
+    const std::string key = "trace|" + traceKey(workload, scale, seed);
+    return artifacts_.getOrBuild<Trace>(key, [&] {
+        MEMBW_SPAN_D("trace.generate", workload);
         WorkloadParams p;
         p.scale = scale;
         p.seed = seed;
-        auto served = std::make_shared<ServedTrace>();
-        served->trace = makeWorkload(workload)->trace(p);
-        served->crc = traceCrc32(served->trace);
-        const std::size_t bytes =
-            served->trace.size() * sizeof(MemRef);
-        return ArtifactCache::Built<ServedTrace>{std::move(served),
-                                                 bytes};
+        auto trace = std::make_shared<const Trace>(
+            makeWorkload(workload)->trace(p));
+        const std::size_t bytes = trace->size() * sizeof(MemRef);
+        return ArtifactCache::Built<Trace>{std::move(trace), bytes};
     });
 }
 
@@ -334,8 +332,10 @@ ServeServer::computeSweep(const SweepRequest &req,
                           const std::string &key,
                           std::uint64_t digest)
 {
-    auto served = traceFor(req.workload, req.scale, req.seed);
-    const std::string crc = std::to_string(served->crc);
+    // Derived artifacts are keyed by the trace's own key: a served
+    // trace is always generated from exactly these three values.
+    const std::string tkey = traceKey(req.workload, req.scale, req.seed);
+    auto trace = traceFor(req.workload, req.scale, req.seed);
 
     SweepExecOptions eopts;
     eopts.jobs = opts_.jobs;
@@ -343,53 +343,46 @@ ServeServer::computeSweep(const SweepRequest &req,
     // The daemon deliberately wires no cancel hook: a drained
     // in-flight request must produce the same bytes as an
     // undisturbed run (see sweep_service.hh).
-    eopts.streamProvider =
-        [this, served, crc](Bytes blockBytes) {
-            const std::string key = "stream|" + crc + "|" +
-                                    std::to_string(blockBytes);
-            return artifacts_.getOrBuild<BlockStream>(key, [&] {
-                auto stream = std::make_shared<BlockStream>(
-                    buildBlockStream(served->trace, blockBytes));
-                // Estimated decode-array footprint: 19 bytes per
-                // reference (8+1+2+8 across the four columns).
-                const std::size_t bytes = stream->refs * 19;
-                return ArtifactCache::Built<BlockStream>{
-                    std::move(stream), bytes};
-            });
-        };
-    eopts.profileProvider =
-        [this, served, crc](Bytes blockBytes) {
-            const std::string key = "sdprof|" + crc + "|" +
-                                    std::to_string(blockBytes);
-            return artifacts_.getOrBuild<StackDistanceProfile>(
-                key, [&] {
-                    auto profile =
-                        std::make_shared<StackDistanceProfile>(
-                            served->trace, blockBytes);
-                    // Histogram bound: ~16 bytes per reference.
-                    const std::size_t bytes =
-                        served->trace.size() * 16;
-                    return ArtifactCache::Built<StackDistanceProfile>{
-                        std::move(profile), bytes};
-                });
-        };
-    eopts.nextUseProvider = [this, served, crc] {
-        const std::string key = "nextuse|" + crc + "|" +
-                                std::to_string(wordBytes);
+    eopts.streamProvider = [this, trace, tkey](Bytes blockBytes) {
+        const std::string key =
+            "stream|" + tkey + "|" + std::to_string(blockBytes);
+        return artifacts_.getOrBuild<BlockStream>(key, [&] {
+            auto stream = std::make_shared<BlockStream>(
+                buildBlockStream(*trace, blockBytes));
+            // Estimated decode-array footprint: 19 bytes per
+            // reference (8+1+2+8 across the four columns).
+            const std::size_t bytes = stream->refs * 19;
+            return ArtifactCache::Built<BlockStream>{std::move(stream),
+                                                     bytes};
+        });
+    };
+    eopts.profileProvider = [this, trace, tkey](Bytes blockBytes) {
+        const std::string key =
+            "sdprof|" + tkey + "|" + std::to_string(blockBytes);
+        return artifacts_.getOrBuild<StackDistanceProfile>(key, [&] {
+            auto profile = std::make_shared<StackDistanceProfile>(
+                *trace, blockBytes);
+            // Histogram bound: ~16 bytes per reference.
+            const std::size_t bytes = trace->size() * 16;
+            return ArtifactCache::Built<StackDistanceProfile>{
+                std::move(profile), bytes};
+        });
+    };
+    eopts.nextUseProvider = [this, trace, tkey] {
+        const std::string key =
+            "nextuse|" + tkey + "|" + std::to_string(wordBytes);
         return artifacts_.getOrBuild<std::vector<Tick>>(key, [&] {
             auto table = std::make_shared<std::vector<Tick>>(
-                buildNextUse(served->trace, wordBytes));
-            const std::size_t bytes =
-                table->size() * sizeof(Tick);
+                buildNextUse(*trace, wordBytes));
+            const std::size_t bytes = table->size() * sizeof(Tick);
             return ArtifactCache::Built<std::vector<Tick>>{
                 std::move(table), bytes};
         });
     };
 
-    SweepOutcome outcome =
-        executeSweep(req, served->trace, eopts);
+    SweepOutcome outcome = executeSweep(req, *trace, eopts);
     const std::string body =
-        renderSweepStatsJson(req, served->trace.size(), outcome);
+        renderSweepStatsJson(req, trace->size(), outcome);
     const int exitCode = outcome.degraded ? exitDegraded : exitOk;
     results_.put(digest, key, CachedResult{body, exitCode});
     return okEnvelope(ServeOp::Sweep, false, exitCode, body);
@@ -400,9 +393,8 @@ ServeServer::computeDecompose(const DecomposeRequest &req,
                               const std::string &key,
                               std::uint64_t digest)
 {
-    const std::string streamKey = "instr|" + req.workload + "|" +
-                                  formatScale(req.scale) + "|" +
-                                  std::to_string(req.seed);
+    const std::string streamKey =
+        "instr|" + traceKey(req.workload, req.scale, req.seed);
     auto stream = artifacts_.getOrBuild<InstrStream>(streamKey, [&] {
         auto built = std::make_shared<InstrStream>(
             buildDecomposeStream(req.workload, req.scale, req.seed));

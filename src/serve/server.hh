@@ -4,7 +4,10 @@
  * keeps the expensive state — one shared ThreadPool, the
  * content-addressed artifact cache, and the digest-keyed result
  * cache — alive across requests, so repeat sweeps are hash lookups
- * instead of simulations.
+ * instead of simulations.  Artifacts derived from a served trace are
+ * keyed by the trace's own key (`workload|scale|seed`), not by a
+ * checksum of its bytes, and builds of different keys run at the
+ * same time on the pool.
  *
  * Request flow per connection thread:
  *
@@ -12,7 +15,8 @@
  *   write) → RequestBroker::submit (admission control + coalescing)
  *   → compute from the dispatcher thread via the shared services
  *   (executeSweep / executeDecompose with artifact-cache providers),
- *   which fan the request's cells across the shared pool
+ *   which fan the request's shared inputs, then its cells, across the
+ *   shared pool
  *   → cache + respond.
  *
  * Shutdown contract (exit-code contract of docs/resilience.md):
@@ -91,12 +95,16 @@ class ServeServer
     std::string pingEnvelope() const;
     std::string statsEnvelope() const;
 
-    /** A generated trace plus its CRC, cached as one artifact so the
-     * CRC that keys the derived artifacts is computed once. */
-    struct ServedTrace;
-    std::shared_ptr<const ServedTrace> traceFor(
-        const std::string &workload, double scale,
-        std::uint64_t seed);
+    /** `workload|scale|seed`: names a served trace, and every
+     * artifact derived from it, by the values it is generated from. */
+    static std::string traceKey(const std::string &workload,
+                                double scale, std::uint64_t seed);
+
+    /** The cached trace of (workload, scale, seed), generated on a
+     * miss. */
+    std::shared_ptr<const Trace> traceFor(const std::string &workload,
+                                          double scale,
+                                          std::uint64_t seed);
 
     const ServerOptions opts_;
     std::optional<ThreadPool> pool_; ///< engaged when jobs > 1

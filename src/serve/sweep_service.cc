@@ -108,18 +108,29 @@ executeSweep(const SweepRequest &req, const Trace &trace,
     // chunked ladder-kernel passes.  Results are exact and
     // jobs-independent, so covered hierarchy cells become lookups;
     // anything the guards reject falls back to direct simulation.
+    std::vector<CacheConfig> cfgs;
     if (!req.noCollapse) {
-        std::vector<CacheConfig> cfgs;
         cfgs.reserve(nHier);
         for (std::size_t i = 0; i < nHier; ++i)
             cfgs.push_back(sweepConfigFor(req, blocks, i));
-        CollapseOptions copt;
-        copt.jobs = opts.jobs;
-        copt.pool = opts.pool;
-        copt.streamProvider = opts.streamProvider;
-        copt.profileProvider = opts.profileProvider;
-        out.collapsed = CollapsedSweep(trace, cfgs, copt);
     }
+    CollapseOptions copt;
+    copt.jobs = opts.jobs;
+    copt.pool = opts.pool;
+    copt.streamProvider = opts.streamProvider;
+    copt.profileProvider = opts.profileProvider;
+    // All MTC cells share one next-use side table (pass one of the
+    // two-pass MIN simulation depends only on the trace and block
+    // granularity, and the canonical MTC always uses word blocks).
+    // It is built beside the collapse passes, in the same fan-out.
+    NextUseTable mtcNextUse;
+    if (req.runMtc)
+        copt.sideUnit = [&] {
+            mtcNextUse = opts.nextUseProvider
+                             ? opts.nextUseProvider()
+                             : makeNextUseTable(trace, wordBytes);
+        };
+    out.collapsed = CollapsedSweep(trace, cfgs, copt);
     if (opts.onPlan)
         opts.onPlan(out.collapsed, nHier, nCells);
     const CollapsedSweep &collapsed = out.collapsed;
@@ -163,15 +174,6 @@ executeSweep(const SweepRequest &req, const Trace &trace,
     };
     sopt.cancel = opts.cancel;
     sopt.onPrefix = opts.onPrefix;
-
-    // All MTC cells share one next-use side table (pass one of the
-    // two-pass MIN simulation depends only on the trace and block
-    // granularity, and the canonical MTC always uses word blocks).
-    const NextUseTable mtcNextUse =
-        req.runMtc ? (opts.nextUseProvider
-                          ? opts.nextUseProvider()
-                          : makeNextUseTable(trace, wordBytes))
-                   : nullptr;
 
     auto sweepRes = parallelSweep(
         nCells, sopt, [&](std::size_t i) -> SweepCellOut {

@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -35,6 +36,7 @@
 #include "serve/result_cache.hh"
 #include "serve/server.hh"
 #include "serve/sweep_service.hh"
+#include "workloads/workload.hh"
 
 using namespace membw;
 
@@ -71,6 +73,22 @@ fileExists(const std::string &path)
 {
     struct stat st;
     return ::stat(path.c_str(), &st) == 0;
+}
+
+/** Poll @p done until it holds or 10 s pass; false on timeout, so a
+ * test that would deadlock fails instead of hanging. */
+template <typename Pred>
+bool
+waitUntil(Pred done)
+{
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!done()) {
+        if (std::chrono::steady_clock::now() > deadline)
+            return false;
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return true;
 }
 
 } // namespace
@@ -147,6 +165,141 @@ TEST(ArtifactCache, OversizeArtifactReturnedUncached)
         "huge", [] { return builtString("way too large"); });
     EXPECT_EQ(cache.entries(), 0u);
     EXPECT_EQ(cache.bytesResident(), 0u);
+}
+
+TEST(ArtifactCache, DistinctKeysBuildAtTheSameTime)
+{
+    // Builder A holds its build open until builder B has started; a
+    // cache that builds under its lock would keep B out until A
+    // gives up.
+    ArtifactCache cache(1024);
+    std::atomic<bool> aStarted{false}, bStarted{false};
+    bool aSawB = false;
+    std::thread a([&] {
+        cache.getOrBuild<std::string>("stream|Swm|0.05|42|32", [&] {
+            aStarted = true;
+            aSawB = waitUntil([&] { return bStarted.load(); });
+            return builtString("a");
+        });
+    });
+    ASSERT_TRUE(waitUntil([&] { return aStarted.load(); }));
+    auto b = cache.getOrBuild<std::string>(
+        "nextuse|Swm|0.05|42|4", [&] {
+            bStarted = true;
+            return builtString("b");
+        });
+    a.join();
+    EXPECT_TRUE(aSawB);
+    EXPECT_EQ(*b, "b");
+    EXPECT_EQ(cache.misses(), 2u);
+    EXPECT_EQ(cache.entries(), 2u);
+}
+
+TEST(ArtifactCache, ConcurrentCallersOfOneKeyShareOneBuild)
+{
+    constexpr int callers = 6;
+    ArtifactCache cache(1024);
+    std::atomic<int> builds{0};
+    std::vector<std::shared_ptr<const std::string>> got(callers);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < callers; ++t)
+        threads.emplace_back([&, t] {
+            got[t] = cache.getOrBuild<std::string>("trace|Li|1|42", [&] {
+                ++builds;
+                // Finish only once every other caller is waiting on
+                // this build.
+                waitUntil([&] { return cache.hits() == callers - 1; });
+                return builtString("trace");
+            });
+        });
+    for (std::thread &t : threads)
+        t.join();
+    EXPECT_EQ(builds.load(), 1);
+    EXPECT_EQ(cache.misses(), 1u);
+    EXPECT_EQ(cache.hits(), static_cast<std::uint64_t>(callers - 1));
+    for (const auto &p : got)
+        EXPECT_EQ(p.get(), got[0].get());
+}
+
+TEST(ArtifactCache, ThrowingBuilderFailsEveryWaiterAndLeavesNoEntry)
+{
+    constexpr int callers = 4;
+    ArtifactCache cache(1024);
+    std::atomic<int> builds{0}, threw{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < callers; ++t)
+        threads.emplace_back([&] {
+            try {
+                cache.getOrBuild<std::string>("k", [&]()
+                    -> ArtifactCache::Built<std::string> {
+                    ++builds;
+                    waitUntil(
+                        [&] { return cache.hits() == callers - 1; });
+                    throw std::runtime_error("build failed");
+                });
+            } catch (const std::runtime_error &e) {
+                if (std::string(e.what()) == "build failed")
+                    ++threw;
+            }
+        });
+    for (std::thread &t : threads)
+        t.join();
+    EXPECT_EQ(builds.load(), 1);
+    EXPECT_EQ(threw.load(), callers);
+    EXPECT_EQ(cache.entries(), 0u);
+    EXPECT_EQ(cache.bytesResident(), 0u);
+
+    // Nothing was left behind: the next call builds again.
+    auto v = cache.getOrBuild<std::string>("k", [&] {
+        ++builds;
+        return builtString("v");
+    });
+    EXPECT_EQ(builds.load(), 2);
+    EXPECT_EQ(*v, "v");
+    EXPECT_EQ(cache.entries(), 1u);
+}
+
+TEST(SweepService, PoolPlanMatchesJobsOneWithAndWithoutFaults)
+{
+    // Two ladder groups and the next-use table on a 4-worker pool:
+    // the groups run as set-range parts beside the table build.  The
+    // stable bytes, and the failed cells under an injected fault on
+    // a ladder cell (index 1) and on an MTC cell (index 7), must equal
+    // the serial run's.
+    WorkloadParams params;
+    params.scale = 0.02;
+    const Trace trace = makeWorkload("Compress")->trace(params);
+    SweepRequest req;
+    req.workload = "Compress";
+    req.scale = params.scale;
+    req.l1.assoc = 4;
+    req.sizes = {1_KiB, 4_KiB, 16_KiB};
+    req.blocks = {16, 32};
+    req.runMtc = true;
+    req.stableJson = true;
+
+    ThreadPool pool(4);
+    for (const char *fault : {"", "cell:at=2", "cell:at=8"}) {
+        SCOPED_TRACE(std::string("fault '") + fault + "'");
+        std::vector<std::string> docs;
+        for (ThreadPool *onPool : {static_cast<ThreadPool *>(nullptr),
+                                   &pool}) {
+            if (*fault) {
+                ASSERT_TRUE(armFaultPlan(fault).ok());
+            }
+            SweepExecOptions eo;
+            eo.pool = onPool;
+            const SweepOutcome o = executeSweep(req, trace, eo);
+            disarmFaultPlan();
+            EXPECT_EQ(o.collapsed.ladderPasses(), 2u);
+            EXPECT_EQ(o.collapsed.partitionedPasses(), onPool ? 2u : 0u);
+            EXPECT_EQ(o.nFailed, *fault ? 1u : 0u);
+            docs.push_back(renderSweepStatsJson(req, trace.size(), o));
+        }
+        EXPECT_EQ(docs[0], docs[1]);
+        EXPECT_EQ(docs[0].find("\"failed_cells\"") != std::string::npos,
+                  *fault != '\0');
+    }
 }
 
 TEST(ResultCache, BoundedLruWithCounters)

@@ -7,18 +7,27 @@
 # manifest's wall_seconds (golden cross-check: the "run" span
 # brackets the same interval the manifest times).  Single-config
 # membw_sim, membw_decompose and a bench must trace their counter
-# tracks without overwriting a single event.
+# tracks without overwriting a single event.  A traced daemon must
+# record a cold served sweep on its own threads alone.
 #
 # Usage: trace_report_test.sh <membw_sim> <membw_report>
 #                             <membw_decompose> <bench>
+#                             <membw_served> <membw_client>
 set -u
 
 SIM="$(readlink -f "$1")"
 REPORT="$(readlink -f "$2")"
 DECOMPOSE="$(readlink -f "$3")"
 BENCH="$(readlink -f "$4")"
+SERVED="$(readlink -f "$5")"
+CLIENT="$(readlink -f "$6")"
 DIR="$(mktemp -d)"
-trap 'rm -rf "$DIR"' EXIT
+SERVED_PID=
+cleanup() {
+    [ -n "$SERVED_PID" ] && kill "$SERVED_PID" 2>/dev/null
+    rm -rf "$DIR"
+}
+trap cleanup EXIT
 cd "$DIR"
 
 fail() {
@@ -136,6 +145,42 @@ expect_counter_row dec.json decompose.ops
     > /dev/null 2>&1 || fail "traced bench failed"
 expect_tracks bench.json pool.queue_depth pool.busy_workers
 expect_counter_row bench.json pool.busy_workers
+
+# --- a traced daemon ------------------------------------------------
+# A cold --mtc sweep and a fresh ladder-only one on a --jobs 4 daemon.
+# The file, written as the daemon exits, must hold the trace build,
+# the next-use build, a collapse pass and the cells, recorded on the
+# daemon's own threads only: its four pool workers and the broker.  A
+# private pool would add a second set of worker-N names.
+"$SERVED" --socket served.sock --jobs 4 --trace-out served.json \
+    > /dev/null 2>&1 &
+SERVED_PID=$!
+"$CLIENT" --socket served.sock --wait 10000 sweep --workload Compress \
+    --scale 0.05 --sizes 1K,4K,16K --blocks 32 --assoc 4 --mtc \
+    --stable-json > /dev/null 2>&1 || fail "served --mtc sweep failed"
+"$CLIENT" --socket served.sock sweep --workload Compress --scale 0.05 \
+    --sizes 64K --blocks 32 --assoc 8 --stable-json > /dev/null 2>&1 ||
+    fail "served ladder sweep failed"
+"$CLIENT" --socket served.sock shutdown > /dev/null 2>&1 ||
+    fail "daemon shutdown failed"
+wait "$SERVED_PID" || fail "traced daemon exited non-zero"
+SERVED_PID=
+expect_tracks served.json
+"$REPORT" served.json --top 50 > served.txt 2>&1 ||
+    fail "membw_report rejected served.json: $(cat served.txt)"
+for span in trace.generate mtc.next_use_build 'collapse\.[a-z_]+' cell; do
+    grep -Eq "^ *$span +[0-9.]+ +[0-9.]+ +[0-9]+ " served.txt ||
+        fail "served.json lacks a $span span"
+done
+awk '/^per-worker utilization/ { on = 1; next }
+     on && /^$/ { on = 0 }
+     on && $1 ~ /^[0-9]+$/ { print $2 }' served.txt > threads.txt
+[ -s threads.txt ] || fail "no thread rows for served.json"
+THREADS=$(tr '\n' ' ' < threads.txt)
+! grep -Evq '^(worker-[0-3]|broker)$' threads.txt ||
+    fail "served.json has a thread beyond the daemon's: $THREADS"
+[ -z "$(sort threads.txt | uniq -d)" ] ||
+    fail "served.json names a pool worker twice: $THREADS"
 
 # --- the JSONL series flags are gone -------------------------------
 # The flag names are assembled so a search for live uses of them

@@ -20,6 +20,7 @@
 #include "common/log.hh"
 #include "common/parse.hh"
 #include "obs/build_info.hh"
+#include "obs/trace_export.hh"
 #include "resilience/exit_codes.hh"
 #include "resilience/fault_injection.hh"
 #include "resilience/signals.hh"
@@ -47,6 +48,9 @@ usage(const char *argv0)
         "                      starts (drain-path testing)\n"
         "  --fault-inject SPEC deterministic fault injection\n"
         "                      (site[:at=N][:prob=P[:seed=S]])\n"
+        "  --trace-out FILE    write a Chrome trace-event JSON of every\n"
+        "                      request served when the daemon exits\n"
+        "                      (inspect with membw_report)\n"
         "  --version           print version and exit\n"
         "  --build-info        print build provenance and exit\n"
         "  --help              this text\n\n"
@@ -61,6 +65,7 @@ main(int argc, char **argv)
 {
     ServerOptions opts;
     opts.socketPath = "membw.sock";
+    std::string traceOut;
 
     auto need = [&](int &i) -> std::string {
         if (i + 1 >= argc)
@@ -100,6 +105,8 @@ main(int argc, char **argv)
                 opts.sigtermAfterJobs = tryParseU64(need(i)).orDie();
             } else if (a == "--fault-inject") {
                 armFaultPlan(need(i)).orDie();
+            } else if (a == "--trace-out") {
+                traceOut = need(i);
             } else {
                 std::fprintf(stderr, "unknown option '%s'\n\n",
                              a.c_str());
@@ -113,6 +120,8 @@ main(int argc, char **argv)
     }
 
     installShutdownHandlers();
+    if (!traceOut.empty())
+        tracingInit(traceOut, "membw_served");
     try {
         ServeServer server(std::move(opts));
         return server.run();
