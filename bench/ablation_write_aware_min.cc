@@ -44,11 +44,13 @@ main(int argc, char **argv)
         report.addRefs(trace.size());
         const Bytes size = name == "Espresso" ? 16_KiB : 64_KiB;
 
+        // All four variants use word blocks: one next-use table.
+        const NextUseTable nextUse = makeNextUseTable(trace, wordBytes);
         auto bytes = [&](bool aware, bool bypass) {
             MinCacheConfig cfg = canonicalMtc(size);
             cfg.writeAware = aware;
             cfg.allowBypass = bypass;
-            return runMinCache(trace, cfg).trafficBelow();
+            return runMinCache(trace, cfg, nextUse).trafficBelow();
         };
         auto saved_pct = [](Bytes plain, Bytes aware) {
             return 100.0 * (1.0 - static_cast<double>(aware) /

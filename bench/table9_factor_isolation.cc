@@ -36,7 +36,8 @@ cacheTraffic(const Trace &t, Bytes size, unsigned assoc, Bytes block)
 }
 
 Bytes
-minTraffic(const Trace &t, Bytes size, Bytes block, AllocPolicy alloc)
+minTraffic(const Trace &t, Bytes size, Bytes block, AllocPolicy alloc,
+           const NextUseTable &nextUse)
 {
     MinCacheConfig cfg;
     cfg.size = size;
@@ -45,7 +46,7 @@ minTraffic(const Trace &t, Bytes size, Bytes block, AllocPolicy alloc)
     // Pure replacement-policy isolation: bypassing is not isolated
     // as a factor (Section 5.3), so it is disabled here.
     cfg.allowBypass = false;
-    return runMinCache(t, cfg).trafficBelow();
+    return runMinCache(t, cfg, nextUse).trafficBelow();
 }
 
 } // namespace
@@ -81,6 +82,13 @@ main(int argc, char **argv)
         // 64KB everywhere except Espresso's 16KB (small data set).
         const Bytes size = name == "Espresso" ? 16_KiB : 64_KiB;
 
+        // The three MIN cells share one next-use table per block
+        // size (32B and 4B), built side by side.
+        const auto nextUse =
+            bench::sweep(opt, 2, [&](std::size_t i) {
+                return makeNextUseTable(trace, i == 0 ? 32 : 4);
+            });
+
         // Six distinct simulations feed the five ratios; run each
         // once as an independent sweep cell across --jobs workers.
         const auto traffic = bench::sweep(
@@ -91,13 +99,16 @@ main(int argc, char **argv)
                   case 2: return cacheTraffic(trace, size, 1, 4);
                   case 3:
                     return minTraffic(trace, size, 32,
-                                      AllocPolicy::WriteAllocate);
+                                      AllocPolicy::WriteAllocate,
+                                      nextUse[0]);
                   case 4:
                     return minTraffic(trace, size, 4,
-                                      AllocPolicy::WriteAllocate);
+                                      AllocPolicy::WriteAllocate,
+                                      nextUse[1]);
                   default:
                     return minTraffic(trace, size, 4,
-                                      AllocPolicy::WriteValidate);
+                                      AllocPolicy::WriteValidate,
+                                      nextUse[1]);
                 }
             });
         const Bytes dm32 = traffic[0], fa32 = traffic[1];

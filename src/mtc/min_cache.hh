@@ -18,7 +18,6 @@
 #define MEMBW_MTC_MIN_CACHE_HH
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "cache/config.hh"
@@ -99,6 +98,11 @@ struct MinCacheStats
  * bypassing enabled, a miss whose own next use lies beyond every
  * resident block's next use is never cached (Section 5.2, footnote 2).
  *
+ * Neither victim ordering needs a heap or a hash table: resident
+ * blocks sit in two bitmaps, one over next-use ticks and one over
+ * the address ranks of blocks never used again, both precomputed by
+ * pass one (see NextUseData).
+ *
  * The simulation is resumable: step() advances by a bounded number of
  * references and saveState()/loadState() checkpoint the resident set
  * and counters.  The next-use side table is rebuilt deterministically
@@ -142,7 +146,7 @@ class MinCacheSim
      * interval samplers can diff successive snapshots safely. */
     const MinCacheStats &stats() const { return stats_; }
 
-    /** Cumulative write-aware victim-scan heap pops. */
+    /** Cumulative write-aware victim-scan candidates examined. */
     std::uint64_t victimScanPops() const { return victimScanPops_; }
 
     /** Attach @p probe (null to detach) reporting victim-scan work. */
@@ -153,7 +157,9 @@ class MinCacheSim
 
     /**
      * Restore state written by saveState() for the same trace and
-     * config; mismatches latch a classified error on @p r.
+     * config; mismatches latch a classified error on @p r.  A resident
+     * block keyed tickInfinity must be one whose last reference lies
+     * before the cursor (Errc::Corrupt otherwise).
      */
     void loadState(ChkReader &r);
 
@@ -173,7 +179,7 @@ class MinCacheSim
 
     std::uint32_t allocSlot();
     void freeSlot(std::uint32_t i);
-    void keyInsert(Tick nu, Addr addr, std::uint32_t slot);
+    void keyInsert(Tick nu, std::uint32_t rank, std::uint32_t slot);
     void resetResident();
 
     const Trace &trace_;
@@ -185,10 +191,11 @@ class MinCacheSim
 
     MinCacheStats stats_;
 
-    /** Cumulative write-aware victim-scan heap pops.  Telemetry:
-     * sampled as a trace counter and an epoch-profiler metric, and
-     * checkpointed with the stats so a resumed profiled run stays
-     * byte-identical; still excluded from MinCacheStats itself. */
+    /** Cumulative write-aware victim-scan candidates examined.
+     * Telemetry: sampled as a trace counter and an epoch-profiler
+     * metric, and checkpointed with the stats so a resumed profiled
+     * run stays byte-identical; still excluded from MinCacheStats
+     * itself. */
     std::uint64_t victimScanPops_ = 0;
 
     MemProbe *probe_ = nullptr;
@@ -201,9 +208,8 @@ class MinCacheSim
     std::size_t resident_ = 0;
 
     /**
-     * Hierarchical bitmap over tick indices supporting O(1) set and
-     * clear and near-O(1) find-max (one word scan per level).  Used
-     * for the finite next-use keys of the victim order.
+     * Hierarchical bitmap supporting O(1) set and clear and
+     * near-O(1) find-max and find-below (one word scan per level).
      */
     class MaxBitmap
     {
@@ -214,6 +220,8 @@ class MinCacheSim
         bool test(std::size_t i) const;
         /** Highest set bit, or false when the bitmap is empty. */
         bool findMax(std::size_t &out) const;
+        /** Highest set bit below @p i, or false when there is none. */
+        bool findBelow(std::size_t i, std::size_t &out) const;
 
       private:
         std::vector<std::vector<std::uint64_t>> levels_;
@@ -227,16 +235,23 @@ class MinCacheSim
      * (nuOwner_).  This doubles as the residency index — the access
      * at position t hits if and only if the bit at t is set, because
      * only the block referenced at t can carry that key.  Blocks
-     * keyed tickInfinity are never referenced again — they can never
-     * be hit, so they leave only by eviction and a plain max-heap of
-     * (addr, slot) pairs (the ordered-set tie-break: highest address
-     * first) needs no re-keying or staleness handling.  The global
-     * victim is the top of infHeap_ when non-empty, else the owner
-     * of the highest finite tick.
+     * keyed tickInfinity ("dead") are never referenced again, so they
+     * can never be hit and leave only by eviction; each has one
+     * address rank from the next-use table, and deadBits_ holds the
+     * ranks of the resident ones with the owning slot alongside
+     * (deadOwner_).  The global victim is the owner of the highest
+     * dead rank (the ordered-set tie-break: highest address first)
+     * when any block is dead, else the owner of the highest finite
+     * tick.
      */
     MaxBitmap nuBits_;
     std::vector<std::uint32_t> nuOwner_;
-    std::vector<std::pair<Addr, std::uint32_t>> infHeap_;
+    MaxBitmap deadBits_;
+    std::vector<std::uint32_t> deadOwner_;
+
+    /** Dead positions before the cursor: the cursor's index into
+     * the table's deadRank. */
+    std::size_t deadOrdinal_ = 0;
 
     std::size_t cursor_ = 0;
 };

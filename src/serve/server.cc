@@ -371,12 +371,14 @@ ServeServer::computeSweep(const SweepRequest &req,
     eopts.nextUseProvider = [this, trace, tkey] {
         const std::string key =
             "nextuse|" + tkey + "|" + std::to_string(wordBytes);
-        return artifacts_.getOrBuild<std::vector<Tick>>(key, [&] {
-            auto table = std::make_shared<std::vector<Tick>>(
-                buildNextUse(*trace, wordBytes));
-            const std::size_t bytes = table->size() * sizeof(Tick);
-            return ArtifactCache::Built<std::vector<Tick>>{
-                std::move(table), bytes};
+        return artifacts_.getOrBuild<NextUseData>(key, [&] {
+            auto table = std::make_shared<NextUseData>(
+                buildNextUseData(*trace, wordBytes));
+            const std::size_t bytes =
+                table->ticks.size() * sizeof(Tick) +
+                table->deadRank.size() * sizeof(std::uint32_t);
+            return ArtifactCache::Built<NextUseData>{std::move(table),
+                                                     bytes};
         });
     };
 
