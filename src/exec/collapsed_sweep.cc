@@ -185,13 +185,25 @@ CollapsedSweep::CollapsedSweep(const Trace &trace,
                              std::to_string(g.configs.size()));
             g.results = runMattson(g);
         } else if (g.parts.empty()) {
-            MEMBW_SPAN_D("collapse.ladder_pass",
-                         "block=" + std::to_string(g.blockBytes) +
-                             "B cells=" +
-                             std::to_string(g.configs.size()));
+            const auto detail = [&] {
+                return "block=" + std::to_string(g.blockBytes) +
+                       "B cells=" + std::to_string(g.configs.size());
+            };
+            MEMBW_SPAN_D("collapse.ladder_pass", detail());
             const auto stream = makeStream(g.blockBytes);
-            if (ladderCollapsible(*stream, g.configs))
-                g.results = ladderSweep(*stream, g.configs);
+            if (ladderCollapsible(*stream, g.configs)) {
+                std::uint64_t visits = 0;
+                g.results = ladderSweep(*stream, g.configs, &visits);
+                // The share of (reference, config) pairs the filter
+                // cascade replayed.
+                const std::uint64_t pairs =
+                    stream->refs * g.configs.size();
+                if (tracingActive() && pairs > 0)
+                    tracingSetSpanDetail(
+                        (detail() + " visits=" +
+                         std::to_string(visits * 100 / pairs) + "%")
+                            .c_str());
+            }
         } else {
             const LadderPart &part = g.parts[unit.part];
             MEMBW_SPAN_D("collapse.ladder_part",

@@ -5,21 +5,21 @@ namespace ladder {
 
 namespace {
 
-template <bool Filtered>
+template <bool Filtered, bool ReadList, bool Emit>
 ChunkKernel
 pickKernel(unsigned ways)
 {
     switch (ways) {
     case 1:
-        return &runChunk<1, Filtered>;
+        return &runChunk<1, Filtered, ReadList, Emit>;
     case 2:
-        return &runChunk<2, Filtered>;
+        return &runChunk<2, Filtered, ReadList, Emit>;
     case 4:
-        return &runChunk<4, Filtered>;
+        return &runChunk<4, Filtered, ReadList, Emit>;
     case 8:
-        return &runChunk<8, Filtered>;
+        return &runChunk<8, Filtered, ReadList, Emit>;
     default:
-        return &runChunk<0, Filtered>;
+        return &runChunk<0, Filtered, ReadList, Emit>;
     }
 }
 
@@ -44,9 +44,15 @@ pickWordKernel(unsigned ways)
 } // namespace
 
 ChunkKernel
-selectKernel(unsigned ways, bool filtered)
+selectKernel(unsigned ways, bool filtered, bool readList, bool emit)
 {
-    return filtered ? pickKernel<true>(ways) : pickKernel<false>(ways);
+    if (filtered)
+        return pickKernel<true, false, false>(ways);
+    if (readList)
+        return emit ? pickKernel<false, true, true>(ways)
+                    : pickKernel<false, true, false>(ways);
+    return emit ? pickKernel<false, false, true>(ways)
+                : pickKernel<false, false, false>(ways);
 }
 
 WordKernel

@@ -5,16 +5,21 @@
  * ladder_sweep.hh / time_partition.hh.
  *
  * The kernel body lives here as a function template monomorphized on
- * two axes:
+ * four axes:
  *
- *  - W      — the way count baked in at compile time for the hot
- *             geometries (1, 2, 4, 8; 0 keeps it a runtime value),
+ *  - W        — the way count baked in at compile time for the hot
+ *               geometries (1, 2, 4, 8; 0 keeps it a runtime value),
  *  - Filtered — whether the kernel skips references outside its
- *             owned set range (time-partitioned workers).
+ *               owned set range (time-partitioned workers),
+ *  - ReadList — whether it replays a chunk's survivor list instead
+ *               of the whole chunk (a filter-cascade config after
+ *               the first; see ladder_sweep.hh),
+ *  - Emit     — whether it writes the survivor list for the next
+ *               config of its cascade.
  *
- * selectKernel() maps a (ways, filtered) point to one
- * stamped-out instantiation, chosen once per configuration so the
- * per-chunk call is a single indirect jump to straight-line code.
+ * selectKernel() maps a point to one stamped-out instantiation,
+ * chosen once per configuration so the per-chunk call is a single
+ * indirect jump to straight-line code.
  * Every instantiation evicts the same blocks as Cache and keeps the
  * same counters, which is what lets the equivalence tests demand
  * byte-equal results across way specializations and partition
@@ -66,9 +71,25 @@ promote(std::uint64_t *row, unsigned w, std::uint64_t word)
 
 struct ConfigSim;
 
+/**
+ * The references one kernel call replays: all of [begin, end), or,
+ * for a ReadList kernel, only the listLen survivors whose offsets
+ * from begin are in list.  An Emit kernel overwrites list in place
+ * with the offsets of the references it did not skip and sets
+ * listLen to their count, so one buffer carries a chunk down a whole
+ * cascade.
+ */
+struct ChunkRefs
+{
+    std::size_t begin = 0;
+    std::size_t end = 0;
+    std::uint16_t *list = nullptr;
+    std::size_t listLen = 0;
+};
+
 /** One monomorphized chunk kernel (selected by selectKernel). */
 using ChunkKernel = void (*)(ConfigSim &, const BlockStream &,
-                             std::size_t, std::size_t);
+                             ChunkRefs &);
 
 /** Fused-decode variant: replays word-sized aligned references
  * straight from the MemRef array, skipping the BlockStream
@@ -110,6 +131,9 @@ struct ConfigSim
     Bytes blockBytes = 0;
     bool writeBack = true;
     AllocPolicy alloc = AllocPolicy::WriteAllocate;
+    /** An Emit kernel may drop a store that hits a dirty row[0]: no
+     * later config of the cascade has fewer ways (see ladderSweep). */
+    bool skipDirtyStores = false;
     ChunkKernel kernel = nullptr;
 
     std::vector<std::uint64_t> lineStore; ///< backing (over-allocated)
@@ -223,10 +247,17 @@ struct WordSource
 };
 
 /**
- * Replay source references [begin, end) against the recency-ordered
- * rows (see ConfigSim); write-through and no-allocate only change the
- * byte accounting.  Filtered skips references whose set is outside
- * [setLo, setLo + setSpan).
+ * Replay the source references @p refs names against the
+ * recency-ordered rows (see ConfigSim); write-through and no-allocate
+ * only change the byte accounting.  Filtered skips references whose
+ * set is outside [setLo, setLo + setSpan).
+ *
+ * In a filter cascade (see ladderSweep) a ReadList kernel counts
+ * every reference of the chunk that is not on its list as one hit:
+ * an earlier config dropped it as an MRU hit that changes no state
+ * here.  An Emit kernel drops a reference that hits row[0] and is a
+ * load, or, with skipDirtyStores, a store to a line already dirty;
+ * every other reference goes on the list for the next config.
  *
  * The hot state lives in locals for the duration of the chunk: the
  * stats block would otherwise round-trip through memory on every
@@ -250,11 +281,15 @@ struct WordSource
  * reference lands in hits+misses, so loads = hits + misses - stores
  * and requestBytes = wordBytes * (hits + misses).
  */
-template <unsigned W, bool Filtered, class Source>
+template <unsigned W, bool Filtered, bool ReadList, bool Emit,
+          class Source>
 inline bool
-runChunkBody(ConfigSim &c, Source src, std::size_t begin,
-             std::size_t end)
+runChunkBody(ConfigSim &c, Source src, ChunkRefs &refs)
 {
+    // Set-range parts replay whole ranges, and a validating source
+    // may abort mid-chunk; neither takes part in a cascade.
+    static_assert(!(Filtered || Source::validating) ||
+                  !(ReadList || Emit));
     const unsigned n = W ? W : c.ways;
     std::uint64_t *const line = c.line;
     const std::uint64_t setMask = c.setMask;
@@ -265,6 +300,12 @@ runChunkBody(ConfigSim &c, Source src, std::size_t begin,
         static_cast<unsigned>(std::countr_zero(blockBytes));
     const bool writeBack = c.writeBack;
     const bool writeAllocate = c.alloc == AllocPolicy::WriteAllocate;
+    const bool skipDirtyStores = c.skipDirtyStores;
+    const std::size_t begin = refs.begin;
+    const std::size_t count =
+        ReadList ? refs.listLen : refs.end - refs.begin;
+    std::uint16_t *const list = refs.list;
+    std::size_t kept = 0;
     CacheStats st = c.stats;
 
     // Per-chunk deltas of the per-reference counters, folded into st
@@ -273,7 +314,7 @@ runChunkBody(ConfigSim &c, Source src, std::size_t begin,
     // EVERY reference; four plain locals get registers.  loadMisses
     // and demandFetchBytes are derived at fold time: every load miss
     // fetches a block, stores fetch only on write-allocate.
-    std::uint64_t hits = 0;
+    std::uint64_t hits = ReadList ? refs.end - begin - count : 0;
     std::uint64_t misses = 0;
     std::uint64_t storeMisses = 0;
     std::uint64_t stores = 0;
@@ -290,7 +331,8 @@ runChunkBody(ConfigSim &c, Source src, std::size_t begin,
         c.stats = st;
     };
 
-    for (std::size_t i = begin; i < end; ++i) {
+    for (std::size_t j = 0; j < count; ++j) {
+        const std::size_t i = begin + (ReadList ? list[j] : j);
         // The word check runs before the set filter: a non-word
         // reference may span two blocks (two sets), so no single
         // worker could claim it — the whole partitioned run must
@@ -313,6 +355,14 @@ runChunkBody(ConfigSim &c, Source src, std::size_t begin,
         if constexpr (Source::validating)
             stores += store;
         const unsigned w = findBlock(row, n, bn);
+        if constexpr (Emit) {
+            // Decided before the store below dirties row[0].
+            const bool skip =
+                w == 0 &&
+                (!store || (skipDirtyStores && (row[0] & 1) != 0));
+            list[kept] = static_cast<std::uint16_t>(i - begin);
+            kept += !skip;
+        }
         if (w < n) {
             hits++;
             if (store) {
@@ -347,16 +397,17 @@ runChunkBody(ConfigSim &c, Source src, std::size_t begin,
         promote(row, n - 1,
                 (bn << 1) | static_cast<std::uint64_t>(store && writeBack));
     }
+    if constexpr (Emit)
+        refs.listLen = kept;
     fold();
     return true;
 }
 
-template <unsigned W, bool Filtered>
+template <unsigned W, bool Filtered, bool ReadList, bool Emit>
 void
-runChunk(ConfigSim &c, const BlockStream &s, std::size_t begin,
-         std::size_t end)
+runChunk(ConfigSim &c, const BlockStream &s, ChunkRefs &refs)
 {
-    runChunkBody<W, Filtered>(c, StreamSource(s), begin, end);
+    runChunkBody<W, Filtered, ReadList, Emit>(c, StreamSource(s), refs);
 }
 
 template <unsigned W, bool Filtered>
@@ -364,15 +415,19 @@ bool
 runWordChunk(ConfigSim &c, const MemRef *refs, std::size_t begin,
              std::size_t end)
 {
-    return runChunkBody<W, Filtered>(c, WordSource(refs), begin, end);
+    ChunkRefs range{begin, end};
+    return runChunkBody<W, Filtered, false, false>(c, WordSource(refs),
+                                                   range);
 }
 
 /**
  * The monomorphized kernel for one configuration point.  Way counts
  * without a baked specialization (3, 5, 6, 7, 9..16) get the
- * runtime-way variant.
+ * runtime-way variant.  A filtered kernel reads a range and emits
+ * nothing; @p readList and @p emit are ignored for it.
  */
-ChunkKernel selectKernel(unsigned ways, bool filtered);
+ChunkKernel selectKernel(unsigned ways, bool filtered,
+                         bool readList = false, bool emit = false);
 
 /** selectKernel's fused-decode twin: the same dispatch table over
  * runWordChunk instantiations (see WordSource for the validity

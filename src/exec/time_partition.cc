@@ -69,7 +69,8 @@ runLadderPart(const BlockStream &stream, const CacheConfig &cfg,
         ladder::selectKernel(sim.ways, part.setSpan != cfg.sets());
     // One sim per part: no per-chunk locality to exploit, so replay
     // the whole stream in one call.
-    sim.kernel(sim, stream, 0, stream.refs);
+    ladder::ChunkRefs all{0, stream.refs};
+    sim.kernel(sim, stream, all);
     sim.flush();
     return sim.stats;
 }

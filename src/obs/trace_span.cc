@@ -225,6 +225,16 @@ tracingInstant(const char *name, const char *detail)
     record(ring(), e);
 }
 
+void
+tracingSetSpanDetail(const char *detail)
+{
+    if (!tracingActive())
+        return;
+    Ring &r = ring();
+    if (!r.stack.empty())
+        copyDetail(r.stack.back().detail, detail);
+}
+
 namespace tracedetail {
 
 void

@@ -87,6 +87,13 @@ void tracingCounter(const char *name, double value);
 void tracingInstant(const char *name, const char *detail = "");
 
 /**
+ * Replace the detail of the calling thread's innermost open span,
+ * for a figure known only once its work is done.  No-op when
+ * recording is off or no span is open.
+ */
+void tracingSetSpanDetail(const char *detail);
+
+/**
  * Ring capacity (events per thread) for buffers created *after* the
  * call; must be a power of two.  Default 1<<15.  Test hook — call
  * before tracingStart().
@@ -176,6 +183,7 @@ inline std::uint64_t tracingNowNs() { return 0; }
 inline void tracingSetThreadName(const char *) {}
 inline void tracingCounter(const char *, double) {}
 inline void tracingInstant(const char *, const char * = "") {}
+inline void tracingSetSpanDetail(const char *) {}
 inline void tracingSetCapacity(std::size_t) {}
 inline void tracingReset() {}
 

@@ -15,7 +15,6 @@
 #include "obs/build_info.hh"
 #include "obs/manifest.hh"
 #include "obs/progress.hh"
-#include "obs/trace_span.hh"
 #include "resilience/exit_codes.hh"
 #include "resilience/signals.hh"
 #include "serve/decompose_service.hh"
@@ -316,7 +315,6 @@ ServeServer::traceFor(const std::string &workload, double scale,
 {
     const std::string key = "trace|" + traceKey(workload, scale, seed);
     return artifacts_.getOrBuild<Trace>(key, [&] {
-        MEMBW_SPAN_D("trace.generate", workload);
         WorkloadParams p;
         p.scale = scale;
         p.seed = seed;

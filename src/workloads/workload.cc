@@ -1,5 +1,7 @@
 #include "workloads/workload.hh"
 
+#include "obs/trace_span.hh"
+
 namespace membw {
 
 WorkloadRun
@@ -16,6 +18,7 @@ Workload::run(const WorkloadParams &params) const
 Trace
 Workload::trace(const WorkloadParams &params) const
 {
+    MEMBW_SPAN_D("trace.generate", name());
     TraceRecorder recorder;
     recorder.skipAnnotations();
     generate(recorder, params);

@@ -24,6 +24,7 @@
 #include "serve/sweep_service.hh"
 #include "trace/block_stream.hh"
 #include "trace/trace.hh"
+#include "workloads/workload.hh"
 
 namespace membw {
 namespace {
@@ -176,22 +177,31 @@ TEST(LadderSweep, MatchesDirectSimulatorAcrossPolicyGrid)
 }
 
 /** One ladder pass over @p trace at @p block, every config checked
- * counter for counter against the direct simulator. */
-void
+ * counter for counter against the direct simulator; returns the
+ * pass's (reference, config) visit count. */
+std::uint64_t
 expectLadderMatchesDirect(const Trace &trace, Bytes block,
                           const std::vector<CacheConfig> &cfgs,
                           const std::string &label)
 {
     const BlockStream stream = buildBlockStream(trace, block);
-    ASSERT_TRUE(ladderCollapsible(stream, cfgs)) << label;
-    const auto onepass = ladderSweep(stream, cfgs);
-    ASSERT_EQ(onepass.size(), cfgs.size()) << label;
-    for (std::size_t i = 0; i < cfgs.size(); ++i) {
+    if (!ladderCollapsible(stream, cfgs)) {
+        ADD_FAILURE() << label << ": outside the one-pass regime";
+        return 0;
+    }
+    std::uint64_t visits = 0;
+    const auto onepass = ladderSweep(stream, cfgs, &visits);
+    EXPECT_EQ(onepass.size(), cfgs.size()) << label;
+    for (std::size_t i = 0; i < cfgs.size() && i < onepass.size();
+         ++i) {
         const TrafficResult direct = runTrace(trace, cfgs[i]);
         const std::string cell = label + " " + cfgs[i].describe();
         EXPECT_EQ(onepass[i].pinBytes, direct.pinBytes) << cell;
         expectStatsEqual(onepass[i].l1, direct.l1, cell);
     }
+    EXPECT_GE(visits, stream.refs) << label;
+    EXPECT_LE(visits, stream.refs * cfgs.size()) << label;
+    return visits;
 }
 
 /** WB/WT x WA/WNA at @p size, @p block and each of @p ways. */
@@ -344,6 +354,136 @@ TEST(LadderSweep, TopOfAddressSpaceTagsStayDistinct)
         expectStatsEqual(word.l1, serial[i].l1,
                          "word " + cfgs[i].describe());
     }
+}
+
+// ---------------------------------------------------------------
+// Filter cascade: later configs replay only what earlier ones kept
+// ---------------------------------------------------------------
+
+/** A workload trace at a scale small enough for direct simulation of
+ * every cell; its loops give the MRU hits that random traces lack. */
+Trace
+workloadTrace(const std::string &name)
+{
+    WorkloadParams p;
+    p.scale = 0.05;
+    return makeWorkload(name)->trace(p);
+}
+
+CacheConfig
+ladderConfig(Bytes size, unsigned assoc, Bytes block,
+             WritePolicy write = WritePolicy::WriteBack,
+             AllocPolicy alloc = AllocPolicy::WriteAllocate)
+{
+    CacheConfig c;
+    c.size = size;
+    c.assoc = assoc;
+    c.blockBytes = block;
+    c.write = write;
+    c.alloc = alloc;
+    return c;
+}
+
+TEST(LadderSweep, CascadeMatchesDirectOnWorkloadLadders)
+{
+    // The traffic sweep's shape: 12 sizes x {1, 4, 8} ways x 6
+    // blocks, write-back write-allocate.  Each (block, ways) ladder
+    // is one cascade, as a sweep request runs it; the three ladders
+    // of a block then run again as one group, whose chain mixes way
+    // counts (a later config may have fewer ways than an earlier
+    // one, which turns the dirty-store skip off).
+    for (const char *name : {"Compress", "Swm", "Eqntott"}) {
+        const Trace trace = workloadTrace(name);
+        std::uint64_t pairs = 0;
+        std::uint64_t visits = 0;
+        for (Bytes block : {4u, 8u, 16u, 32u, 64u, 128u}) {
+            const BlockStream stream = buildBlockStream(trace, block);
+            std::vector<CacheConfig> all;
+            std::vector<CacheStats> direct;
+            for (unsigned ways : {1u, 4u, 8u}) {
+                std::vector<CacheConfig> ladder;
+                for (Bytes size = 1_KiB; size <= 2_MiB; size *= 2)
+                    ladder.push_back(ladderConfig(size, ways, block));
+                ASSERT_EQ(ladder.size(), 12u);
+                ASSERT_TRUE(ladderCollapsible(stream, ladder));
+                std::uint64_t v = 0;
+                const auto onepass = ladderSweep(stream, ladder, &v);
+                for (std::size_t i = 0; i < ladder.size(); ++i) {
+                    direct.push_back(runTrace(trace, ladder[i]).l1);
+                    expectStatsEqual(onepass[i].l1, direct.back(),
+                                     std::string(name) + " " +
+                                         ladder[i].describe());
+                }
+                pairs += stream.refs * ladder.size();
+                visits += v;
+                all.insert(all.end(), ladder.begin(), ladder.end());
+            }
+            const auto mixed = ladderSweep(stream, all);
+            for (std::size_t i = 0; i < all.size(); ++i)
+                expectStatsEqual(mixed[i].l1, direct[i],
+                                 std::string(name) + " mixed " +
+                                     all[i].describe());
+        }
+        // The cascade skipped at least a third of the pairs.
+        EXPECT_LT(visits * 3, pairs * 2) << name;
+    }
+}
+
+TEST(LadderSweep, CascadeGuardsTheChainsWhereSkippingIsUnsafe)
+{
+    const Trace trace = workloadTrace("Compress");
+    const BlockStream stream = buildBlockStream(trace, 32);
+    ASSERT_GT(stream.stores, 0u);
+
+    // Fewer ways after more: a dirty MRU line of the 8-way cache may
+    // have been written back and refetched clean by the 1-way ones,
+    // so the 8-way config must pass its dirty-store hits on.
+    expectLadderMatchesDirect(trace, 32,
+                               {ladderConfig(2_KiB, 8, 32),
+                                ladderConfig(4_KiB, 1, 32),
+                                ladderConfig(8_KiB, 2, 32),
+                                ladderConfig(16_KiB, 1, 32)},
+                               "fewer ways later");
+
+    // Write-through write-allocate skips loads only; write-back
+    // no-allocate chains skip nothing, so they visit every pair.
+    std::vector<CacheConfig> wt;
+    std::vector<CacheConfig> wna;
+    for (Bytes size = 1_KiB; size <= 64_KiB; size *= 2) {
+        wt.push_back(ladderConfig(size, 2, 32,
+                                  WritePolicy::WriteThrough));
+        wna.push_back(ladderConfig(size, 2, 32, WritePolicy::WriteBack,
+                                   AllocPolicy::WriteNoAllocate));
+    }
+    EXPECT_LT(expectLadderMatchesDirect(trace, 32, wt, "WT-WA"),
+              stream.refs * wt.size());
+    EXPECT_EQ(expectLadderMatchesDirect(trace, 32, wna, "WB-WNA"),
+              stream.refs * wna.size());
+
+    // Two configs of one geometry: the second replays only what the
+    // first kept, and counts the rest as hits.
+    const CacheConfig twin = ladderConfig(4_KiB, 4, 32);
+    EXPECT_LT(expectLadderMatchesDirect(trace, 32, {twin, twin},
+                                         "same geometry"),
+              2 * stream.refs);
+
+    // Every policy in one group, sizes given largest first so each
+    // chain's order differs from the caller's.
+    std::vector<CacheConfig> mixed;
+    for (Bytes size : {32_KiB, 8_KiB, 1_KiB}) {
+        for (WritePolicy wp :
+             {WritePolicy::WriteBack, WritePolicy::WriteThrough}) {
+            for (AllocPolicy ap : {AllocPolicy::WriteAllocate,
+                                   AllocPolicy::WriteNoAllocate}) {
+                mixed.push_back(ladderConfig(size, 4, 32, wp, ap));
+            }
+        }
+    }
+    expectLadderMatchesDirect(trace, 32, mixed, "mixed policies");
+
+    // A one-config group replays every reference once.
+    EXPECT_EQ(expectLadderMatchesDirect(trace, 32, {twin}, "single"),
+              stream.refs);
 }
 
 // ---------------------------------------------------------------

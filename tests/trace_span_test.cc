@@ -98,6 +98,31 @@ TEST(TraceSpan, OpenSpanClippedAtFlush)
     tracingStop();
 }
 
+TEST(TraceSpan, SetSpanDetailRewritesTheInnermostOpenSpan)
+{
+    restartTracing(64);
+    tracingSetSpanDetail("no span open"); // ignored
+    {
+        MEMBW_SPAN_D("outer", std::string("before"));
+        {
+            MEMBW_SPAN_D("inner", std::string("before"));
+            tracingSetSpanDetail("visits=42%");
+        }
+    }
+    tracingStop();
+
+    std::vector<tracedetail::FlatEvent> events;
+    std::uint64_t dropped = 0;
+    std::vector<std::pair<std::uint32_t, std::string>> threads;
+    tracedetail::snapshot(events, dropped, threads);
+    std::map<std::string, std::string> detail;
+    for (const auto &e : events)
+        detail[e.name] = e.detail;
+    EXPECT_EQ(detail.size(), 2u);
+    EXPECT_EQ(detail["inner"], "visits=42%");
+    EXPECT_EQ(detail["outer"], "before");
+}
+
 TEST(TraceSpan, EmptyTraceIsWellFormed)
 {
     restartTracing(64);

@@ -814,7 +814,6 @@ main(int argc, char **argv)
             std::printf("trace: %s (%zu refs)\n", o.loadTrace.c_str(),
                         trace.size());
         } else {
-            MEMBW_SPAN_D("trace.generate", o.workload);
             WorkloadParams p;
             p.scale = o.scale;
             p.seed = o.seed;
