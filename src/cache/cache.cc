@@ -68,10 +68,10 @@ loadCacheStats(ChkReader &r, CacheStats &s)
 /**
  * Sets this narrow are probed faster by scanning their contiguous
  * lines in lines_ (a handful of tag compares in one or two host cache
- * lines) than by hashing into a per-set index map, and scanning their
+ * lines) than by hashing into the block index, and scanning their
  * stamps for a victim is cheaper than relinking a recency list on
  * every hit.  Wider sets — notably fully-associative geometries,
- * where ways == blocks — keep the map and the list.
+ * where ways == blocks — keep the index and the list.
  */
 static constexpr unsigned linearScanWays = 8;
 
@@ -92,9 +92,7 @@ Cache::Cache(const CacheConfig &config)
     const std::size_t nlines = static_cast<std::size_t>(nsets_) * ways_;
     lines_.resize(nlines);
     if (useIndex_) {
-        index_.resize(nsets_);
-        for (auto &index : index_)
-            index.reserve(ways_ * 2);
+        index_.init(nlines);
         recency_.resize(nsets_);
         prev_.resize(nlines, noWay);
         next_.resize(nlines, noWay);
@@ -154,20 +152,19 @@ Cache::sectorExpand(std::uint64_t words) const
 std::size_t
 Cache::findLine(Addr block_addr) const
 {
-    const unsigned set = setIndex(block_addr);
-    const std::size_t base = slot(set, 0);
     if (!useIndex_) {
+        const std::size_t base = slot(setIndex(block_addr), 0);
         for (std::size_t i = base; i < base + ways_; ++i)
             if (lines_[i].valid && lines_[i].blockAddr == block_addr)
                 return i;
         return noLine;
     }
-    const auto it = index_[set].find(block_addr);
-    if (it == index_[set].end())
+    const std::uint32_t line_slot = index_.find(block_addr);
+    if (line_slot == BlockIndex::none)
         return noLine;
-    assert(lines_[base + it->second].valid &&
-           lines_[base + it->second].blockAddr == block_addr);
-    return base + it->second;
+    assert(lines_[line_slot].valid &&
+           lines_[line_slot].blockAddr == block_addr);
+    return line_slot;
 }
 
 void
@@ -289,7 +286,7 @@ Cache::evict(unsigned set, unsigned way, bool to_flush)
         sendWriteback(line.blockAddr, wb);
     }
     if (useIndex_) {
-        index_[set].erase(line.blockAddr);
+        index_.erase(line.blockAddr);
         unlink(set, way);
     }
     line = Line{};
@@ -312,7 +309,8 @@ Cache::insert(Addr block_addr)
     line.dirtyMask = 0;
     line.prefetchTag = false;
     if (useIndex_) {
-        index_[set].emplace(block_addr, way);
+        index_.insert(block_addr,
+                      static_cast<std::uint32_t>(slot(set, way)));
         linkHead(set, way);
     }
     return line;
@@ -702,14 +700,14 @@ Cache::loadState(ChkReader &r)
     rng_.setState(rstate);
     loadCacheStats(r, stats_);
 
-    // Linear-scan geometries keep no index_ at runtime; a local map
-    // stands in for it as the duplicate detector.
-    std::unordered_map<Addr, unsigned> scratch;
+    // The index is rebuilt from the lines, never saved; clearing it
+    // first drops whatever a cache that has already run had indexed.
+    if (useIndex_)
+        index_.clear();
     std::vector<unsigned> order;
     for (unsigned s = 0; s < nsets_; ++s) {
-        auto &index = useIndex_ ? index_[s] : scratch;
-        index.clear();
         Line *const ways = &lines_[slot(s, 0)];
+        unsigned valid = 0;
         for (unsigned way = 0; way < ways_; ++way) {
             Line &line = ways[way];
             line.valid = r.u8() != 0;
@@ -721,20 +719,40 @@ Cache::loadState(ChkReader &r)
             line.prefetchTag = r.u8() != 0;
             if (r.failed())
                 return;
-            if (line.valid &&
-                !index.emplace(line.blockAddr, way).second) {
+            if (!line.valid)
+                continue;
+            ++valid;
+            if (blockAddr(line.blockAddr) != line.blockAddr ||
+                setIndex(line.blockAddr) != s) {
+                r.fail(Errc::Corrupt,
+                       config_.name +
+                           ": resident block outside its set");
+                return;
+            }
+            // Linear-scan sets compare against the ways read so far.
+            const bool duplicate =
+                useIndex_
+                    ? index_.find(line.blockAddr) != BlockIndex::none
+                    : std::any_of(ways, ways + way, [&](const Line &o) {
+                          return o.valid &&
+                                 o.blockAddr == line.blockAddr;
+                      });
+            if (duplicate) {
                 r.fail(Errc::Corrupt,
                        config_.name +
                            ": duplicate resident block in set");
                 return;
             }
+            if (useIndex_)
+                index_.insert(line.blockAddr,
+                              static_cast<std::uint32_t>(slot(s, way)));
         }
         // insert() fills the lowest invalid way and only flush()
         // invalidates, so saveState() always writes a valid prefix.
         unsigned filled = 0;
         while (filled < ways_ && ways[filled].valid)
             ++filled;
-        if (index.size() != filled) {
+        if (valid != filled) {
             r.fail(Errc::Corrupt,
                    config_.name + ": valid ways of a set are not a "
                                   "prefix");

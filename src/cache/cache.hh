@@ -15,9 +15,9 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
+#include "cache/block_index.hh"
 #include "cache/config.hh"
 #include "common/rng.hh"
 #include "common/types.hh"
@@ -165,8 +165,9 @@ class Cache
 
     /**
      * Restore state written by saveState() into a cache built from
-     * the same config.  Geometry mismatches and malformed sections
-     * latch a classified error on @p r instead of throwing.
+     * the same config, whether or not it has run.  Geometry
+     * mismatches and malformed sections latch a classified error on
+     * @p r instead of throwing; the cache is then unusable.
      */
     void loadState(ChkReader &r);
 
@@ -248,18 +249,19 @@ class Cache
      * Lookup and victim strategy.  Sets with few ways scan their
      * ways_ contiguous lines in lines_ for the tag (one or two host
      * cache lines, no hashing) and pick their victim by scanning the
-     * lastUse/insertSeq stamps.  Wide and fully-associative sets
-     * keep a blockAddr -> way hash index_ plus a recency list over
-     * their valid ways, so both the lookup and the victim choice are
-     * O(1).
+     * lastUse/insertSeq stamps.  Wide and fully-associative
+     * geometries keep one flat blockAddr -> slot table for the whole
+     * cache (index_) plus a recency list per set over its valid ways,
+     * so both the lookup and the victim choice are O(1).
      */
     bool useIndex_;
     /** useIndex_ under LRU: a hit moves its line to the list head. */
     bool lruList_;
     /** Every line of every set, set-major: see slot(). */
     std::vector<Line> lines_;
-    /** Per set, blockAddr -> way; empty unless useIndex_. */
-    std::vector<std::unordered_map<Addr, unsigned>> index_;
+    /** blockAddr -> slot in lines_ of every valid line; empty
+     * unless useIndex_. */
+    BlockIndex index_;
     std::uint64_t seq_ = 0;
     Rng rng_;
     CacheStats stats_;

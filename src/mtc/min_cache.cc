@@ -111,84 +111,6 @@ MinCacheSim::freeSlot(std::uint32_t i)
 }
 
 void
-MinCacheSim::MaxBitmap::init(std::size_t bits)
-{
-    levels_.clear();
-    std::size_t words = (bits + 63) / 64;
-    if (words == 0)
-        words = 1;
-    for (;;) {
-        levels_.emplace_back(words, 0);
-        if (words == 1)
-            break;
-        words = (words + 63) / 64;
-    }
-}
-
-void
-MinCacheSim::MaxBitmap::set(std::size_t i)
-{
-    for (auto &level : levels_) {
-        level[i >> 6] |= std::uint64_t{1} << (i & 63);
-        i >>= 6;
-    }
-}
-
-void
-MinCacheSim::MaxBitmap::clear(std::size_t i)
-{
-    for (auto &level : levels_) {
-        std::uint64_t &word = level[i >> 6];
-        word &= ~(std::uint64_t{1} << (i & 63));
-        if (word != 0)
-            break;
-        i >>= 6;
-    }
-}
-
-bool
-MinCacheSim::MaxBitmap::test(std::size_t i) const
-{
-    return levels_[0][i >> 6] & (std::uint64_t{1} << (i & 63));
-}
-
-bool
-MinCacheSim::MaxBitmap::findMax(std::size_t &out) const
-{
-    if (levels_.back()[0] == 0)
-        return false;
-    std::size_t i = 0;
-    for (std::size_t l = levels_.size(); l-- > 0;) {
-        const std::uint64_t word = levels_[l][i];
-        i = (i << 6) +
-            (63 - static_cast<std::size_t>(std::countl_zero(word)));
-    }
-    out = i;
-    return true;
-}
-
-bool
-MinCacheSim::MaxBitmap::findBelow(std::size_t i, std::size_t &out) const
-{
-    // Climb until some level has a set bit below i's ancestor in the
-    // same word, then descend along the highest set bits.
-    for (std::size_t l = 0; l < levels_.size(); ++l, i >>= 6) {
-        const std::uint64_t word =
-            levels_[l][i >> 6] & ((std::uint64_t{1} << (i & 63)) - 1);
-        if (word == 0)
-            continue;
-        i = (i & ~std::size_t{63}) +
-            (63 - static_cast<std::size_t>(std::countl_zero(word)));
-        while (l-- > 0)
-            i = (i << 6) + (63 - static_cast<std::size_t>(
-                                     std::countl_zero(levels_[l][i])));
-        out = i;
-        return true;
-    }
-    return false;
-}
-
-void
 MinCacheSim::keyInsert(Tick nu, std::uint32_t rank, std::uint32_t slot)
 {
     if (nu == tickInfinity) {
@@ -208,17 +130,14 @@ MinCacheSim::accessOne(const MemRef &ref, Tick nu)
     if (alignDown(ref.addr + ref.size - 1, block_bytes) != block)
         fatal("MTC reference spans a block boundary");
 
-    auto words_mask = [&] {
-        const unsigned first =
-            static_cast<unsigned>((ref.addr - block) / wordBytes);
-        const unsigned last = static_cast<unsigned>(
-            (ref.addr + ref.size - 1 - block) / wordBytes);
-        std::uint64_t mask = 0;
-        for (unsigned w = first; w <= last; ++w)
-            mask |= std::uint64_t{1} << w;
-        return mask;
-    };
-    const std::uint64_t words = words_mask();
+    // Words first..last of the block (last <= 63: blocks are at
+    // most 64 words).
+    const unsigned first =
+        static_cast<unsigned>((ref.addr - block) / wordBytes);
+    const unsigned last = static_cast<unsigned>(
+        (ref.addr + ref.size - 1 - block) / wordBytes);
+    const std::uint64_t words = (~std::uint64_t{0} >> (63 - last)) &
+                                (~std::uint64_t{0} << first);
 
     stats_.accesses++;
     stats_.requestBytes += ref.size;

@@ -22,6 +22,7 @@
 
 #include "cache/config.hh"
 #include "common/types.hh"
+#include "mtc/max_bitmap.hh"
 #include "mtc/next_use.hh"
 #include "obs/mem_probe.hh"
 #include "trace/trace.hh"
@@ -206,26 +207,6 @@ class MinCacheSim
     std::vector<Slot> slots_;
     std::vector<std::uint32_t> freeList_;
     std::size_t resident_ = 0;
-
-    /**
-     * Hierarchical bitmap supporting O(1) set and clear and
-     * near-O(1) find-max and find-below (one word scan per level).
-     */
-    class MaxBitmap
-    {
-      public:
-        void init(std::size_t bits);
-        void set(std::size_t i);
-        void clear(std::size_t i);
-        bool test(std::size_t i) const;
-        /** Highest set bit, or false when the bitmap is empty. */
-        bool findMax(std::size_t &out) const;
-        /** Highest set bit below @p i, or false when there is none. */
-        bool findBelow(std::size_t i, std::size_t &out) const;
-
-      private:
-        std::vector<std::vector<std::uint64_t>> levels_;
-    };
 
     /**
      * Victim order, split by the structure of next-use keys.  Trace

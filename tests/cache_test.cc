@@ -13,6 +13,7 @@
 #include <list>
 #include <vector>
 
+#include "cache/block_index.hh"
 #include "cache/cache.hh"
 #include "cache/config.hh"
 #include "common/log.hh"
@@ -583,14 +584,64 @@ struct Geometry
     Bytes block;
 };
 
+/** randomTrace() over @p g's size, seeded by its shape. */
+std::vector<MemRef>
+uniformTrace(const Geometry &g, std::size_t refs)
+{
+    return randomTrace(g.size, g.size + g.assoc, refs);
+}
+
+/**
+ * Blocks that crowd a block index sized like @p g's: half the
+ * references are uniformTrace()'s, a quarter go to blocks spaced by
+ * the index capacity (arrays aligned to a large power of two), and a
+ * quarter to blocks whose home entries all lie in a four-entry
+ * window that wraps around the end of the table, so their probe
+ * chains are long and evictions among them shift entries back.
+ */
+std::vector<MemRef>
+crowdedTrace(const Geometry &g, std::size_t refs)
+{
+    const std::size_t lines = g.size / g.block;
+    BlockIndex shape;
+    shape.init(lines);
+    const std::size_t cap = shape.capacity();
+
+    std::vector<Addr> spaced;
+    for (Addr k = 0; k < 16; ++k)
+        for (Addr j = 0; j < 4; ++j)
+            spaced.push_back(0x4000000 + (k * cap + j) * g.block);
+    std::vector<Addr> colliding;
+    for (Addr b = 0x8000000; colliding.size() < 48; b += g.block)
+        if ((shape.home(b) + 2) % cap < 4)
+            colliding.push_back(b);
+
+    std::vector<MemRef> t = uniformTrace(g, refs);
+    Rng rng(g.size ^ g.assoc);
+    for (MemRef &ref : t) {
+        const unsigned pick = static_cast<unsigned>(rng.below(4));
+        if (pick == 0)
+            ref.addr = spaced[rng.below(spaced.size())];
+        else if (pick == 1)
+            ref.addr = colliding[rng.below(colliding.size())];
+        else
+            continue;
+        ref.addr += rng.below(g.block / ref.size) * ref.size;
+    }
+    return t;
+}
+
 /**
  * Run Cache and NaiveCache side by side on every replacement x write
- * x allocation policy of each geometry, comparing every CacheStats
- * field after a mid-trace flush(), at the end, and after a final
- * flush().
+ * x allocation policy of each geometry, over the trace @p make builds
+ * for it, comparing every CacheStats field after a mid-trace flush(),
+ * at the end, and after a final flush().
  */
 void
-expectMatchesNaiveModel(std::initializer_list<Geometry> geometries)
+expectMatchesNaiveModel(
+    std::initializer_list<Geometry> geometries,
+    std::vector<MemRef> (*make)(const Geometry &, std::size_t) =
+        uniformTrace)
 {
     const std::size_t refs = 12000;
 
@@ -617,8 +668,7 @@ expectMatchesNaiveModel(std::initializer_list<Geometry> geometries)
                     cfg.alloc = alloc;
                     cfg.seed = 7;
                     SCOPED_TRACE(cfg.describe());
-                    const std::vector<MemRef> trace =
-                        randomTrace(g.size, g.size + g.assoc, refs);
+                    const std::vector<MemRef> trace = make(g, refs);
 
                     Cache cache(cfg);
                     NaiveCache naive(cfg);
@@ -646,9 +696,13 @@ expectMatchesNaiveModel(std::initializer_list<Geometry> geometries)
 
 TEST(CacheReference, WideSetsMatchNaiveModel)
 {
-    // 16-way x 8 sets, 64-way x 4 sets, and 256 ways in one set.
-    expectMatchesNaiveModel(
-        {{2_KiB, 16, 16}, {16_KiB, 64, 64}, {8_KiB, 0, 32}});
+    // 16-way x 8 sets, 64-way x 4 sets, and 256 ways in one set, on
+    // uniform and on index-crowding traces.
+    const auto geometries = {Geometry{2_KiB, 16, 16},
+                             Geometry{16_KiB, 64, 64},
+                             Geometry{8_KiB, 0, 32}};
+    expectMatchesNaiveModel(geometries);
+    expectMatchesNaiveModel(geometries, crowdedTrace);
 }
 
 TEST(CacheReference, NarrowSetsMatchNaiveModel)

@@ -9,13 +9,16 @@
 
 #include <algorithm>
 #include <bit>
+#include <iterator>
 #include <numeric>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/log.hh"
 #include "common/rng.hh"
+#include "mtc/max_bitmap.hh"
 #include "mtc/min_cache.hh"
 #include "mtc/next_use.hh"
 
@@ -160,6 +163,79 @@ TEST(NextUse, SpanningReferencesTakeTheEarlierNextUse)
     EXPECT_EQ(data.ticks, (std::vector<Tick>{1, tickInfinity,
                                              tickInfinity, tickInfinity}));
     EXPECT_EQ(ranksOf(data), (std::vector<std::uint32_t>{1, 0, 2}));
+}
+
+/**
+ * Seeded random set/clear/findMax/findBelow over @p bits positions,
+ * checked op by op against a std::set.  Half the positions fall in
+ * four 4096-bit windows, so level-0 words often hold several bits
+ * and set() stops early; the rest spread over the whole range.  Each
+ * round fills the bitmap and then clears members until it is empty,
+ * so words empty at every level.
+ */
+void
+expectMaxBitmapMatchesSet(std::size_t bits, std::uint64_t seed)
+{
+    SCOPED_TRACE(std::to_string(bits) + " bits");
+    MaxBitmap bm;
+    bm.init(bits);
+    std::set<std::size_t> ref;
+    Rng rng(seed);
+    auto pick = [&]() -> std::size_t {
+        if (rng.below(2) == 0)
+            return rng.below(bits);
+        const std::size_t base = rng.below(4) * (bits / 4);
+        return std::min(bits - 1, base + rng.below(4096));
+    };
+    auto check = [&](std::size_t i) {
+        ASSERT_EQ(bm.test(i), ref.count(i) == 1) << i;
+        std::size_t got = 0;
+        const bool any = bm.findMax(got);
+        ASSERT_EQ(any, !ref.empty());
+        if (any) {
+            ASSERT_EQ(got, *ref.rbegin());
+        }
+        const auto below = ref.lower_bound(i);
+        const bool found = bm.findBelow(i, got);
+        ASSERT_EQ(found, below != ref.begin()) << i;
+        if (found) {
+            ASSERT_EQ(got, *std::prev(below)) << i;
+        }
+    };
+    for (int round = 0; round < 3; ++round) {
+        for (int op = 0; op < 40000; ++op) {
+            const std::size_t i = pick();
+            if (rng.below(4) != 0) {
+                bm.set(i);
+                ref.insert(i);
+            } else {
+                bm.clear(i);
+                ref.erase(i);
+            }
+            check(i);
+            check(pick());
+        }
+        while (!ref.empty()) {
+            auto member = ref.lower_bound(pick());
+            if (member == ref.end())
+                member = ref.begin();
+            const std::size_t i = *member;
+            bm.clear(i);
+            ref.erase(member);
+            check(i);
+            check(pick());
+        }
+    }
+}
+
+TEST(MaxBitmap, MatchesOrderedSetReference)
+{
+    // One to four levels: 300,007 positions take 4688, 74, 2 and 1
+    // words.
+    for (std::size_t bits : {std::size_t{1}, std::size_t{64},
+                             std::size_t{65}, std::size_t{4097},
+                             std::size_t{262144}, std::size_t{300007}})
+        expectMaxBitmapMatchesSet(bits, bits * 31 + 5);
 }
 
 TEST(MinCacheConfig, Validation)

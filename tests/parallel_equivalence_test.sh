@@ -1,23 +1,31 @@
 #!/usr/bin/env bash
-# End-to-end determinism check for the parallel sweep engine: every
-# sweep-mode output (stdout, --stats-json with --stable-json) and the
-# fig4/fig3/table1 bench reports must be byte-identical at --jobs 1
-# and --jobs 4 — including a run truncated by the deterministic
-# --sigterm-after cell-count trigger.  Also
-# checks the --jobs input contract and, on hosts with enough
-# hardware threads, that parallel decomposition cells actually run
-# faster.
+# End-to-end determinism check for the parallel engines, in three
+# parts that run as separate tests.
 #
-# Usage: parallel_equivalence_test.sh <membw_sim> <membw_decompose> \
-#            <fig4_traffic_curves> <fig3_decomposition> \
-#            <table1_technique_effects>
+# sweep: every membw_sim sweep-mode output (stdout, --stats-json with
+# --stable-json) and the fig4 bench report must be byte-identical at
+# --jobs 1 and --jobs 4 — including a run truncated by the
+# deterministic --sigterm-after cell-count trigger — and the --jobs
+# input contract must hold.
+#
+# decompose: membw_decompose --experiment all must be byte-identical
+# at --jobs 1 and --jobs 4 and keep its flag contract, and on hosts
+# with enough hardware threads parallel decomposition cells must
+# actually run faster.
+#
+# decompose_benches: the fig3/table1 bench reports, whose
+# decomposition cells share one pool, must be byte-identical at
+# --jobs 1 and --jobs 4.
+#
+# Usage: parallel_equivalence_test.sh sweep <membw_sim> \
+#            <fig4_traffic_curves>
+#        parallel_equivalence_test.sh decompose <membw_decompose>
+#        parallel_equivalence_test.sh decompose_benches \
+#            <fig3_decomposition> <table1_technique_effects>
 set -u
 
-SIM="$1"
-DECOMP="$2"
-FIG4="$3"
-FIG3="$4"
-TABLE1="$5"
+MODE="$1"
+shift
 DIR="$(mktemp -d)"
 trap 'rm -rf "$DIR"' EXIT
 cd "$DIR"
@@ -36,97 +44,130 @@ expect_exit() {
         fail "expected exit $want from '$*', got $got"
 }
 
-# --- membw_sim sweep mode: jobs 1 vs jobs 4 ------------------------
-SWEEP=(--workload Compress --scale 0.05 --sweep-sizes 1K,4K,16K,64K
-       --sweep-blocks 16,32,64 --mtc --stable-json)
-
-"$SIM" "${SWEEP[@]}" --jobs 1 --stats-json s1.json > s1.txt 2>/dev/null ||
-    fail "sweep --jobs 1 failed"
-"$SIM" "${SWEEP[@]}" --jobs 4 --stats-json s4.json > s4.txt 2>/dev/null ||
-    fail "sweep --jobs 4 failed"
-cmp -s s1.txt s4.txt ||
-    fail "membw_sim sweep stdout differs between --jobs 1 and 4"
-cmp -s s1.json s4.json ||
-    fail "membw_sim sweep stats JSON differs between --jobs 1 and 4"
-grep -q '"sweep.64KB.32B.hier.traffic_ratio"' s1.json ||
-    fail "sweep stats JSON lacks per-cell groups"
-
-# --- membw_sim sweep mode: SIGTERM drain is jobs-independent -------
-expect_exit 3 "$SIM" "${SWEEP[@]}" --jobs 1 --sigterm-after 7 \
-    --stats-json t1.json
-expect_exit 3 "$SIM" "${SWEEP[@]}" --jobs 4 --sigterm-after 7 \
-    --stats-json t4.json
-"$SIM" "${SWEEP[@]}" --jobs 1 --sigterm-after 7 > t1.txt 2>/dev/null
-"$SIM" "${SWEEP[@]}" --jobs 4 --sigterm-after 7 > t4.txt 2>/dev/null
-cmp -s t1.txt t4.txt ||
-    fail "interrupted sweep stdout differs between --jobs 1 and 4"
-cmp -s t1.json t4.json ||
-    fail "interrupted sweep stats JSON differs between --jobs 1 and 4"
-grep -q '"sweep_completed": "7"' t1.json ||
-    fail "interrupted sweep did not truncate to exactly 7 cells"
-grep -q '"interrupted": true' t1.json ||
-    fail "interrupted sweep JSON not flagged interrupted"
-
-# --- membw_sim sweep mode: flag contract ---------------------------
-expect_exit 1 "$SIM" "${SWEEP[@]}" --jobs 0
-expect_exit 1 "$SIM" "${SWEEP[@]}" --jobs 999
-expect_exit 1 "$SIM" "${SWEEP[@]}" --checkpoint ck.bin
-expect_exit 1 "$SIM" "${SWEEP[@]}" --l2-size 1M
-expect_exit 1 "$SIM" "${SWEEP[@]}" --scale -1
-expect_exit 1 "$SIM" "${SWEEP[@]}" --scale 0
-
-# --- membw_decompose --experiment all: jobs 1 vs jobs 4 ------------
-DALL=(--workload Swm --experiment all --scale 0.05 --stable-json)
-
-"$DECOMP" "${DALL[@]}" --jobs 1 --stats-json d1.json > d1.txt 2>/dev/null ||
-    fail "decompose all --jobs 1 failed"
-"$DECOMP" "${DALL[@]}" --jobs 4 --stats-json d4.json > d4.txt 2>/dev/null ||
-    fail "decompose all --jobs 4 failed"
-cmp -s d1.txt d4.txt ||
-    fail "decompose all stdout differs between --jobs 1 and 4"
-cmp -s d1.json d4.json ||
-    fail "decompose all stats JSON differs between --jobs 1 and 4"
-grep -q '"A.decomp.t_p"' d1.json ||
-    fail "decompose all stats JSON lacks per-experiment groups"
-expect_exit 1 "$DECOMP" "${DALL[@]}" --checkpoint dck.bin
-expect_exit 1 "$DECOMP" "${DALL[@]}" --sigterm-after 100
-expect_exit 1 "$DECOMP" "${DALL[@]}" --scale -1
-expect_exit 1 "$DECOMP" "${DALL[@]}" --scale 0
-# --experiment takes exactly one letter A-F or "all"; anything else
-# must fail before it runs, not fall back to its first letter.
-for bad in BOGUS Fx f ""; do
-    expect_exit 1 "$DECOMP" --workload Swm --scale 0.05 \
-        --experiment "$bad"
-done
-
-# --- bench sweeps and decomposition cells: jobs 1 vs jobs 4 --------
-for bench in "$FIG4" "$FIG3" "$TABLE1"; do
-    name=$(basename "$bench")
-    for j in 1 4; do
-        "$bench" --scale 0.02 --jobs $j --stable-json \
-            --json "$name.$j.json" > "$name.$j.txt" 2>/dev/null ||
-            fail "$name --jobs $j failed"
+# Each bench's stdout and --json report at --jobs 1 and --jobs 4.
+bench_equivalence() {
+    local bench name j
+    for bench in "$@"; do
+        name=$(basename "$bench")
+        for j in 1 4; do
+            "$bench" --scale 0.02 --jobs $j --stable-json \
+                --json "$name.$j.json" > "$name.$j.txt" 2>/dev/null ||
+                fail "$name --jobs $j failed"
+        done
+        cmp -s "$name.1.txt" "$name.4.txt" ||
+            fail "$name stdout differs between --jobs 1 and 4"
+        cmp -s "$name.1.json" "$name.4.json" ||
+            fail "$name JSON report differs between --jobs 1 and 4"
     done
-    cmp -s "$name.1.txt" "$name.4.txt" ||
-        fail "$name stdout differs between --jobs 1 and 4"
-    cmp -s "$name.1.json" "$name.4.json" ||
-        fail "$name JSON report differs between --jobs 1 and 4"
-done
+}
 
-# --- wall-clock speedup (only meaningful on multi-core hosts) ------
-# Times the 18 independent timing-model cells of --experiment all: a
-# collapsed membw_sim sweep is dominated by serial trace generation.
-CORES=$(nproc 2>/dev/null || echo 1)
-if [ "$CORES" -ge 4 ]; then
-    t_serial=$({ time -p "$DECOMP" "${DALL[@]}" --scale 0.5 --jobs 1 \
-        >/dev/null 2>&1; } 2>&1 | awk '/^real/ {print $2}')
-    t_par=$({ time -p "$DECOMP" "${DALL[@]}" --scale 0.5 --jobs 4 \
-        >/dev/null 2>&1; } 2>&1 | awk '/^real/ {print $2}')
-    awk -v s="$t_serial" -v p="$t_par" \
-        'BEGIN { exit !(p > 0 && s / p >= 1.5) }' ||
-        fail "decompose all --jobs 4 not faster than --jobs 1 ($t_serial vs $t_par s) on a $CORES-core host"
-else
-    echo "SKIP speedup check: only $CORES hardware thread(s)"
-fi
+sweep_part() {
+    local SIM="$1" FIG4="$2"
+
+    # --- membw_sim sweep mode: jobs 1 vs jobs 4 --------------------
+    SWEEP=(--workload Compress --scale 0.05 --sweep-sizes 1K,4K,16K,64K
+           --sweep-blocks 16,32,64 --mtc --stable-json)
+
+    "$SIM" "${SWEEP[@]}" --jobs 1 --stats-json s1.json > s1.txt 2>/dev/null ||
+        fail "sweep --jobs 1 failed"
+    "$SIM" "${SWEEP[@]}" --jobs 4 --stats-json s4.json > s4.txt 2>/dev/null ||
+        fail "sweep --jobs 4 failed"
+    cmp -s s1.txt s4.txt ||
+        fail "membw_sim sweep stdout differs between --jobs 1 and 4"
+    cmp -s s1.json s4.json ||
+        fail "membw_sim sweep stats JSON differs between --jobs 1 and 4"
+    grep -q '"sweep.64KB.32B.hier.traffic_ratio"' s1.json ||
+        fail "sweep stats JSON lacks per-cell groups"
+
+    # --- membw_sim sweep mode: SIGTERM drain is jobs-independent ---
+    expect_exit 3 "$SIM" "${SWEEP[@]}" --jobs 1 --sigterm-after 7 \
+        --stats-json t1.json
+    expect_exit 3 "$SIM" "${SWEEP[@]}" --jobs 4 --sigterm-after 7 \
+        --stats-json t4.json
+    "$SIM" "${SWEEP[@]}" --jobs 1 --sigterm-after 7 > t1.txt 2>/dev/null
+    "$SIM" "${SWEEP[@]}" --jobs 4 --sigterm-after 7 > t4.txt 2>/dev/null
+    cmp -s t1.txt t4.txt ||
+        fail "interrupted sweep stdout differs between --jobs 1 and 4"
+    cmp -s t1.json t4.json ||
+        fail "interrupted sweep stats JSON differs between --jobs 1 and 4"
+    grep -q '"sweep_completed": "7"' t1.json ||
+        fail "interrupted sweep did not truncate to exactly 7 cells"
+    grep -q '"interrupted": true' t1.json ||
+        fail "interrupted sweep JSON not flagged interrupted"
+
+    # --- membw_sim sweep mode: flag contract -----------------------
+    expect_exit 1 "$SIM" "${SWEEP[@]}" --jobs 0
+    expect_exit 1 "$SIM" "${SWEEP[@]}" --jobs 999
+    expect_exit 1 "$SIM" "${SWEEP[@]}" --checkpoint ck.bin
+    expect_exit 1 "$SIM" "${SWEEP[@]}" --l2-size 1M
+    expect_exit 1 "$SIM" "${SWEEP[@]}" --scale -1
+    expect_exit 1 "$SIM" "${SWEEP[@]}" --scale 0
+
+    # --- bench sweeps: jobs 1 vs jobs 4 ----------------------------
+    bench_equivalence "$FIG4"
+}
+
+decompose_part() {
+    local DECOMP="$1"
+
+    # --- membw_decompose --experiment all: jobs 1 vs jobs 4 --------
+    DALL=(--workload Swm --experiment all --scale 0.05 --stable-json)
+
+    "$DECOMP" "${DALL[@]}" --jobs 1 --stats-json d1.json > d1.txt 2>/dev/null ||
+        fail "decompose all --jobs 1 failed"
+    "$DECOMP" "${DALL[@]}" --jobs 4 --stats-json d4.json > d4.txt 2>/dev/null ||
+        fail "decompose all --jobs 4 failed"
+    cmp -s d1.txt d4.txt ||
+        fail "decompose all stdout differs between --jobs 1 and 4"
+    cmp -s d1.json d4.json ||
+        fail "decompose all stats JSON differs between --jobs 1 and 4"
+    grep -q '"A.decomp.t_p"' d1.json ||
+        fail "decompose all stats JSON lacks per-experiment groups"
+    expect_exit 1 "$DECOMP" "${DALL[@]}" --checkpoint dck.bin
+    expect_exit 1 "$DECOMP" "${DALL[@]}" --sigterm-after 100
+    expect_exit 1 "$DECOMP" "${DALL[@]}" --scale -1
+    expect_exit 1 "$DECOMP" "${DALL[@]}" --scale 0
+    # --experiment takes exactly one letter A-F or "all"; anything else
+    # must fail before it runs, not fall back to its first letter.
+    for bad in BOGUS Fx f ""; do
+        expect_exit 1 "$DECOMP" --workload Swm --scale 0.05 \
+            --experiment "$bad"
+    done
+
+    # --- wall-clock speedup (only meaningful on multi-core hosts) --
+    # Times the 18 independent timing-model cells of --experiment all: a
+    # collapsed membw_sim sweep is dominated by serial trace generation.
+    CORES=$(nproc 2>/dev/null || echo 1)
+    if [ "$CORES" -ge 4 ]; then
+        t_serial=$({ time -p "$DECOMP" "${DALL[@]}" --scale 0.5 --jobs 1 \
+            >/dev/null 2>&1; } 2>&1 | awk '/^real/ {print $2}')
+        t_par=$({ time -p "$DECOMP" "${DALL[@]}" --scale 0.5 --jobs 4 \
+            >/dev/null 2>&1; } 2>&1 | awk '/^real/ {print $2}')
+        awk -v s="$t_serial" -v p="$t_par" \
+            'BEGIN { exit !(p > 0 && s / p >= 1.5) }' ||
+            fail "decompose all --jobs 4 not faster than --jobs 1 ($t_serial vs $t_par s) on a $CORES-core host"
+    else
+        echo "SKIP speedup check: only $CORES hardware thread(s)"
+    fi
+}
+
+decompose_benches_part() {
+    # --- bench decomposition cells: jobs 1 vs jobs 4 ---------------
+    bench_equivalence "$@"
+}
+
+case "$MODE" in
+    sweep)
+        [ $# -eq 2 ] || fail "sweep takes 2 binaries"
+        sweep_part "$@" ;;
+    decompose)
+        [ $# -eq 1 ] || fail "decompose takes 1 binary"
+        decompose_part "$@" ;;
+    decompose_benches)
+        [ $# -eq 2 ] || fail "decompose_benches takes 2 binaries"
+        decompose_benches_part "$@" ;;
+    *)
+        fail "unknown part '$MODE' (sweep, decompose or decompose_benches)" ;;
+esac
 
 echo "PASS"

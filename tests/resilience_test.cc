@@ -469,6 +469,49 @@ TEST(Resume, WideSetsResumeToIdenticalState)
     }
 }
 
+TEST(Resume, RestoreIntoUsedWideSetCacheMatchesFreshRestore)
+{
+    // The cache that takes the restore has run over 128 other blocks
+    // first, so its index holds entries the checkpoint does not: the
+    // restore must drop them all.
+    const Trace trace = wideSetTrace(20000);
+    Trace other;
+    for (std::size_t i = 0; i < 5000; ++i)
+        other.append(0x900000 + (i * 52) % 4_KiB, 4,
+                     i % 3 ? RefKind::Load : RefKind::Store);
+    CacheConfig fa_lru;
+    fa_lru.name = "FA";
+    fa_lru.size = 64_KiB;
+    fa_lru.assoc = 0;
+    CacheConfig lru16;
+    lru16.name = "W16";
+    lru16.size = 16_KiB;
+    lru16.assoc = 16;
+
+    for (const CacheConfig &cfg : {fa_lru, lru16}) {
+        SCOPED_TRACE(cfg.describe());
+        const std::size_t cut = trace.size() / 2;
+        Cache first(cfg);
+        for (std::size_t i = 0; i < cut; ++i)
+            first.access(trace[i]);
+        const std::string snapshot = serializeCache(first);
+
+        Cache fresh(cfg);
+        Cache used(cfg);
+        for (const MemRef &r : other)
+            used.access(r);
+        for (Cache *c : {&fresh, &used}) {
+            ASSERT_EQ(loadCacheImage(snapshot, *c).code, Errc::Ok);
+            for (const MemRef &r : other)
+                EXPECT_EQ(c->contains(r.addr), first.contains(r.addr));
+            for (std::size_t i = cut; i < trace.size(); ++i)
+                c->access(trace[i]);
+            c->flush();
+        }
+        EXPECT_EQ(serializeCache(used), serializeCache(fresh));
+    }
+}
+
 TEST(Resume, NonPrefixValidWaysAreCorrupt)
 {
     // One fully associative set of 16 ways (hash-indexed) and one
@@ -506,6 +549,41 @@ TEST(Resume, DuplicateBlockInNarrowSetIsCorrupt)
     EXPECT_EQ(err.code, Errc::Corrupt);
     EXPECT_NE(err.message.find("duplicate"), std::string::npos)
         << err.message;
+}
+
+TEST(Resume, DuplicateBlockInWideSetIsCorrupt)
+{
+    // A fully associative set of 16 ways is hash-indexed; the index
+    // itself catches the repeat.
+    const CacheConfig cfg = oneSetCache(16, 0);
+    std::vector<Addr> blocks(16, addrInvalid);
+    blocks[0] = 0x1000;
+    blocks[1] = 0x2000;
+    blocks[2] = 0x1000;
+    blocks[3] = 0x3000;
+    Cache cache(cfg);
+    const Error err = loadCacheImage(oneSetSection(cfg, blocks), cache);
+    EXPECT_EQ(err.code, Errc::Corrupt);
+    EXPECT_NE(err.message.find("duplicate"), std::string::npos)
+        << err.message;
+}
+
+TEST(Resume, MisalignedResidentBlockIsCorrupt)
+{
+    // A valid line must hold a block address of its own set; the
+    // index would otherwise map it to a line it cannot find.
+    for (const CacheConfig &cfg : {oneSetCache(16, 0), oneSetCache(4, 4)}) {
+        SCOPED_TRACE(cfg.name);
+        std::vector<Addr> blocks(cfg.ways(), addrInvalid);
+        blocks[0] = 0x1000;
+        blocks[1] = 0x2004;
+        Cache cache(cfg);
+        const Error err =
+            loadCacheImage(oneSetSection(cfg, blocks), cache);
+        EXPECT_EQ(err.code, Errc::Corrupt);
+        EXPECT_NE(err.message.find("outside its set"), std::string::npos)
+            << err.message;
+    }
 }
 
 TEST(Resume, MinCacheSimResumesToIdenticalStats)
