@@ -104,6 +104,24 @@ class MaxBitmap
         return false;
     }
 
+    /** Call @p f with every set position, in ascending order; a
+     * zero bit one level up skips 64 positions. */
+    template <class F>
+    void
+    forEach(F f) const
+    {
+        auto visit = [&](std::size_t w) {
+            for (std::uint64_t word = words_[w]; word; word &= word - 1)
+                f(w * 64 + static_cast<std::size_t>(std::countr_zero(word)));
+        };
+        if (levels_ == 1)
+            return visit(0);
+        const std::size_t words0 = offset_[1];
+        for (std::size_t u = 0; u < (words0 + 63) / 64; ++u)
+            for (std::uint64_t up = words_[words0 + u]; up; up &= up - 1)
+                visit(u * 64 + static_cast<std::size_t>(std::countr_zero(up)));
+    }
+
   private:
     static std::uint64_t bit(std::size_t i)
     {

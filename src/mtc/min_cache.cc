@@ -3,7 +3,8 @@
 #include <algorithm>
 #include <array>
 #include <bit>
-#include <cassert>
+#include <cstring>
+#include <type_traits>
 #include <utility>
 
 #include "common/bitops.hh"
@@ -35,6 +36,91 @@ MinCacheConfig::describe() const
            " MIN-" + toString(alloc) + (allowBypass ? "+bypass" : "");
 }
 
+namespace {
+
+/** Every word of a block of @p blockBytes (1 to 64 words). */
+std::uint64_t
+fullMask(Bytes blockBytes)
+{
+    return ~std::uint64_t{0} >> (64 - blockBytes / wordBytes);
+}
+
+/** Bytes written back when a block with dirty words @p dirty leaves. */
+Bytes
+writebackSize(std::uint64_t dirty, bool validate, Bytes blockBytes)
+{
+    if (dirty == 0)
+        return 0;
+    return validate ? static_cast<Bytes>(std::popcount(dirty)) * wordBytes
+                    : blockBytes;
+}
+
+/** A resident block's valid and dirty words. */
+struct Masks
+{
+    std::uint64_t valid;
+    std::uint64_t dirty;
+};
+
+/** Word blocks: a one-word block is wholly valid, so its state is
+ * its dirty bit.  A key is stored once between resets (one trace
+ * position leads to each), so a store sets a zero bit. */
+struct WordCells
+{
+    static constexpr std::size_t bitsPerKey = 1;
+
+    static Masks
+    load(const std::uint64_t *s, std::size_t k)
+    {
+        return {1, (s[k >> 6] >> (k & 63)) & 1};
+    }
+    static void
+    store(std::uint64_t *s, std::size_t k, Masks m)
+    {
+        s[k >> 6] |= std::uint64_t{m.dirty != 0} << (k & 63);
+    }
+};
+
+/** Blocks of several words: both masks, as bytes for blocks of up to
+ * eight words (the paper's 32 B blocks) and as words above that. */
+template <class M>
+struct MaskCells
+{
+    static constexpr std::size_t bitsPerKey = 16 * sizeof(M);
+
+    static Masks
+    load(const std::uint64_t *s, std::size_t k)
+    {
+        M m[2] = {};
+        std::memcpy(m, reinterpret_cast<const char *>(s) + k * sizeof m,
+                    sizeof m);
+        return {m[0], m[1]};
+    }
+    static void
+    store(std::uint64_t *s, std::size_t k, Masks v)
+    {
+        const M m[2] = {static_cast<M>(v.valid), static_cast<M>(v.dirty)};
+        std::memcpy(reinterpret_cast<char *>(s) + k * sizeof m, m,
+                    sizeof m);
+    }
+};
+
+/** Call @p f with the cell layout of @p blockBytes blocks. */
+template <class F>
+void
+withCells(Bytes blockBytes, F &&f)
+{
+    const Bytes words = blockBytes / wordBytes;
+    if (words == 1)
+        f(WordCells{});
+    else if (words <= 8)
+        f(MaskCells<std::uint8_t>{});
+    else
+        f(MaskCells<std::uint64_t>{});
+}
+
+} // namespace
+
 MinCacheSim::MinCacheSim(const Trace &trace, const MinCacheConfig &config)
     : MinCacheSim(trace, config,
                   makeNextUseTable(trace, config.blockBytes))
@@ -48,212 +134,163 @@ MinCacheSim::MinCacheSim(const Trace &trace, const MinCacheConfig &config,
     config_.validate();
     if (!nextUse_ || nextUse_->ticks.size() != trace_.size())
         fatal("MTC shared next-use table does not match the trace");
-
-    const unsigned words_per_block =
-        static_cast<unsigned>(config_.blockBytes / wordBytes);
-    fullMask_ = words_per_block == 64
-                    ? ~std::uint64_t{0}
-                    : (std::uint64_t{1} << words_per_block) - 1;
     capacity_ = config_.blocks();
     resetResident();
-}
-
-Bytes
-MinCacheSim::writebackSize(const Slot &slot) const
-{
-    if (slot.dirtyMask == 0)
-        return 0;
-    if (config_.alloc == AllocPolicy::WriteValidate)
-        return static_cast<Bytes>(std::popcount(slot.dirtyMask)) *
-               wordBytes;
-    return config_.blockBytes;
 }
 
 void
 MinCacheSim::resetResident()
 {
-    slots_.clear();
-    // Residency is bounded by both the capacity and the number of
-    // distinct blocks the trace can touch (the pool still grows on
-    // demand if a restore exceeds the estimate).
-    slots_.reserve(std::min<std::size_t>(capacity_, trace_.size()));
-    freeList_.clear();
     resident_ = 0;
     nuBits_.init(trace_.size());
-    nuOwner_.assign(trace_.size(), 0);
     deadBits_.init(nextUse_->deadRank.size());
-    deadOwner_.assign(nextUse_->deadRank.size(), 0);
+    std::size_t bits = 0;
+    withCells(config_.blockBytes,
+              [&](auto cells) { bits = decltype(cells)::bitsPerKey; });
+    state_.assign(
+        ((trace_.size() + nextUse_->deadRank.size()) * bits + 63) / 64, 0);
 }
 
-std::uint32_t
-MinCacheSim::allocSlot()
-{
-    std::uint32_t i;
-    if (!freeList_.empty()) {
-        i = freeList_.back();
-        freeList_.pop_back();
-    } else {
-        i = static_cast<std::uint32_t>(slots_.size());
-        slots_.emplace_back();
-    }
-    slots_[i] = Slot{};
-    slots_[i].used = true;
-    resident_++;
-    return i;
-}
-
+template <class Cells>
 void
-MinCacheSim::freeSlot(std::uint32_t i)
+MinCacheSim::replay(std::size_t end)
 {
-    slots_[i].used = false;
-    freeList_.push_back(i);
-    resident_--;
-}
+    const MemRef *const refs = trace_.data();
+    const Tick *const ticks = nextUse_->ticks.data();
+    const std::uint32_t *const ranks = nextUse_->deadRank.data();
+    std::uint64_t *const state = state_.data();
+    const std::size_t deadBase = trace_.size(); // key of dead rank 0
+    const Bytes blockBytes = config_.blockBytes;
+    const std::uint64_t full = fullMask(blockBytes);
+    const bool validate = config_.alloc == AllocPolicy::WriteValidate;
 
-void
-MinCacheSim::keyInsert(Tick nu, std::uint32_t rank, std::uint32_t slot)
-{
-    if (nu == tickInfinity) {
-        deadBits_.set(rank);
-        deadOwner_[rank] = slot;
-    } else {
-        nuBits_.set(static_cast<std::size_t>(nu));
-        nuOwner_[static_cast<std::size_t>(nu)] = slot;
-    }
-}
+    // The slice runs on locals, stored back at its end, so stats()
+    // stays monotonic between slices.
+    MinCacheStats s = stats_;
+    std::uint64_t pops = victimScanPops_;
+    std::size_t resident = resident_;
+    std::size_t ordinal = deadOrdinal_;
+    std::size_t i = cursor_;
+    for (; i < end; ++i) {
+        const MemRef &ref = refs[i];
+        const Addr block = alignDown(ref.addr, blockBytes);
+        if (alignDown(ref.addr + ref.size - 1, blockBytes) != block)
+            break; // fatal once the locals are stored
+        std::uint64_t words = 1;
+        if constexpr (!std::is_same_v<Cells, WordCells>) {
+            // Words first..last of the block (last <= 63: blocks are
+            // at most 64 words).
+            const unsigned first =
+                static_cast<unsigned>((ref.addr - block) / wordBytes);
+            const unsigned last = static_cast<unsigned>(
+                (ref.addr + ref.size - 1 - block) / wordBytes);
+            words = (~std::uint64_t{0} >> (63 - last)) &
+                    (~std::uint64_t{0} << first);
+        }
+        const bool load = ref.isLoad();
+        s.requestBytes += ref.size;
 
-void
-MinCacheSim::accessOne(const MemRef &ref, Tick nu)
-{
-    const Bytes block_bytes = config_.blockBytes;
-    const Addr block = alignDown(ref.addr, block_bytes);
-    if (alignDown(ref.addr + ref.size - 1, block_bytes) != block)
-        fatal("MTC reference spans a block boundary");
+        // The block's key after this reference.  A dead position
+        // takes the next address rank in trace order, whether the
+        // block ends up cached or bypassed.
+        const Tick nu = ticks[i];
+        const bool dead = nu == tickInfinity;
+        const std::size_t key =
+            dead ? deadBase + ranks[ordinal++] : static_cast<std::size_t>(nu);
 
-    // Words first..last of the block (last <= 63: blocks are at
-    // most 64 words).
-    const unsigned first =
-        static_cast<unsigned>((ref.addr - block) / wordBytes);
-    const unsigned last = static_cast<unsigned>(
-        (ref.addr + ref.size - 1 - block) / wordBytes);
-    const std::uint64_t words = (~std::uint64_t{0} >> (63 - last)) &
-                                (~std::uint64_t{0} << first);
-
-    stats_.accesses++;
-    stats_.requestBytes += ref.size;
-
-    // A dead position takes the next address rank in trace order,
-    // whether the block ends up cached or bypassed.
-    std::uint32_t rank = 0;
-    if (nu == tickInfinity)
-        rank = nextUse_->deadRank[deadOrdinal_++];
-
-    // Residency test without a lookup: the current position is, by
-    // construction, the recorded next use of the block it references
-    // — so the reference hits iff the victim-order bit for this very
-    // tick is set, and nuOwner_ names the resident copy.
-    if (nuBits_.test(cursor_)) {
-        const std::uint32_t idx = nuOwner_[cursor_];
-        Slot &entry = slots_[idx];
-        assert(entry.used && entry.addr == block &&
-               entry.nextUse == static_cast<Tick>(cursor_));
-        nuBits_.clear(cursor_);
-        entry.nextUse = nu;
-        keyInsert(nu, rank, idx);
-
-        if (ref.isLoad()) {
-            const std::uint64_t missing = words & ~entry.validMask;
-            if (missing) {
-                const Bytes bytes =
-                    static_cast<Bytes>(std::popcount(missing)) *
+        Masks m{};
+        if (nuBits_.test(i)) {
+            // Residency test without a lookup: position i is, by
+            // construction, the recorded next use of the block it
+            // references, so the bit at i is set iff that block is
+            // resident, and its state is at i.
+            nuBits_.clear(i);
+            m = Cells::load(state, i);
+            if (load)
+                s.fetchBytes +=
+                    static_cast<Bytes>(std::popcount(words & ~m.valid)) *
                     wordBytes;
-                stats_.fetchBytes += bytes;
-                entry.validMask |= missing;
-            }
-        } else {
-            entry.validMask |= words;
-            entry.dirtyMask |= words;
-        }
-        stats_.hits++;
-        return;
-    }
-
-    stats_.misses++;
-
-    if (resident_ == capacity_) {
-        // The furthest-referenced resident block: any
-        // never-referenced-again block outranks every finite key,
-        // with the highest address (rank) first among them;
-        // otherwise the owner of the highest finite tick.
-        std::size_t top = 0;
-        const bool dead = deadBits_.findMax(top);
-        if (!dead) {
-            const bool any = nuBits_.findMax(top);
-            assert(any);
-            (void)any;
-        }
-
-        if (config_.allowBypass && !dead && nu > static_cast<Tick>(top)) {
-            // The incoming block is the lowest-priority block:
-            // service the request without caching it.
-            stats_.bypasses++;
-            if (ref.isLoad())
-                stats_.fetchBytes += ref.size;
             else
-                stats_.writebackBytes += ref.size;
-            return;
-        }
-
-        std::uint32_t victim;
-        if (dead) {
-            // The write-aware scan walks down from the victim through
-            // up to 31 runners-up in descending address order, looking
-            // for a clean block whose eviction saves a write-back
-            // without adding any future miss.  Without a clean one
-            // the top candidate goes.
-            std::size_t chosen = top;
-            std::size_t scanned = 1;
-            if (config_.writeAware) {
-                for (std::size_t r = top;;) {
-                    if (slots_[deadOwner_[r]].dirtyMask == 0) {
-                        chosen = r;
-                        break;
-                    }
-                    if (scanned == 32 || !deadBits_.findBelow(r, r))
-                        break;
-                    scanned++;
-                }
-            }
-            victim = deadOwner_[chosen];
-            deadBits_.clear(chosen);
-            victimScanPops_ += scanned;
-            MEMBW_PROBE(probe_, onMtcScan(scanned));
+                m.dirty |= words;
+            m.valid |= words;
+            s.hits++;
         } else {
-            victim = nuOwner_[top];
-            nuBits_.clear(top);
+            s.misses++;
+            if (resident == capacity_) {
+                // The furthest-referenced resident block: any
+                // never-referenced-again block outranks every finite
+                // key, with the highest address (rank) first among
+                // them; otherwise the highest finite tick.
+                std::size_t top = 0;
+                const bool topDead = deadBits_.findMax(top);
+                if (!topDead)
+                    nuBits_.findMax(top); // a full cache holds a key
+
+                if (config_.allowBypass && !topDead &&
+                    nu > static_cast<Tick>(top)) {
+                    // The incoming block is the lowest-priority block:
+                    // service the request without caching it.
+                    s.bypasses++;
+                    (load ? s.fetchBytes : s.writebackBytes) += ref.size;
+                    continue;
+                }
+
+                std::size_t victim = top;
+                if (topDead) {
+                    // The write-aware scan walks down from the victim
+                    // through up to 31 runners-up in descending
+                    // address order, looking for a clean block whose
+                    // eviction saves a write-back without adding any
+                    // future miss.  Without a clean one the top
+                    // candidate goes.
+                    std::size_t chosen = top;
+                    std::size_t scanned = 1;
+                    if (config_.writeAware) {
+                        for (std::size_t r = top;;) {
+                            if (!Cells::load(state, deadBase + r).dirty) {
+                                chosen = r;
+                                break;
+                            }
+                            if (scanned == 32 || !deadBits_.findBelow(r, r))
+                                break;
+                            scanned++;
+                        }
+                    }
+                    deadBits_.clear(chosen);
+                    victim = deadBase + chosen;
+                    pops += scanned;
+                    MEMBW_PROBE(probe_, onMtcScan(scanned));
+                } else {
+                    nuBits_.clear(top);
+                }
+                s.writebackBytes += writebackSize(
+                    Cells::load(state, victim).dirty, validate, blockBytes);
+                resident--;
+            }
+            resident++;
+            if (load || !validate) {
+                m = {full, load ? 0 : words};
+                s.fetchBytes += blockBytes;
+            } else { // WriteValidate: allocate without fetching.
+                m = {words, words};
+                s.validates++;
+            }
         }
-
-        stats_.writebackBytes += writebackSize(slots_[victim]);
-        freeSlot(victim);
+        if (dead)
+            deadBits_.set(key - deadBase);
+        else
+            nuBits_.set(key);
+        Cells::store(state, key, m);
     }
 
-    const std::uint32_t idx = allocSlot();
-    Slot &entry = slots_[idx];
-    entry.addr = block;
-    entry.nextUse = nu;
-    if (ref.isLoad()) {
-        entry.validMask = fullMask_;
-        stats_.fetchBytes += config_.blockBytes;
-    } else if (config_.alloc == AllocPolicy::WriteAllocate) {
-        entry.validMask = fullMask_;
-        entry.dirtyMask = words;
-        stats_.fetchBytes += config_.blockBytes;
-    } else { // WriteValidate: allocate without fetching.
-        entry.validMask = words;
-        entry.dirtyMask = words;
-        stats_.validates++;
-    }
-    keyInsert(nu, rank, idx);
+    s.accesses += i - cursor_;
+    stats_ = s;
+    victimScanPops_ = pops;
+    resident_ = resident;
+    deadOrdinal_ = ordinal;
+    cursor_ = i;
+    if (i != end)
+        fatal("MTC reference spans a block boundary");
 }
 
 void
@@ -261,10 +298,9 @@ MinCacheSim::step(std::size_t n)
 {
     const std::size_t end =
         cursor_ + std::min(n, trace_.size() - cursor_);
-    const std::vector<Tick> &nextUse = nextUse_->ticks;
     auto advance = [&] {
-        for (; cursor_ < end; ++cursor_)
-            accessOne(trace_[cursor_], nextUse[cursor_]);
+        withCells(config_.blockBytes,
+                  [&](auto cells) { replay<decltype(cells)>(end); });
     };
     // Trace only the slices that cross a counter stride or finish
     // the trace, so small slices cannot flood the thread's ring.
@@ -283,9 +319,17 @@ MinCacheSim::finalize() const
 {
     // Program completion: flush all dirty data (Section 4.1).
     MinCacheStats stats = stats_;
-    for (const Slot &slot : slots_)
-        if (slot.used)
-            stats.flushWritebackBytes += writebackSize(slot);
+    const bool validate = config_.alloc == AllocPolicy::WriteValidate;
+    withCells(config_.blockBytes, [&](auto cells) {
+        auto flush = [&](std::size_t key) {
+            stats.flushWritebackBytes += writebackSize(
+                decltype(cells)::load(state_.data(), key).dirty, validate,
+                config_.blockBytes);
+        };
+        nuBits_.forEach(flush);
+        deadBits_.forEach(
+            [&](std::size_t r) { flush(trace_.size() + r); });
+    });
     return stats;
 }
 
@@ -311,27 +355,36 @@ MinCacheSim::saveState(ChkWriter &w) const
     w.u64(trace_.size());
 
     w.u64(cursor_);
-    w.u64(stats_.accesses);
-    w.u64(stats_.hits);
-    w.u64(stats_.misses);
-    w.u64(stats_.bypasses);
-    w.u64(stats_.validates);
-    w.u64(stats_.requestBytes);
-    w.u64(stats_.fetchBytes);
-    w.u64(stats_.writebackBytes);
-    w.u64(stats_.flushWritebackBytes);
-    w.u64(victimScanPops_);
+    for (const std::uint64_t v :
+         {stats_.accesses, stats_.hits, stats_.misses, stats_.bypasses,
+          stats_.validates, stats_.requestBytes, stats_.fetchBytes,
+          stats_.writebackBytes, stats_.flushWritebackBytes,
+          victimScanPops_})
+        w.u64(v);
 
-    // Resident set sorted by (nextUse, addr): the image is
-    // deterministic (and matches what the earlier ordered-set
-    // implementation wrote) even though neither backing container
-    // iterates in that order.
+    // Resident set as (nextUse, addr, valid, dirty) rows sorted by
+    // (nextUse, addr), the order the checkpoint format fixes.  A
+    // finite key's block is the one its position references; a dead
+    // block is the one whose last reference, a dead position before
+    // the cursor, carries its rank.
     std::vector<std::array<std::uint64_t, 4>> rows;
     rows.reserve(resident_);
-    for (const Slot &slot : slots_)
-        if (slot.used)
-            rows.push_back({slot.nextUse, slot.addr, slot.validMask,
-                            slot.dirtyMask});
+    withCells(config_.blockBytes, [&](auto cells) {
+        auto row = [&](Tick nu, std::size_t pos, std::size_t key) {
+            const Masks m = decltype(cells)::load(state_.data(), key);
+            rows.push_back({nu,
+                            alignDown(trace_[pos].addr, config_.blockBytes),
+                            m.valid, m.dirty});
+        };
+        nuBits_.forEach([&](std::size_t t) { row(t, t, t); });
+        for (std::size_t k = 0, ordinal = 0; k < cursor_; ++k) {
+            if (nextUse_->ticks[k] != tickInfinity)
+                continue;
+            const std::uint32_t rank = nextUse_->deadRank[ordinal++];
+            if (deadBits_.test(rank))
+                row(tickInfinity, k, trace_.size() + rank);
+        }
+    });
     std::sort(rows.begin(), rows.end());
     w.u64(rows.size());
     for (const auto &row : rows)
@@ -374,16 +427,12 @@ MinCacheSim::loadState(ChkReader &r)
 
     cursor_ = static_cast<std::size_t>(r.u64());
     stats_ = MinCacheStats{};
-    stats_.accesses = r.u64();
-    stats_.hits = r.u64();
-    stats_.misses = r.u64();
-    stats_.bypasses = r.u64();
-    stats_.validates = r.u64();
-    stats_.requestBytes = r.u64();
-    stats_.fetchBytes = r.u64();
-    stats_.writebackBytes = r.u64();
-    stats_.flushWritebackBytes = r.u64();
-    victimScanPops_ = r.u64();
+    for (std::uint64_t *v :
+         {&stats_.accesses, &stats_.hits, &stats_.misses, &stats_.bypasses,
+          &stats_.validates, &stats_.requestBytes, &stats_.fetchBytes,
+          &stats_.writebackBytes, &stats_.flushWritebackBytes,
+          &victimScanPops_})
+        *v = r.u64();
     if (cursor_ > trace_.size()) {
         r.fail(Errc::Corrupt,
                "MTC cursor lies beyond the end of the trace");
@@ -400,35 +449,51 @@ MinCacheSim::loadState(ChkReader &r)
         return;
     }
     resetResident();
+    const Bytes bb = config_.blockBytes;
+    auto place = [&](std::size_t key, Masks m) {
+        withCells(bb, [&](auto cells) {
+            decltype(cells)::store(state_.data(), key, m);
+        });
+    };
+    // A finite key is its block's next use from the cursor on: no
+    // position at or after the cursor leads to it.
+    std::vector<bool> later(trace_.size());
+    for (std::size_t k = cursor_; k < trace_.size(); ++k)
+        if (nextUse_->ticks[k] != tickInfinity)
+            later[nextUse_->ticks[k]] = true;
     std::vector<Addr> seen;
     seen.reserve(static_cast<std::size_t>(resident));
-    // Dead blocks wait for their ranks: (address, slot).
-    std::vector<std::pair<Addr, std::uint32_t>> dead;
+    // Dead blocks wait for their ranks.
+    std::vector<std::pair<Addr, Masks>> dead;
     for (std::uint64_t i = 0; i < resident && !r.failed(); ++i) {
         const Tick nu = r.u64();
         const Addr addr = r.u64();
-        const std::uint64_t valid = r.u64();
-        const std::uint64_t dirty = r.u64();
-        // The victim-order structures rely on finite next uses being
-        // in-range and unique (position t references one block);
-        // anything else is not a state this simulation can produce.
+        const Masks m{r.u64(), r.u64()};
+        // The victim order relies on finite next uses being unique
+        // positions at or after the cursor that reference their
+        // blocks next, and the state layout on masks within the
+        // block; anything else is not a state this simulation can
+        // produce.
         if (nu != tickInfinity &&
-            (nu >= trace_.size() ||
-             nuBits_.test(static_cast<std::size_t>(nu)))) {
+            (nu < cursor_ || nu >= trace_.size() || later[nu] ||
+             nuBits_.test(static_cast<std::size_t>(nu)) ||
+             alignDown(trace_[nu].addr, bb) != addr)) {
             r.fail(Errc::Corrupt,
                    "MTC checkpoint has an invalid next-use key");
             return;
         }
-        const std::uint32_t idx = allocSlot();
-        Slot &slot = slots_[idx];
-        slot.addr = addr;
-        slot.nextUse = nu;
-        slot.validMask = valid;
-        slot.dirtyMask = dirty;
-        if (nu == tickInfinity)
-            dead.emplace_back(addr, idx);
-        else
-            keyInsert(nu, 0, idx);
+        if (m.valid == 0 || (m.valid & ~fullMask(bb)) ||
+            (m.dirty & ~m.valid)) {
+            r.fail(Errc::Corrupt,
+                   "MTC checkpoint has word masks outside its block");
+            return;
+        }
+        if (nu == tickInfinity) {
+            dead.emplace_back(addr, m);
+        } else {
+            nuBits_.set(static_cast<std::size_t>(nu));
+            place(static_cast<std::size_t>(nu), m);
+        }
         seen.push_back(addr);
     }
     if (r.failed())
@@ -443,20 +508,21 @@ MinCacheSim::loadState(ChkReader &r)
     // Recount the cursor's ordinal into deadRank and give each dead
     // block the rank of its last reference, which must lie before
     // the cursor: a block still to be referenced is not dead.
-    const std::vector<Tick> &ticks = nextUse_->ticks;
-    const auto &ranks = nextUse_->deadRank;
-    std::sort(dead.begin(), dead.end());
+    std::sort(dead.begin(), dead.end(),
+              [](const auto &a, const auto &b) { return a.first < b.first; });
     std::size_t placed = 0;
     deadOrdinal_ = 0;
     for (std::size_t k = 0; k < cursor_; ++k) {
-        if (ticks[k] != tickInfinity)
+        if (nextUse_->ticks[k] != tickInfinity)
             continue;
-        const Addr block = alignDown(trace_[k].addr, config_.blockBytes);
+        const Addr addr = alignDown(trace_[k].addr, bb);
         auto it = std::lower_bound(
-            dead.begin(), dead.end(),
-            std::make_pair(block, std::uint32_t{0}));
-        if (it != dead.end() && it->first == block) {
-            keyInsert(tickInfinity, ranks[deadOrdinal_], it->second);
+            dead.begin(), dead.end(), addr,
+            [](const auto &row, Addr a) { return row.first < a; });
+        if (it != dead.end() && it->first == addr) {
+            const std::uint32_t rank = nextUse_->deadRank[deadOrdinal_];
+            deadBits_.set(rank);
+            place(trace_.size() + rank, it->second);
             placed++;
         }
         deadOrdinal_++;
@@ -468,6 +534,7 @@ MinCacheSim::loadState(ChkReader &r)
                "cursor");
         return;
     }
+    resident_ = static_cast<std::size_t>(resident);
 
     r.leaveSection();
 }

@@ -102,7 +102,8 @@ struct MinCacheStats
  * Neither victim ordering needs a heap or a hash table: resident
  * blocks sit in two bitmaps, one over next-use ticks and one over
  * the address ranks of blocks never used again, both precomputed by
- * pass one (see NextUseData).
+ * pass one (see NextUseData), and each block's state is stored at
+ * its key (see state_).
  *
  * The simulation is resumable: step() advances by a bounded number of
  * references and saveState()/loadState() checkpoint the resident set
@@ -160,34 +161,24 @@ class MinCacheSim
      * Restore state written by saveState() for the same trace and
      * config; mismatches latch a classified error on @p r.  A resident
      * block keyed tickInfinity must be one whose last reference lies
-     * before the cursor (Errc::Corrupt otherwise).
+     * before the cursor; a finite key must be the block's next
+     * reference at or after the cursor; masks must lie inside the
+     * block (Errc::Corrupt otherwise).
      */
     void loadState(ChkReader &r);
 
   private:
-    /** One resident block in the slot pool. */
-    struct Slot
-    {
-        Addr addr = 0;
-        Tick nextUse = tickInfinity;
-        std::uint64_t validMask = 0;
-        std::uint64_t dirtyMask = 0;
-        bool used = false;
-    };
+    /** Replay references up to @p end with the per-key state layout
+     * @p Cells (word dirty bits or packed word masks). */
+    template <class Cells>
+    void replay(std::size_t end);
 
-    Bytes writebackSize(const Slot &slot) const;
-    void accessOne(const MemRef &ref, Tick nu);
-
-    std::uint32_t allocSlot();
-    void freeSlot(std::uint32_t i);
-    void keyInsert(Tick nu, std::uint32_t rank, std::uint32_t slot);
     void resetResident();
 
     const Trace &trace_;
     MinCacheConfig config_;
     NextUseTable nextUse_;
 
-    std::uint64_t fullMask_ = 0;
     unsigned capacity_ = 0;
 
     MinCacheStats stats_;
@@ -201,34 +192,31 @@ class MinCacheSim
 
     MemProbe *probe_ = nullptr;
 
-    /** Dense pool of resident blocks; freed slots are recycled via
-     * freeList_.  The pool is reached through the victim-order
-     * structures below, never searched. */
-    std::vector<Slot> slots_;
-    std::vector<std::uint32_t> freeList_;
     std::size_t resident_ = 0;
 
     /**
      * Victim order, split by the structure of next-use keys.  Trace
      * position t references exactly one block, so at most one
      * resident block has nextUse == t: the finite keys form a set of
-     * distinct ticks (nuBits_) with the owning slot alongside
-     * (nuOwner_).  This doubles as the residency index — the access
-     * at position t hits if and only if the bit at t is set, because
-     * only the block referenced at t can carry that key.  Blocks
-     * keyed tickInfinity ("dead") are never referenced again, so they
-     * can never be hit and leave only by eviction; each has one
-     * address rank from the next-use table, and deadBits_ holds the
-     * ranks of the resident ones with the owning slot alongside
-     * (deadOwner_).  The global victim is the owner of the highest
-     * dead rank (the ordered-set tie-break: highest address first)
-     * when any block is dead, else the owner of the highest finite
-     * tick.
+     * distinct ticks (nuBits_), which doubles as the residency index
+     * — the access at position t hits iff the bit at t is set.
+     * Blocks keyed tickInfinity ("dead") are never referenced again,
+     * so they leave only by eviction; deadBits_ holds their address
+     * ranks from the next-use table.  The victim is the highest dead
+     * rank (highest address first) when any block is dead, else the
+     * highest finite tick.
      */
     MaxBitmap nuBits_;
-    std::vector<std::uint32_t> nuOwner_;
     MaxBitmap deadBits_;
-    std::vector<std::uint32_t> deadOwner_;
+
+    /**
+     * Each resident block's state at its key: tick t at index t, dead
+     * rank r at index trace size + r.  The keys are unique, so no
+     * block needs a slot or an address (a finite key's block is the
+     * one its position references).  Word blocks keep one dirty bit
+     * per key; larger blocks keep valid and dirty word masks.
+     */
+    std::vector<std::uint64_t> state_;
 
     /** Dead positions before the cursor: the cursor's index into
      * the table's deadRank. */

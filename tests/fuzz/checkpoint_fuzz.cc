@@ -8,7 +8,8 @@
  * allocate past the image size.  The same image is offered to every
  * deserializer in the tree (traffic result, registry values, core
  * result, cache hierarchy, MTC), since a real checkpoint file could
- * be fed to any of them by a confused --resume.
+ * be fed to any of them by a confused --resume.  An MTC state that
+ * loads is then run to the end of its trace.
  */
 
 #include <cstddef>
@@ -89,6 +90,10 @@ LLVMFuzzerTestOneInput(const std::uint8_t *data, std::size_t size)
         MinCacheSim sim(trace, canonicalMtc(1_KiB));
         sim.loadState(r);
         expectLatched(r);
+        // A restored state must also replay: a forged image that
+        // passes validation runs to the end under the sanitizers.
+        if (!r.failed())
+            sim.run();
     }
     {
         auto again = ChkReader::fromMemory(data, size);

@@ -11,6 +11,7 @@
 #include <bit>
 #include <iterator>
 #include <numeric>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -21,6 +22,7 @@
 #include "mtc/max_bitmap.hh"
 #include "mtc/min_cache.hh"
 #include "mtc/next_use.hh"
+#include "resilience/checkpoint.hh"
 
 namespace membw {
 namespace {
@@ -167,7 +169,7 @@ TEST(NextUse, SpanningReferencesTakeTheEarlierNextUse)
 
 /**
  * Seeded random set/clear/findMax/findBelow over @p bits positions,
- * checked op by op against a std::set.  Half the positions fall in
+ * checked op by op against a std::set, and forEach every 5000 ops.  Half the positions fall in
  * four 4096-bit windows, so level-0 words often hold several bits
  * and set() stops early; the rest spread over the whole range.  Each
  * round fills the bitmap and then clears members until it is empty,
@@ -202,6 +204,12 @@ expectMaxBitmapMatchesSet(std::size_t bits, std::uint64_t seed)
             ASSERT_EQ(got, *std::prev(below)) << i;
         }
     };
+    auto checkAll = [&] {
+        std::vector<std::size_t> members;
+        bm.forEach([&](std::size_t i) { members.push_back(i); });
+        ASSERT_TRUE(std::equal(members.begin(), members.end(), ref.begin(),
+                               ref.end()));
+    };
     for (int round = 0; round < 3; ++round) {
         for (int op = 0; op < 40000; ++op) {
             const std::size_t i = pick();
@@ -214,7 +222,10 @@ expectMaxBitmapMatchesSet(std::size_t bits, std::uint64_t seed)
             }
             check(i);
             check(pick());
+            if (op % 5000 == 0)
+                checkAll();
         }
+        checkAll();
         while (!ref.empty()) {
             auto member = ref.lower_bound(pick());
             if (member == ref.end())
@@ -225,6 +236,7 @@ expectMaxBitmapMatchesSet(std::size_t bits, std::uint64_t seed)
             check(i);
             check(pick());
         }
+        checkAll();
     }
 }
 
@@ -416,9 +428,13 @@ struct OracleResult
  * again, the highest address first, or with writeAware the first
  * clean one among the top 32; bypass a miss whose own next use lies
  * beyond every resident block's; flush dirty words at the end.
+ * With @p stop, the run ends after the first @p stop references
+ * (next uses still look at the whole trace) and flushes what is
+ * resident then, as finalize() does after step(stop).
  */
 OracleResult
-beladyOracle(const Trace &t, const MinCacheConfig &c)
+beladyOracle(const Trace &t, const MinCacheConfig &c,
+             std::size_t stop = ~std::size_t{0})
 {
     struct Line
     {
@@ -449,7 +465,7 @@ beladyOracle(const Trace &t, const MinCacheConfig &c)
     OracleResult out;
     MinCacheStats &s = out.stats;
     std::vector<Line> lines;
-    for (std::size_t i = 0; i < t.size(); ++i) {
+    for (std::size_t i = 0; i < std::min(stop, t.size()); ++i) {
         const MemRef &r = t[i];
         const Addr block = blockOf(i);
         std::uint64_t words = 0;
@@ -534,15 +550,11 @@ beladyOracle(const Trace &t, const MinCacheConfig &c)
     return out;
 }
 
-/** Run the engine and the oracle and compare every counter. */
+/** Compare every counter and the scan work with the oracle's. */
 void
-expectMatchesOracle(const Trace &t, const MinCacheConfig &c,
-                    const std::string &what)
+expectSameAsOracle(const MinCacheStats &got, std::uint64_t scanPops,
+                   const OracleResult &want)
 {
-    SCOPED_TRACE(what);
-    MinCacheSim sim(t, c);
-    const MinCacheStats got = sim.run();
-    const OracleResult want = beladyOracle(t, c);
     const MinCacheStats &s = want.stats;
     EXPECT_EQ(got.accesses, s.accesses);
     EXPECT_EQ(got.hits, s.hits);
@@ -553,20 +565,81 @@ expectMatchesOracle(const Trace &t, const MinCacheConfig &c,
     EXPECT_EQ(got.fetchBytes, s.fetchBytes);
     EXPECT_EQ(got.writebackBytes, s.writebackBytes);
     EXPECT_EQ(got.flushWritebackBytes, s.flushWritebackBytes);
-    EXPECT_EQ(sim.victimScanPops(), want.scanPops);
+    EXPECT_EQ(scanPops, want.scanPops);
+}
+
+/** Run the engine and the oracle and compare every counter. */
+void
+expectMatchesOracle(const Trace &t, const MinCacheConfig &c,
+                    const std::string &what)
+{
+    SCOPED_TRACE(what);
+    MinCacheSim sim(t, c);
+    const MinCacheStats got = sim.run();
+    expectSameAsOracle(got, sim.victimScanPops(), beladyOracle(t, c));
+}
+
+/**
+ * Step the engine over @p t in random slices.  After @p peekAt
+ * references, finalize() must equal the oracle stopped there; after
+ * @p saveAt, the run moves through a checkpoint into a fresh engine;
+ * the finished run must equal the whole-trace oracle.
+ */
+void
+expectSlicedRunMatchesOracle(const Trace &t, const MinCacheConfig &c,
+                             std::size_t peekAt, std::size_t saveAt,
+                             Rng &rng)
+{
+    const std::size_t n = t.size();
+    std::optional<MinCacheSim> sim(std::in_place, t, c);
+    for (const std::size_t stop :
+         {std::min(peekAt, saveAt), std::max(peekAt, saveAt), n}) {
+        while (sim->cursor() < stop)
+            sim->step(std::min<std::size_t>(stop - sim->cursor(),
+                                            1 + rng.below(n / 3 + 1)));
+        ASSERT_EQ(sim->cursor(), stop);
+        if (stop == peekAt) {
+            SCOPED_TRACE("finalize() after step(" + std::to_string(stop) +
+                         ")");
+            expectSameAsOracle(sim->finalize(), sim->victimScanPops(),
+                               beladyOracle(t, c, stop));
+        }
+        if (stop == saveAt) {
+            ChkWriter w;
+            sim->saveState(w);
+            const std::string image = w.serialize();
+            auto opened = ChkReader::fromMemory(image.data(), image.size());
+            ASSERT_TRUE(opened.ok());
+            ChkReader r = std::move(opened.value());
+            sim.emplace(t, c);
+            sim->loadState(r);
+            ASSERT_FALSE(r.failed()) << r.error().describe();
+            ASSERT_EQ(sim->cursor(), stop);
+        }
+    }
+    SCOPED_TRACE("resumed at " + std::to_string(saveAt));
+    expectSameAsOracle(sim->finalize(), sim->victimScanPops(),
+                       beladyOracle(t, c));
 }
 
 TEST(MinOracle, RandomTracesMatchTheEngine)
 {
     Rng rng(0xbe1adULL);
     for (int round = 0; round < 1500; ++round) {
+        // Every third round is a word cache with sub-word references,
+        // half of those the canonical MTC (write-validate, bypass).
+        const bool wordRound = round % 3 == 0;
         MinCacheConfig c;
-        c.blockBytes = Bytes{4} << rng.below(7); // 4..256 B
+        c.blockBytes = wordRound ? wordBytes : Bytes{4} << rng.below(7);
         c.size = c.blockBytes * (1 + rng.below(8));
         c.alloc = rng.chance(0.5) ? AllocPolicy::WriteAllocate
                                   : AllocPolicy::WriteValidate;
         c.allowBypass = rng.chance(0.5);
         c.writeAware = rng.chance(0.5);
+        if (round % 6 == 0) {
+            c.alloc = AllocPolicy::WriteValidate;
+            c.allowBypass = true;
+        }
 
         // Up to 16 distinct blocks, scattered in address so that
         // address order and first-touch order disagree.
@@ -585,15 +658,25 @@ TEST(MinOracle, RandomTracesMatchTheEngine)
         for (std::size_t i = 0; i < refs; ++i) {
             const Addr block = blocks[rng.below(blocks.size())];
             const unsigned w = static_cast<unsigned>(rng.below(words));
+            const RefKind kind = rng.chance(storeShare) ? RefKind::Store
+                                                        : RefKind::Load;
+            if (wordRound) {
+                // 1, 2 or 4 bytes anywhere inside the word.
+                const Bytes size = Bytes{1} << rng.below(3);
+                t.append(block + rng.below(wordBytes - size + 1), size,
+                         kind);
+                continue;
+            }
             const Bytes size = w + 1 < words && rng.chance(0.2) ? 8 : 4;
-            t.append(block + w * wordBytes, size,
-                     rng.chance(storeShare) ? RefKind::Store
-                                            : RefKind::Load);
+            t.append(block + w * wordBytes, size, kind);
         }
-        expectMatchesOracle(t, c,
-                            "round " + std::to_string(round) + ": " +
-                                c.describe() +
-                                (c.writeAware ? " write-aware" : ""));
+        const std::string what = "round " + std::to_string(round) + ": " +
+                                 c.describe() +
+                                 (c.writeAware ? " write-aware" : "");
+        expectMatchesOracle(t, c, what);
+        SCOPED_TRACE(what);
+        expectSlicedRunMatchesOracle(t, c, rng.below(refs + 1),
+                                     rng.below(refs + 1), rng);
         if (HasFailure())
             return;
     }

@@ -734,11 +734,13 @@ TEST(Resume, WriteAwareMinResumesToIdenticalStats)
 using MinRow = std::pair<Tick, Addr>;
 
 /**
- * An MTCS section over a 4-reference trace at cursor 3 with a word
- * canonicalMtc(16) cache, holding @p rows as clean loaded words.
+ * An MTCS section over @p trace at cursor 3 with a word
+ * canonicalMtc(16) cache, holding @p rows as clean loaded words
+ * (word masks @p valid and @p dirty).
  */
 std::string
-minSection(const Trace &trace, const std::vector<MinRow> &rows)
+minSection(const Trace &trace, const std::vector<MinRow> &rows,
+           std::uint64_t valid = 1, std::uint64_t dirty = 0)
 {
     const MinCacheConfig cfg = canonicalMtc(16);
     ChkWriter w;
@@ -756,8 +758,8 @@ minSection(const Trace &trace, const std::vector<MinRow> &rows)
     for (const MinRow &row : rows) {
         w.u64(row.first);
         w.u64(row.second);
-        w.u64(1); // valid
-        w.u64(0); // dirty
+        w.u64(valid);
+        w.u64(dirty);
     }
     w.endSection();
     return w.serialize();
@@ -791,6 +793,32 @@ TEST(Resume, ForgedDeadMinBlockIsCorrupt)
     EXPECT_EQ(load({{3, 0x100}, {dead, 0x10c}}), Errc::Corrupt);
     // Nor can a block keyed dead that the trace uses again.
     EXPECT_EQ(load({{dead, 0x100}, {dead, 0x104}}), Errc::Corrupt);
+}
+
+TEST(Resume, ForgedFiniteMinKeyIsCorrupt)
+{
+    // A B C A A B: at cursor 3, A waits for position 3 and B for 5.
+    Trace trace;
+    for (const Addr a : {0x100, 0x104, 0x108, 0x100, 0x100, 0x104})
+        trace.append(a, 4, RefKind::Load);
+
+    auto load = [&](const std::vector<MinRow> &rows, std::uint64_t valid,
+                    std::uint64_t dirty) {
+        return loadMinImage(trace, minSection(trace, rows, valid, dirty))
+            .code;
+    };
+    EXPECT_EQ(load({{3, 0x100}, {5, 0x104}}, 1, 0), Errc::Ok);
+    EXPECT_EQ(load({{3, 0x100}, {5, 0x104}}, 1, 1), Errc::Ok);
+    // A key is the block's next use, not a later one,
+    EXPECT_EQ(load({{4, 0x100}, {5, 0x104}}, 1, 0), Errc::Corrupt);
+    // lies at or after the cursor,
+    EXPECT_EQ(load({{2, 0x108}}, 1, 0), Errc::Corrupt);
+    // and is a position that references the block.
+    EXPECT_EQ(load({{3, 0x104}}, 1, 0), Errc::Corrupt);
+    // A one-word block is wholly valid, and only valid words are dirty.
+    EXPECT_EQ(load({{3, 0x100}}, 0, 0), Errc::Corrupt);
+    EXPECT_EQ(load({{3, 0x100}}, 3, 0), Errc::Corrupt);
+    EXPECT_EQ(load({{3, 0x100}}, 1, 2), Errc::Corrupt);
 }
 
 TEST(Resume, CoreResultRoundTrips)
