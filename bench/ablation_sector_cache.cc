@@ -37,28 +37,26 @@ main(int argc, char **argv)
         TextTable t;
         t.header({"block", "sector", "miss%", "R"});
 
-        // Enumerate the valid (block, sector) grid first, then fan
-        // one cell per combination across --jobs workers; rows
+        // One cell per valid (block, sector) combination; rows
         // render serially in submission order.
-        std::vector<std::pair<Bytes, Bytes>> combos;
+        std::vector<TraceCell> cells;
         for (Bytes block : {32u, 64u, 128u})
             for (Bytes sector : {0u, 4u, 8u, 16u, 32u})
-                if (sector <= block)
-                    combos.emplace_back(block, sector);
-        const auto results = bench::sweep(
-            opt, combos.size(), [&](std::size_t i) {
-                CacheConfig cfg;
-                cfg.size = 64_KiB;
-                cfg.assoc = 1;
-                cfg.blockBytes = combos[i].first;
-                cfg.sectorBytes = combos[i].second;
-                return runTrace(trace, cfg);
-            });
-        for (std::size_t i = 0; i < combos.size(); ++i) {
-            const auto [block, sector] = combos[i];
-            const TrafficResult &r = results[i];
-            t.row({formatSize(block),
-                   sector ? formatSize(sector) : "off",
+                if (sector <= block) {
+                    CacheConfig cfg;
+                    cfg.size = 64_KiB;
+                    cfg.assoc = 1;
+                    cfg.blockBytes = block;
+                    cfg.sectorBytes = sector;
+                    cells.push_back(std::vector{cfg});
+                }
+        const auto out = bench::runCells(opt, trace, cells);
+        for (std::size_t i = 0; i < cells.size(); ++i) {
+            const CacheConfig &cfg =
+                std::get<std::vector<CacheConfig>>(cells[i]).front();
+            const TrafficResult &r = out[i].traffic;
+            t.row({formatSize(cfg.blockBytes),
+                   cfg.sectorBytes ? formatSize(cfg.sectorBytes) : "off",
                    fixed(r.l1.missRate() * 100, 2),
                    fixed(r.trafficRatio, 3)});
         }

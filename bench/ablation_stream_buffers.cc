@@ -43,26 +43,22 @@ main(int argc, char **argv)
         const Trace trace = makeWorkload(name)->trace(p);
         report.addRefs(trace.size());
 
-        auto run = [&](bool tagged, unsigned streams) {
+        auto cell = [&](bool tagged, unsigned streams) {
             CacheConfig cfg;
             cfg.size = 16_KiB;
             cfg.assoc = 1;
             cfg.blockBytes = 32;
             cfg.taggedPrefetch = tagged;
             cfg.streamBuffers = streams;
-            return runTrace(trace, cfg);
+            return std::vector{cfg};
         };
 
         // The three prefetch variants are independent cells.
-        const auto results =
-            bench::sweep(opt, 3, [&](std::size_t i) {
-                return i == 0 ? run(false, 0)
-                     : i == 1 ? run(true, 0)
-                              : run(false, 4);
-            });
-        const TrafficResult &base = results[0];
-        const TrafficResult &tagged = results[1];
-        const TrafficResult &streams = results[2];
+        const auto out = bench::runCells(
+            opt, trace, {cell(false, 0), cell(true, 0), cell(false, 4)});
+        const TrafficResult &base = out[0].traffic;
+        const TrafficResult &tagged = out[1].traffic;
+        const TrafficResult &streams = out[2].traffic;
 
         auto add = [&](const char *variant,
                        const TrafficResult &r) {

@@ -44,29 +44,29 @@ main(int argc, char **argv)
         report.addRefs(trace.size());
         const Bytes size = name == "Espresso" ? 16_KiB : 64_KiB;
 
-        // All four variants use word blocks: one next-use table.
-        const NextUseTable nextUse = makeNextUseTable(trace, wordBytes);
-        auto bytes = [&](bool aware, bool bypass) {
+        auto cell = [&](bool aware, bool bypass) {
             MinCacheConfig cfg = canonicalMtc(size);
             cfg.writeAware = aware;
             cfg.allowBypass = bypass;
-            return runMinCache(trace, cfg, nextUse).trafficBelow();
+            return cfg;
         };
         auto saved_pct = [](Bytes plain, Bytes aware) {
             return 100.0 * (1.0 - static_cast<double>(aware) /
                                       static_cast<double>(plain));
         };
 
-        // The four MIN variants are independent cells.
-        const auto traffic =
-            bench::sweep(opt, 4, [&](std::size_t i) -> Bytes {
-                return bytes(/*aware=*/i == 1 || i == 3,
-                             /*bypass=*/i < 2);
-            });
-        const Bytes plain = traffic[0];
-        const double saved = saved_pct(plain, traffic[1]);
-        const Bytes plain_nb = traffic[2];
-        const double saved_nb = saved_pct(plain_nb, traffic[3]);
+        // The four MIN variants are independent cells; all use word
+        // blocks, so they share one next-use table.
+        const auto out = bench::runCells(
+            opt, trace,
+            {cell(false, true), cell(true, true), cell(false, false),
+             cell(true, false)});
+        const Bytes plain = out[0].mtc.trafficBelow();
+        const double saved =
+            saved_pct(plain, out[1].mtc.trafficBelow());
+        const Bytes plain_nb = out[2].mtc.trafficBelow();
+        const double saved_nb =
+            saved_pct(plain_nb, out[3].mtc.trafficBelow());
         worst = std::max({worst, saved, saved_nb});
 
         t.row({name, formatSize(size), std::to_string(plain),

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -23,7 +24,6 @@
 #include "common/parse.hh"
 #include "common/table.hh"
 #include "common/types.hh"
-#include "exec/parallel_sweep.hh"
 #include "exec/thread_pool.hh"
 #include "mtc/min_cache.hh"
 #include "obs/epoch_profiler.hh"
@@ -34,6 +34,7 @@
 #include "obs/progress.hh"
 #include "obs/trace_export.hh"
 #include "obs/trace_span.hh"
+#include "serve/sweep_service.hh"
 #include "workloads/workload.hh"
 
 namespace membw::bench {
@@ -220,17 +221,25 @@ writeProfile(const char *tool, const BenchOptions &opt)
 }
 
 /**
- * Fan @p fn(0..n-1) across opt.jobs workers and return the results
- * in submission order.  Cells must be independent (each builds its
- * own simulator over the shared read-only trace) and return plain
- * values; callers render tables / publish stats from the returned
- * vector so output is byte-identical at any --jobs value.
+ * Run @p cells over @p trace with one traceCells() call, on the
+ * process's one worker pool at --jobs > 1 and with --no-collapse
+ * applied.  Results come back in submission order and a failing cell
+ * throws, so tables render byte-identically at any --jobs value.
  */
-template <typename Fn>
-auto
-sweep(const BenchOptions &opt, std::size_t n, Fn &&fn)
+inline std::vector<SweepCellOut>
+runCells(const BenchOptions &opt, const Trace &trace,
+         const std::vector<TraceCell> &cells)
 {
-    return parallelSweep(n, opt.jobs, std::forward<Fn>(fn));
+    static std::optional<ThreadPool> pool;
+    TraceCellOptions topt;
+    topt.sweep.jobs = opt.jobs;
+    if (opt.jobs > 1) {
+        if (!pool)
+            pool.emplace(opt.jobs);
+        topt.sweep.pool = &*pool;
+    }
+    topt.noCollapse = opt.noCollapse;
+    return traceCells(trace, cells, topt).cells;
 }
 
 /**

@@ -8,15 +8,14 @@
  * lines of the paper's log-log plot).
  */
 
+#include <cstdint>
 #include <cstdio>
-#include <optional>
 #include <vector>
 
 #include "bench/bench_util.hh"
 #include "cache/hierarchy.hh"
 #include "common/stats.hh"
 #include "common/table.hh"
-#include "exec/collapsed_sweep.hh"
 #include "mtc/min_cache.hh"
 #include "workloads/workload.hh"
 
@@ -54,80 +53,51 @@ main(int argc, char **argv)
             t.header(header);
         }
 
-        // One independent cell per table entry — cache points plus
-        // the two MTC columns — fanned across --jobs workers; rows
-        // are rendered serially below, in submission order.
-        struct Cell
-        {
-            bool skipped = false;
-            Bytes traffic = 0;
-        };
+        // One cell per table entry — cache points plus the two MTC
+        // columns, which share one next-use table — and none for a
+        // skipped entry; rows are rendered serially below, in
+        // submission order.
         const std::size_t perRow = blocks.size() + 2;
-        const std::size_t nCells = sizes.size() * perRow;
-
-        auto cacheConfigFor =
-            [&](std::size_t i) -> std::optional<CacheConfig> {
-            const Bytes size = sizes[i / perRow];
-            const std::size_t col = i % perRow;
-            if (col >= blocks.size())
-                return std::nullopt; // MTC column
-            const Bytes block = blocks[col];
-            if (size < block || size / block < 4)
-                return std::nullopt; // skipped cell
-            CacheConfig cfg;
-            cfg.size = size;
-            cfg.assoc = 4;
-            cfg.blockBytes = block;
-            return cfg;
-        };
-
-        // Precompute every ladder-coverable cache cell in one pass
-        // per block size; MTC cells share one next-use side table.
-        CollapsedSweep collapsed;
-        std::vector<std::size_t> slotOf(nCells, nCells);
-        if (!opt.noCollapse) {
-            std::vector<CacheConfig> cfgs;
-            for (std::size_t i = 0; i < nCells; ++i) {
-                if (const auto cfg = cacheConfigFor(i)) {
-                    slotOf[i] = cfgs.size();
-                    cfgs.push_back(*cfg);
-                }
-            }
-            collapsed = CollapsedSweep(trace, cfgs, opt.jobs);
-        }
-        const NextUseTable mtcNextUse =
-            makeNextUseTable(trace, wordBytes);
-
-        const auto cells = bench::sweep(
-            opt, nCells, [&](std::size_t i) -> Cell {
-                const Bytes size = sizes[i / perRow];
-                const std::size_t col = i % perRow;
+        const std::size_t skipped = SIZE_MAX;
+        std::vector<TraceCell> cells;
+        std::vector<std::size_t> cellOf; // per table entry
+        for (Bytes size : sizes) {
+            for (std::size_t col = 0; col < perRow; ++col) {
                 if (col < blocks.size()) {
-                    const auto cfg = cacheConfigFor(i);
-                    if (!cfg)
-                        return {true, 0};
-                    if (slotOf[i] < nCells &&
-                        collapsed.has(slotOf[i]))
-                        return {false, collapsed.result(slotOf[i])
-                                           .pinBytes};
-                    return {false, runTrace(trace, *cfg).pinBytes};
+                    const Bytes block = blocks[col];
+                    if (size < block || size / block < 4) {
+                        cellOf.push_back(skipped);
+                        continue;
+                    }
+                    CacheConfig cfg;
+                    cfg.size = size;
+                    cfg.assoc = 4;
+                    cfg.blockBytes = block;
+                    cells.push_back(std::vector{cfg});
+                } else {
+                    // MTC lines: fully associative MIN, 4B transfers.
+                    MinCacheConfig mtc = canonicalMtc(size);
+                    if (col == blocks.size())
+                        mtc.alloc = AllocPolicy::WriteAllocate;
+                    cells.push_back(mtc);
                 }
-                // MTC lines: fully associative MIN, 4B transfers.
-                MinCacheConfig mtc = canonicalMtc(size);
-                if (col == blocks.size())
-                    mtc.alloc = AllocPolicy::WriteAllocate;
-                return {false, runMinCache(trace, mtc, mtcNextUse)
-                                   .trafficBelow()};
-            });
+                cellOf.push_back(cells.size() - 1);
+            }
+        }
+        const auto out = bench::runCells(opt, trace, cells);
 
         for (std::size_t si = 0; si < sizes.size(); ++si) {
             std::vector<std::string> row{formatSize(sizes[si])};
             for (std::size_t col = 0; col < perRow; ++col) {
-                const Cell &c = cells[si * perRow + col];
-                row.push_back(c.skipped
-                                  ? "-"
-                                  : std::to_string(c.traffic / 1024) +
-                                        "K");
+                const std::size_t c = cellOf[si * perRow + col];
+                if (c == skipped) {
+                    row.push_back("-");
+                    continue;
+                }
+                const Bytes traffic = col < blocks.size()
+                                          ? out[c].traffic.pinBytes
+                                          : out[c].mtc.trafficBelow();
+                row.push_back(std::to_string(traffic / 1024) + "K");
             }
             t.row(row);
         }

@@ -264,7 +264,7 @@ runThroughputHarness(const std::string &jsonPath, unsigned jobs,
     }
     for (int rep = 0; rep < reps; ++rep) {
         WallTimer w;
-        const CollapsedSweep collapsed(sweep_trace, sweep_cfgs, 1);
+        const CollapsedSweep collapsed(sweep_trace, sweep_cfgs, {});
         for (std::size_t i = 0; i < sweep_cfgs.size(); ++i)
             g_sink = g_sink + collapsed.result(i).pinBytes;
         onepass_s = rep == 0 ? w.seconds()

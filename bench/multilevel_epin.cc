@@ -16,7 +16,6 @@
 #include "cache/hierarchy.hh"
 #include "common/stats.hh"
 #include "common/table.hh"
-#include "exec/collapsed_sweep.hh"
 #include "metrics/traffic.hh"
 #include "workloads/workload.hh"
 
@@ -68,35 +67,18 @@ main(int argc, char **argv)
              level("L2", 256_KiB, 4, 64),
              level("L3", 2_MiB, 8, 128)},
         };
-        // Only single-level hierarchies fit the one-pass kernel;
-        // multi-level cells keep the direct simulation (inclusion
-        // between levels is inherently stateful across the stack).
-        CollapsedSweep collapsed;
-        std::vector<std::size_t> slotOf(hierarchies.size(),
-                                        hierarchies.size());
-        if (!opt.noCollapse) {
-            std::vector<CacheConfig> cfgs;
-            for (std::size_t i = 0; i < hierarchies.size(); ++i) {
-                if (hierarchies[i].size() == 1) {
-                    slotOf[i] = cfgs.size();
-                    cfgs.push_back(hierarchies[i][0]);
-                }
-            }
-            collapsed = CollapsedSweep(trace, cfgs, opt.jobs);
-        }
-
-        // One cell per hierarchy depth, fanned across --jobs
-        // workers; rows render serially in submission order.
-        const auto results = bench::sweep(
-            opt, hierarchies.size(), [&](std::size_t i) {
-                if (slotOf[i] < hierarchies.size() &&
-                    collapsed.has(slotOf[i]))
-                    return collapsed.result(slotOf[i]);
-                return runTrace(trace, hierarchies[i]);
-            });
+        // One cell per hierarchy depth; rows render serially in
+        // submission order.  Only the single-level hierarchy fits
+        // the one-pass kernel: multi-level cells are simulated
+        // directly (inclusion between levels is inherently stateful
+        // across the stack).
+        const auto out = bench::runCells(
+            opt, trace,
+            std::vector<TraceCell>(hierarchies.begin(),
+                                   hierarchies.end()));
         for (std::size_t h = 0; h < hierarchies.size(); ++h) {
             const auto &configs = hierarchies[h];
-            const TrafficResult &r = results[h];
+            const TrafficResult &r = out[h].traffic;
             std::vector<std::string> row;
             std::string label;
             for (const auto &c : configs)

@@ -58,22 +58,23 @@ main(int argc, char **argv)
         const Bytes size =
             name == "Espresso" ? 16_KiB : 64_KiB;
 
-        // One cell per candidate block size, fanned across --jobs
-        // workers; the winner scan below stays serial and ordered.
-        const auto results = bench::sweep(
-            opt, blocks.size(), [&](std::size_t i) {
-                CacheConfig cfg;
-                cfg.size = size;
-                cfg.assoc = 1;
-                cfg.blockBytes = blocks[i];
-                return runTrace(trace, cfg);
-            });
+        // One cell per candidate block size; the winner scan below
+        // stays serial and ordered.
+        std::vector<TraceCell> cells;
+        for (Bytes block : blocks) {
+            CacheConfig cfg;
+            cfg.size = size;
+            cfg.assoc = 1;
+            cfg.blockBytes = block;
+            cells.push_back(std::vector{cfg});
+        }
+        const auto out = bench::runCells(opt, trace, cells);
 
         double best_r = 0, best_adj = 0, r32 = 0, best_adj_r = 0;
         Bytes best_block = 0, best_block_adj = 0;
         for (std::size_t bi = 0; bi < blocks.size(); ++bi) {
             const Bytes block = blocks[bi];
-            const TrafficResult &res = results[bi];
+            const TrafficResult &res = out[bi].traffic;
             const double r = res.trafficRatio;
 
             // Transactions below the cache, for request overhead.

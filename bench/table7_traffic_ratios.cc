@@ -13,7 +13,6 @@
 #include "cache/hierarchy.hh"
 #include "common/stats.hh"
 #include "common/table.hh"
-#include "exec/collapsed_sweep.hh"
 #include "workloads/workload.hh"
 
 using namespace membw;
@@ -47,38 +46,28 @@ main(int argc, char **argv)
         const Bytes data_set = w->nominalDataSetBytes();
         report.addRefs(trace.size());
 
-        // The whole direct-mapped ladder shares one block size, so
-        // the one-pass kernel covers every non-skipped cell.
-        CollapsedSweep collapsed;
-        if (!opt.noCollapse) {
-            std::vector<CacheConfig> cfgs;
-            for (Bytes s : sizes)
-                cfgs.push_back(bench::table7Cache(s));
-            collapsed = CollapsedSweep(trace, cfgs, opt.jobs);
+        // One cell per cache size below the data set, all in one
+        // direct-mapped ladder; the row and the mean pool are
+        // assembled serially so the output (and the mean) is
+        // identical at any --jobs value.
+        std::vector<TraceCell> cells;
+        for (Bytes s : sizes) {
+            if (s >= data_set)
+                break;
+            cells.push_back(std::vector{bench::table7Cache(s)});
         }
-
-        // One cell per cache size, fanned across --jobs workers;
-        // the row and the mean pool are assembled serially so the
-        // output (and the mean) is identical at any --jobs value.
-        const auto ratios = bench::sweep(
-            opt, sizes.size(), [&](std::size_t i) -> double {
-                if (sizes[i] >= data_set)
-                    return -1.0; // skipped: at/above the data set
-                if (collapsed.has(i))
-                    return collapsed.result(i).trafficRatio;
-                return runTrace(trace, bench::table7Cache(sizes[i]))
-                    .trafficRatio;
-            });
+        const auto out = bench::runCells(opt, trace, cells);
 
         std::vector<std::string> row{name};
         for (std::size_t i = 0; i < sizes.size(); ++i) {
-            if (ratios[i] < 0) {
-                row.push_back("<<<");
+            if (i >= out.size()) {
+                row.push_back("<<<"); // skipped: at/above the data set
                 continue;
             }
-            row.push_back(fixed(ratios[i], 2));
+            const double ratio = out[i].traffic.trafficRatio;
+            row.push_back(fixed(ratio, 2));
             if (sizes[i] >= 64_KiB)
-                mean_pool.push_back(ratios[i]);
+                mean_pool.push_back(ratio);
         }
         t.row(row);
 

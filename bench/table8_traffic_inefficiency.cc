@@ -13,7 +13,6 @@
 #include "cache/hierarchy.hh"
 #include "common/stats.hh"
 #include "common/table.hh"
-#include "exec/collapsed_sweep.hh"
 #include "metrics/traffic.hh"
 #include "mtc/min_cache.hh"
 #include "workloads/workload.hh"
@@ -50,45 +49,31 @@ main(int argc, char **argv)
         const Bytes data_set = w->nominalDataSetBytes();
         report.addRefs(trace.size());
 
-        // The cache half of every cell is the same direct-mapped
-        // ladder as Table 7, so one ladder pass covers it; the MTC
-        // halves share one precomputed next-use side table.
-        CollapsedSweep collapsed;
-        if (!opt.noCollapse) {
-            std::vector<CacheConfig> cfgs;
-            for (Bytes s : sizes)
-                cfgs.push_back(bench::table7Cache(s));
-            collapsed = CollapsedSweep(trace, cfgs, opt.jobs);
+        // Per size below the data set, a cache cell and its
+        // same-size MTC cell.  The cache cells are Table 7's
+        // direct-mapped ladder; the MTC cells share one next-use
+        // table.  Rows and the running maximum are assembled
+        // serially in submission order.
+        std::vector<TraceCell> cells;
+        for (Bytes s : sizes) {
+            if (s >= data_set)
+                break;
+            cells.push_back(std::vector{bench::table7Cache(s)});
+            cells.push_back(canonicalMtc(s));
         }
-        const NextUseTable mtcNextUse =
-            makeNextUseTable(trace, wordBytes);
-
-        // One cell per size (the cache run and its same-size MTC
-        // pair), fanned across --jobs workers; rows and the running
-        // maximum are assembled serially in submission order.
-        const auto gaps = bench::sweep(
-            opt, sizes.size(), [&](std::size_t i) -> double {
-                if (sizes[i] >= data_set)
-                    return -1.0; // skipped: at/above the data set
-                const TrafficResult cache =
-                    collapsed.has(i)
-                        ? collapsed.result(i)
-                        : runTrace(trace,
-                                   bench::table7Cache(sizes[i]));
-                const MinCacheStats mtc = runMinCache(
-                    trace, canonicalMtc(sizes[i]), mtcNextUse);
-                return trafficInefficiency(cache.pinBytes,
-                                           mtc.trafficBelow());
-            });
+        const auto out = bench::runCells(opt, trace, cells);
 
         std::vector<std::string> row{name};
         for (std::size_t i = 0; i < sizes.size(); ++i) {
-            if (gaps[i] < 0) {
-                row.push_back("<<<");
+            if (2 * i >= out.size()) {
+                row.push_back("<<<"); // skipped: at/above the data set
                 continue;
             }
-            max_gap = gaps[i] > max_gap ? gaps[i] : max_gap;
-            row.push_back(fixed(gaps[i], 1));
+            const double gap =
+                trafficInefficiency(out[2 * i].traffic.pinBytes,
+                                    out[2 * i + 1].mtc.trafficBelow());
+            max_gap = gap > max_gap ? gap : max_gap;
+            row.push_back(fixed(gap, 1));
         }
         t.row(row);
 

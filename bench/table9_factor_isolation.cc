@@ -11,7 +11,6 @@
  */
 
 #include <cstdio>
-#include <functional>
 #include <vector>
 
 #include "bench/bench_util.hh"
@@ -22,34 +21,6 @@
 #include "workloads/workload.hh"
 
 using namespace membw;
-
-namespace {
-
-Bytes
-cacheTraffic(const Trace &t, Bytes size, unsigned assoc, Bytes block)
-{
-    CacheConfig cfg;
-    cfg.size = size;
-    cfg.assoc = assoc;
-    cfg.blockBytes = block;
-    return runTrace(t, cfg).pinBytes;
-}
-
-Bytes
-minTraffic(const Trace &t, Bytes size, Bytes block, AllocPolicy alloc,
-           const NextUseTable &nextUse)
-{
-    MinCacheConfig cfg;
-    cfg.size = size;
-    cfg.blockBytes = block;
-    cfg.alloc = alloc;
-    // Pure replacement-policy isolation: bypassing is not isolated
-    // as a factor (Section 5.3), so it is disabled here.
-    cfg.allowBypass = false;
-    return runMinCache(t, cfg, nextUse).trafficBelow();
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -82,39 +53,37 @@ main(int argc, char **argv)
         // 64KB everywhere except Espresso's 16KB (small data set).
         const Bytes size = name == "Espresso" ? 16_KiB : 64_KiB;
 
-        // The three MIN cells share one next-use table per block
-        // size (32B and 4B), built side by side.
-        const auto nextUse =
-            bench::sweep(opt, 2, [&](std::size_t i) {
-                return makeNextUseTable(trace, i == 0 ? 32 : 4);
-            });
-
-        // Six distinct simulations feed the five ratios; run each
-        // once as an independent sweep cell across --jobs workers.
-        const auto traffic = bench::sweep(
-            opt, 6, [&](std::size_t i) -> Bytes {
-                switch (i) {
-                  case 0: return cacheTraffic(trace, size, 1, 32);
-                  case 1: return cacheTraffic(trace, size, 0, 32);
-                  case 2: return cacheTraffic(trace, size, 1, 4);
-                  case 3:
-                    return minTraffic(trace, size, 32,
-                                      AllocPolicy::WriteAllocate,
-                                      nextUse[0]);
-                  case 4:
-                    return minTraffic(trace, size, 4,
-                                      AllocPolicy::WriteAllocate,
-                                      nextUse[1]);
-                  default:
-                    return minTraffic(trace, size, 4,
-                                      AllocPolicy::WriteValidate,
-                                      nextUse[1]);
-                }
-            });
-        const Bytes dm32 = traffic[0], fa32 = traffic[1];
-        const Bytes dm4 = traffic[2];
-        const Bytes min32wa = traffic[3], min4wa = traffic[4];
-        const Bytes min4wv = traffic[5];
+        // Six distinct simulations feed the five ratios, as one
+        // cell each.
+        auto cache = [&](unsigned assoc, Bytes block) {
+            CacheConfig cfg;
+            cfg.size = size;
+            cfg.assoc = assoc;
+            cfg.blockBytes = block;
+            return std::vector{cfg};
+        };
+        auto min = [&](Bytes block, AllocPolicy alloc) {
+            MinCacheConfig cfg;
+            cfg.size = size;
+            cfg.blockBytes = block;
+            cfg.alloc = alloc;
+            // Pure replacement-policy isolation: bypassing is not
+            // isolated as a factor (Section 5.3), so it is disabled.
+            cfg.allowBypass = false;
+            return cfg;
+        };
+        const auto out = bench::runCells(
+            opt, trace,
+            {cache(1, 32), cache(0, 32), cache(1, 4),
+             min(32, AllocPolicy::WriteAllocate),
+             min(4, AllocPolicy::WriteAllocate),
+             min(4, AllocPolicy::WriteValidate)});
+        const Bytes dm32 = out[0].traffic.pinBytes;
+        const Bytes fa32 = out[1].traffic.pinBytes;
+        const Bytes dm4 = out[2].traffic.pinBytes;
+        const Bytes min32wa = out[3].mtc.trafficBelow();
+        const Bytes min4wa = out[4].mtc.trafficBelow();
+        const Bytes min4wv = out[5].mtc.trafficBelow();
 
         const double assoc = static_cast<double>(dm32) / fa32;
         const double repl = static_cast<double>(fa32) / min32wa;

@@ -195,9 +195,6 @@ runTrace(const Trace &trace, const std::vector<CacheConfig> &configs)
     return runTrace(trace, configs, TraceProgressFn{});
 }
 
-namespace {
-
-/** Span detail of a direct run: each level's config, L1 first. */
 std::string
 describeLevels(const std::vector<CacheConfig> &configs)
 {
@@ -206,8 +203,6 @@ describeLevels(const std::vector<CacheConfig> &configs)
         out += (out.empty() ? "" : " > ") + c.describe();
     return out;
 }
-
-} // namespace
 
 TrafficResult
 runTrace(const Trace &trace, const std::vector<CacheConfig> &configs,

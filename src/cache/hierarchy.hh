@@ -14,6 +14,7 @@
 
 #include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "cache/cache.hh"
@@ -171,6 +172,10 @@ TrafficResult runTrace(const Trace &trace,
 
 /** Single-level convenience overload. */
 TrafficResult runTrace(const Trace &trace, const CacheConfig &config);
+
+/** Each level's describe(), L1 first, joined by " > " (the span
+ * detail of a direct run). */
+std::string describeLevels(const std::vector<CacheConfig> &configs);
 
 /**
  * Publish a summarized run under "l1".."lN" and "hier" — the same

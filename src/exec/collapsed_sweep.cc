@@ -61,17 +61,6 @@ faCandidate(const CacheConfig &cfg)
 
 CollapsedSweep::CollapsedSweep(const Trace &trace,
                                const std::vector<CacheConfig> &configs,
-                               unsigned jobs)
-    : CollapsedSweep(trace, configs, [jobs] {
-          CollapseOptions options;
-          options.jobs = jobs;
-          return options;
-      }())
-{
-}
-
-CollapsedSweep::CollapsedSweep(const Trace &trace,
-                               const std::vector<CacheConfig> &configs,
                                const CollapseOptions &options)
 {
     results_.resize(configs.size());
@@ -118,8 +107,8 @@ CollapsedSweep::CollapsedSweep(const Trace &trace,
         return faLruSizeSweep(trace, g.configs);
     };
 
-    // Plan the units.  Every Mattson group and the side unit take one
-    // worker each; the workers left over go to the ladder groups.  A
+    // Plan the units.  Every Mattson group and side unit takes one
+    // worker; the workers left over go to the ladder groups.  A
     // ladder group with two or more of them runs as set-range parts
     // (exact, see time_partition.hh), so a sweep of one big group
     // still uses every worker; otherwise each group is one fused pass.
@@ -129,23 +118,23 @@ CollapsedSweep::CollapsedSweep(const Trace &trace,
         std::count_if(groups.begin(), groups.end(),
                       [](const Group &g) { return !g.mattson; }));
     const std::size_t fixed =
-        groups.size() - nLadder + (options.sideUnit ? 1 : 0);
+        groups.size() - nLadder + options.sideUnits.size();
     const std::size_t spare = workers > fixed ? workers - fixed : 0;
     const unsigned share =
         nLadder > 0 && spare > nLadder
             ? static_cast<unsigned>((spare + nLadder - 1) / nLadder)
             : 1;
 
-    /** One unit: the side unit, a whole group, or one part of one. */
+    /** One unit: a side unit, a whole group, or one part of one. */
     struct Unit
     {
-        std::size_t group = 0;
+        std::size_t group = 0; ///< or the side unit's index
         std::size_t part = 0;
         bool side = false;
     };
     std::vector<Unit> units;
-    if (options.sideUnit)
-        units.push_back(Unit{0, 0, true});
+    for (std::size_t k = 0; k < options.sideUnits.size(); ++k)
+        units.push_back(Unit{k, 0, true});
     for (std::size_t gi = 0; gi < groups.size(); ++gi) {
         Group &g = groups[gi];
         if (g.mattson || share == 1) {
@@ -174,7 +163,7 @@ CollapsedSweep::CollapsedSweep(const Trace &trace,
     parallelSweep(units.size(), sopt, [&](std::size_t u) {
         const Unit &unit = units[u];
         if (unit.side) {
-            options.sideUnit();
+            options.sideUnits[unit.group]();
             return 0;
         }
         Group &g = groups[unit.group];

@@ -19,13 +19,13 @@
  * uncovered and the caller's per-cell fallback simulates it
  * directly, so results stay exact everywhere.
  *
- * Intended use in a parallelSweep() caller: construct the planner
- * *before* the per-cell fan-out, then each cell either consumes its
+ * traceCells() (serve/sweep_service.hh) constructs the planner
+ * *before* its per-cell fan-out, then each cell either consumes its
  * precomputed TrafficResult or simulates directly.  The planner runs
  * one fan-out of its own over a single list of units: each group's
  * pass — fused, or as set-range parts when workers would otherwise
- * idle — plus an optional side unit the caller needs before its cells
- * (executeSweep's MTC next-use table).  Precomputed results are
+ * idle — plus the side units the caller needs before its cells
+ * (traceCells' next-use tables).  Precomputed results are
  * index-addressed, so cell accounting (ordering, --sigterm-after
  * truncation, stats publication) is unchanged.
  */
@@ -61,7 +61,7 @@ enum class CellRoute : std::uint8_t
 /** Stable lowercase name for reports and trace span details. */
 const char *cellRouteName(CellRoute route);
 
-/** Knobs for the planner (the 3-argument ctor fills defaults). */
+/** Knobs for the planner. */
 struct CollapseOptions
 {
     /** Worker threads for the unit fan-out (ignored when pool is
@@ -95,12 +95,12 @@ struct CollapseOptions
         profileProvider;
 
     /**
-     * One more unit for the fan-out, run beside the group passes and
-     * finished when the constructor returns (executeSweep builds its
-     * MTC next-use table here).  It takes a worker away from set
-     * partitioning.  Unset adds none.
+     * More units for the fan-out, run beside the group passes and
+     * finished when the constructor returns (traceCells builds its
+     * next-use tables here).  Each takes a worker away from set
+     * partitioning.
      */
-    std::function<void()> sideUnit;
+    std::vector<std::function<void()>> sideUnits;
 };
 
 class CollapsedSweep
@@ -111,20 +111,11 @@ class CollapsedSweep
 
     /**
      * Plan and run every collapsible group of @p configs over
-     * @p trace on @p jobs workers.  Results are exact and
-     * jobs-independent.
-     */
-    CollapsedSweep(const Trace &trace,
-                   const std::vector<CacheConfig> &configs,
-                   unsigned jobs);
-
-    /**
-     * As above with full options.  Every Mattson group and the side
-     * unit take one worker; when more than one worker per ladder
-     * group is left, each ladder group runs as set-range parts of
-     * the exact partitioned kernel (exec/time_partition.hh) over its
-     * share of them, otherwise as one fused pass.  Results are
-     * byte-identical to the serial plan either way.
+     * @p trace.  Every Mattson group and side unit takes one worker;
+     * when more than one worker per ladder group is left, each ladder
+     * group runs as set-range parts of the exact partitioned kernel
+     * (exec/time_partition.hh) over its share of them, otherwise as
+     * one fused pass.  Results are exact and the same at any jobs.
      */
     CollapsedSweep(const Trace &trace,
                    const std::vector<CacheConfig> &configs,

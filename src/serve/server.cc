@@ -366,12 +366,12 @@ ServeServer::computeSweep(const SweepRequest &req,
                 std::move(profile), bytes};
         });
     };
-    eopts.nextUseProvider = [this, trace, tkey] {
+    eopts.nextUseProvider = [this, trace, tkey](Bytes blockBytes) {
         const std::string key =
-            "nextuse|" + tkey + "|" + std::to_string(wordBytes);
+            "nextuse|" + tkey + "|" + std::to_string(blockBytes);
         return artifacts_.getOrBuild<NextUseData>(key, [&] {
             auto table = std::make_shared<NextUseData>(
-                buildNextUseData(*trace, wordBytes));
+                buildNextUseData(*trace, blockBytes));
             const std::size_t bytes =
                 table->ticks.size() * sizeof(Tick) +
                 table->deadRank.size() * sizeof(std::uint32_t);

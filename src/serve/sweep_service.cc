@@ -1,5 +1,6 @@
 #include "serve/sweep_service.hh"
 
+#include <algorithm>
 #include <cstdio>
 
 #include "common/log.hh"
@@ -68,14 +69,16 @@ sweepRequestKey(const SweepRequest &req)
 
 namespace {
 
-/** One direct-fallback sweep cell: a fresh single-level hierarchy
+/** A hierarchy cell no one-pass engine covered: a fresh hierarchy
  * over the shared trace, honouring the per-reference watchdog
  * budget. */
 TrafficResult
-runSweepCell(const Trace &trace, const CacheConfig &cfg,
-             std::uint64_t eventBudget)
+runHierarchyCell(const Trace &trace,
+                 const std::vector<CacheConfig> &levels,
+                 std::uint64_t eventBudget)
 {
-    CacheHierarchy hier({cfg});
+    MEMBW_SPAN_D("cache.run_trace", describeLevels(levels));
+    CacheHierarchy hier(levels);
     hier.setEventBudget(eventBudget);
     for (const MemRef &ref : trace)
         hier.access(ref);
@@ -85,98 +88,86 @@ runSweepCell(const Trace &trace, const CacheConfig &cfg,
 
 } // namespace
 
-SweepOutcome
-executeSweep(const SweepRequest &req, const Trace &trace,
-             const SweepExecOptions &opts)
+TraceCellsOut
+traceCells(const Trace &trace, const std::vector<TraceCell> &cells,
+           const TraceCellOptions &opt)
 {
-    SweepOutcome out;
-    out.blocks = resolveSweepBlocks(req);
-    const std::vector<Bytes> &blocks = out.blocks;
-    out.nHier = req.sizes.size() * blocks.size();
-    out.nCells = out.nHier + (req.runMtc ? req.sizes.size() : 0);
-    const std::size_t nHier = out.nHier;
-    const std::size_t nCells = out.nCells;
-
-    // Validate every cell geometry up front: one clear diagnostic on
-    // the calling thread instead of an exception out of a worker.
-    for (std::size_t i = 0; i < nHier; ++i)
-        sweepConfigFor(req, blocks, i).validate();
-
-    // Route every coverable cell to an exact one-pass engine:
-    // FA-LRU groups over load-only traces collapse into Mattson
-    // stack-distance passes and set-associative LRU groups into
-    // chunked ladder-kernel passes.  Results are exact and
-    // jobs-independent, so covered hierarchy cells become lookups;
-    // anything the guards reject falls back to direct simulation.
+    // The single-level hierarchy cells are the collapse candidates:
+    // slot[i] is cell i's index among them.  MIN cells of one block
+    // size share a next-use table (pass one of the two-pass MIN
+    // simulation depends only on the trace and the granularity):
+    // table[i] is cell i's index into grains.
+    const std::size_t none = cells.size();
     std::vector<CacheConfig> cfgs;
-    if (!req.noCollapse) {
-        cfgs.reserve(nHier);
-        for (std::size_t i = 0; i < nHier; ++i)
-            cfgs.push_back(sweepConfigFor(req, blocks, i));
+    std::vector<std::size_t> slot(cells.size(), none);
+    std::vector<Bytes> grains;
+    std::vector<std::size_t> table(cells.size(), 0);
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        if (const auto *min = std::get_if<MinCacheConfig>(&cells[i])) {
+            const auto it =
+                std::find(grains.begin(), grains.end(), min->blockBytes);
+            table[i] = static_cast<std::size_t>(it - grains.begin());
+            if (it == grains.end())
+                grains.push_back(min->blockBytes);
+            continue;
+        }
+        const auto &levels = std::get<std::vector<CacheConfig>>(cells[i]);
+        if (levels.size() == 1 && !opt.noCollapse) {
+            slot[i] = cfgs.size();
+            cfgs.push_back(levels.front());
+        }
     }
+
+    // Route every coverable cell to an exact one-pass engine: FA-LRU
+    // groups over load-only traces collapse into Mattson
+    // stack-distance passes and set-associative LRU groups into
+    // chunked ladder-kernel passes.  The next-use tables build
+    // beside them, in the same fan-out.
+    std::vector<NextUseTable> tables(grains.size());
     CollapseOptions copt;
-    copt.jobs = opts.jobs;
-    copt.pool = opts.pool;
-    copt.streamProvider = opts.streamProvider;
-    copt.profileProvider = opts.profileProvider;
-    // All MTC cells share one next-use side table (pass one of the
-    // two-pass MIN simulation depends only on the trace and block
-    // granularity, and the canonical MTC always uses word blocks).
-    // It is built beside the collapse passes, in the same fan-out.
-    NextUseTable mtcNextUse;
-    if (req.runMtc)
-        copt.sideUnit = [&] {
-            mtcNextUse = opts.nextUseProvider
-                             ? opts.nextUseProvider()
-                             : makeNextUseTable(trace, wordBytes);
-        };
+    copt.jobs = opt.sweep.jobs;
+    copt.pool = opt.sweep.pool;
+    copt.streamProvider = opt.streamProvider;
+    copt.profileProvider = opt.profileProvider;
+    for (std::size_t g = 0; g < grains.size(); ++g)
+        copt.sideUnits.push_back([&, g] {
+            tables[g] = opt.nextUseProvider
+                            ? opt.nextUseProvider(grains[g])
+                            : makeNextUseTable(trace, grains[g]);
+        });
+    TraceCellsOut out;
     out.collapsed = CollapsedSweep(trace, cfgs, copt);
-    if (opts.onPlan)
-        opts.onPlan(out.collapsed, nHier, nCells);
+    if (opt.onPlan)
+        opt.onPlan(out.collapsed);
     const CollapsedSweep &collapsed = out.collapsed;
 
     // Per-cell span detail: config, routing decision, and a short
     // config digest so Perfetto rows tie back to exact cells.
-    auto cellDetail = [&](std::size_t i) {
+    [[maybe_unused]] auto cellDetail = [&](std::size_t i) {
         char buf[traceDetailBytes];
-        if (i >= nHier) {
-            const Bytes size = req.sizes[i - nHier];
-            std::snprintf(
-                buf, sizeof(buf), "cfg=%s/mtc route=mtc d=%08llx",
-                formatSize(size).c_str(),
-                static_cast<unsigned long long>(
-                    fnv1a64(canonicalMtc(size).describe()) &
-                    0xffffffffu));
+        if (const auto *min = std::get_if<MinCacheConfig>(&cells[i])) {
+            std::snprintf(buf, sizeof(buf),
+                          "cfg=%s/mtc route=mtc d=%08llx",
+                          formatSize(min->size).c_str(),
+                          static_cast<unsigned long long>(
+                              fnv1a64(min->describe()) & 0xffffffffu));
         } else {
-            const CacheConfig cfg = sweepConfigFor(req, blocks, i);
-            std::snprintf(
-                buf, sizeof(buf), "cfg=%s/%s route=%s d=%08llx",
-                formatSize(cfg.size).c_str(),
-                formatSize(cfg.blockBytes).c_str(),
-                cellRouteName(collapsed.route(i)),
-                static_cast<unsigned long long>(
-                    fnv1a64(cfg.describe()) & 0xffffffffu));
+            const auto &levels =
+                std::get<std::vector<CacheConfig>>(cells[i]);
+            std::snprintf(buf, sizeof(buf),
+                          "cfg=%s/%s route=%s d=%08llx",
+                          formatSize(levels.front().size).c_str(),
+                          formatSize(levels.front().blockBytes).c_str(),
+                          cellRouteName(collapsed.route(slot[i])),
+                          static_cast<unsigned long long>(
+                              fnv1a64(describeLevels(levels)) &
+                              0xffffffffu));
         }
         return std::string(buf);
     };
 
-    MEMBW_SPAN("run");
-    WallTimer timer;
-    SweepOptions sopt;
-    sopt.jobs = opts.jobs;
-    sopt.pool = opts.pool;
-    // Degraded mode: a failing cell is recorded and the sweep carries
-    // on (exit 5), but a watchdog trip is a simulator bug and must
-    // still abort the whole run with exit 4.
-    sopt.tolerateCellFailures = true;
-    sopt.abortAnyway = [](const std::exception &e) {
-        return dynamic_cast<const WatchdogError *>(&e) != nullptr;
-    };
-    sopt.cancel = opts.cancel;
-    sopt.onPrefix = opts.onPrefix;
-
-    auto sweepRes = parallelSweep(
-        nCells, sopt, [&](std::size_t i) -> SweepCellOut {
+    static_cast<SweepResult<SweepCellOut> &>(out) = parallelSweep(
+        cells.size(), opt.sweep, [&](std::size_t i) -> SweepCellOut {
             MEMBW_SPAN_D("cell", cellDetail(i));
             // First thing in the cell so an injected fault covers
             // every route (ladder/Mattson lookups included), keyed by
@@ -185,36 +176,86 @@ executeSweep(const SweepRequest &req, const Trace &trace,
                 fatal("injected cell fault (cell " +
                       std::to_string(i) + ")");
             SweepCellOut cell;
-            if (i >= nHier)
-                cell.mtc = runMinCache(
-                    trace, canonicalMtc(req.sizes[i - nHier]),
-                    mtcNextUse);
-            else if (collapsed.has(i))
-                cell.traffic = collapsed.result(i);
+            if (const auto *min = std::get_if<MinCacheConfig>(&cells[i]))
+                cell.mtc = runMinCache(trace, *min, tables[table[i]]);
+            else if (collapsed.has(slot[i]))
+                cell.traffic = collapsed.result(slot[i]);
             else
-                cell.traffic = runSweepCell(
-                    trace, sweepConfigFor(req, blocks, i),
-                    req.eventBudget);
+                cell.traffic = runHierarchyCell(
+                    trace, std::get<std::vector<CacheConfig>>(cells[i]),
+                    opt.eventBudget);
             return cell;
         });
+    return out;
+}
+
+SweepOutcome
+executeSweep(const SweepRequest &req, const Trace &trace,
+             const SweepExecOptions &opts)
+{
+    SweepOutcome out;
+    out.blocks = resolveSweepBlocks(req);
+    out.nHier = req.sizes.size() * out.blocks.size();
+    out.nCells = out.nHier + (req.runMtc ? req.sizes.size() : 0);
+
+    // The hierarchy cells, then the MTC cells.  Every geometry is
+    // validated up front: one clear diagnostic on the calling thread
+    // instead of an exception out of a worker.
+    std::vector<TraceCell> cells;
+    cells.reserve(out.nCells);
+    for (std::size_t i = 0; i < out.nHier; ++i) {
+        const CacheConfig cfg = sweepConfigFor(req, out.blocks, i);
+        cfg.validate();
+        cells.push_back(std::vector<CacheConfig>{cfg});
+    }
+    if (req.runMtc)
+        for (Bytes size : req.sizes)
+            cells.push_back(canonicalMtc(size));
+
+    TraceCellOptions topt;
+    topt.sweep.jobs = opts.jobs;
+    topt.sweep.pool = opts.pool;
+    // Degraded mode: a failing cell is recorded and the sweep carries
+    // on (exit 5), but a watchdog trip is a simulator bug and must
+    // still abort the whole run with exit 4.
+    topt.sweep.tolerateCellFailures = true;
+    topt.sweep.abortAnyway = [](const std::exception &e) {
+        return dynamic_cast<const WatchdogError *>(&e) != nullptr;
+    };
+    topt.sweep.cancel = opts.cancel;
+    topt.sweep.onPrefix = opts.onPrefix;
+    topt.noCollapse = req.noCollapse;
+    topt.eventBudget = req.eventBudget;
+    if (opts.onPlan)
+        topt.onPlan = [&](const CollapsedSweep &collapsed) {
+            opts.onPlan(collapsed, out.nHier, out.nCells);
+        };
+    topt.streamProvider = opts.streamProvider;
+    topt.profileProvider = opts.profileProvider;
+    topt.nextUseProvider = opts.nextUseProvider;
+
+    MEMBW_SPAN("run");
+    WallTimer timer;
+    TraceCellsOut run = traceCells(trace, cells, topt);
+    out.collapsed = std::move(run.collapsed);
 
     // --sigterm-after fires once the completed prefix reaches N, but
     // with jobs > 1 in-flight cells drain past it; truncate to
     // exactly N so every --jobs value reports the same cells.
     const bool sigFired =
-        opts.sigtermAfter && sweepRes.completed >= opts.sigtermAfter;
-    out.completed = sweepRes.completed;
-    out.usable = sweepRes.completed;
+        opts.sigtermAfter && run.completed >= opts.sigtermAfter;
+    out.completed = run.completed;
+    out.usable = run.completed;
     if (sigFired && out.usable > opts.sigtermAfter)
         out.usable = static_cast<std::size_t>(opts.sigtermAfter);
-    out.interrupted = sweepRes.interrupted || sigFired;
+    out.interrupted = run.interrupted || sigFired;
 
     // Tolerated failures inside the usable prefix degrade the run:
     // their cells render as "fail", their stats are omitted, and the
     // caller exits with code 5.
-    out.cells = std::move(sweepRes.cells);
-    out.failedCells = std::move(sweepRes.failedCells);
-    out.cellFailed.assign(nCells, 0);
+    out.cells = std::move(run.cells);
+    out.failedCells = std::move(run.failedCells);
+    out.cellFailed.assign(out.nCells, 0);
     for (const CellFailure &f : out.failedCells)
         if (f.cell < out.usable) {
             out.cellFailed[f.cell] = 1;

@@ -12,9 +12,12 @@
  *
  * The split of responsibilities:
  *
- *  - executeSweep() owns everything jobs-invariant: cell geometry
- *    and validation, collapse planning, the deterministic fan-out
- *    with degraded-mode accounting, and --sigterm-after truncation.
+ *  - traceCells() runs any list of cells over one trace: collapse
+ *    passes and next-use tables in one fan-out, then every cell in
+ *    another.  The sweep and the trace benches all call it.
+ *  - executeSweep() owns what is specific to a request: cell
+ *    geometry and validation, degraded-mode accounting, and
+ *    --sigterm-after truncation.
  *  - renderSweepStatsJson() reproduces the stats-JSON document.
  *  - the caller owns process concerns: stdout narration, exit
  *    codes, and whether a latched SIGTERM interrupts the run.  The
@@ -30,6 +33,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "cache/config.hh"
@@ -118,10 +122,61 @@ struct SweepExecOptions
         streamProvider;
     std::function<std::shared_ptr<const StackDistanceProfile>(Bytes)>
         profileProvider;
-    /** Word-granularity next-use table for the MTC cells; unset
-     * builds one per sweep. */
-    std::function<NextUseTable()> nextUseProvider;
+    /** Artifact-cache hook for the MTC cells' next-use table (see
+     * TraceCellOptions::nextUseProvider). */
+    std::function<NextUseTable(Bytes blockBytes)> nextUseProvider;
 };
+
+/** One traceCells() cell: a cache hierarchy (L1 first) or a MIN
+ * cache. */
+using TraceCell = std::variant<std::vector<CacheConfig>, MinCacheConfig>;
+
+/** Knobs for traceCells(); none of them changes the computed bytes. */
+struct TraceCellOptions
+{
+    /** Fan-out of the cells; jobs and pool also run the collapse
+     * passes and next-use tables. */
+    SweepOptions sweep;
+    /** Simulate every hierarchy cell directly (--no-collapse). */
+    bool noCollapse = false;
+    /** Per-reference watchdog budget of a directly simulated
+     * hierarchy cell. */
+    std::uint64_t eventBudget = 1'000'000;
+    /** Fires after the collapse passes, before the cell fan-out. */
+    std::function<void(const CollapsedSweep &collapsed)> onPlan;
+    /** Artifact-cache hooks, forwarded into CollapseOptions. */
+    std::function<std::shared_ptr<const BlockStream>(Bytes)>
+        streamProvider;
+    std::function<std::shared_ptr<const StackDistanceProfile>(Bytes)>
+        profileProvider;
+    /** Next-use table at a MIN cell's block size, called once per
+     * distinct size; unset builds them with makeNextUseTable(). */
+    std::function<NextUseTable(Bytes blockBytes)> nextUseProvider;
+};
+
+/** traceCells() outcome: the sweep over the cells, each holding its
+ * SweepCellOut member, and the collapse plan. */
+struct TraceCellsOut : SweepResult<SweepCellOut>
+{
+    /** Indexed by a single-level hierarchy cell's position among
+     * those cells (its cell index when they come first). */
+    CollapsedSweep collapsed;
+};
+
+/**
+ * Every cell of @p cells over @p trace.  The single-level hierarchy
+ * cells go to one CollapsedSweep, which also builds one next-use
+ * table per distinct MIN block size as side units of its fan-out;
+ * then every cell runs in one parallelSweep() with @p opt.sweep.  A
+ * covered cell is a lookup, any other hierarchy cell a direct run,
+ * and a MIN cell a runMinCache() on its shared table.  Each cell
+ * records a "cell" span and is the 'cell:at=N' fault site for N = its
+ * index + 1.  Results are exact and the same at any jobs, pool and
+ * noCollapse.
+ */
+TraceCellsOut traceCells(const Trace &trace,
+                         const std::vector<TraceCell> &cells,
+                         const TraceCellOptions &opt);
 
 /** What a sweep computed, in renderable form. */
 struct SweepOutcome

@@ -764,7 +764,7 @@ TEST(CollapsedSweep, RoutesLadderCellsAndLeavesUnsupportedOnes)
     wv.alloc = AllocPolicy::WriteValidate;
     cfgs.push_back(wv);
 
-    const CollapsedSweep sweep(trace, cfgs, 1);
+    const CollapsedSweep sweep(trace, cfgs, {});
     EXPECT_EQ(sweep.covered(), 3u);
     EXPECT_EQ(sweep.ladderPasses(), 1u);
     EXPECT_EQ(sweep.mattsonPasses(), 0u);
@@ -807,7 +807,7 @@ TEST(CollapsedSweep, GroupsMixedBlockSizesIntoSeparatePasses)
             cfgs.push_back(c);
         }
     }
-    const CollapsedSweep sweep(trace, cfgs, 1);
+    const CollapsedSweep sweep(trace, cfgs, {});
     EXPECT_EQ(sweep.covered(), cfgs.size());
     EXPECT_EQ(sweep.ladderPasses(), 3u); // one per block size
     for (std::size_t i = 0; i < cfgs.size(); ++i) {
@@ -827,7 +827,7 @@ TEST(CollapsedSweep, StoreBearingFullyAssociativeCellsFallBack)
     fa.size = 8_KiB;
     fa.assoc = 0;
     fa.blockBytes = 32;
-    const CollapsedSweep sweep(trace, {fa}, 1);
+    const CollapsedSweep sweep(trace, {fa}, {});
     EXPECT_EQ(sweep.mattsonPasses(), 0u);
     EXPECT_FALSE(sweep.has(0));
 }
@@ -847,7 +847,7 @@ TEST(CollapsedSweep, LoadOnlyFullyAssociativeCellsUseMattson)
         c.blockBytes = 32;
         cfgs.push_back(c);
     }
-    const CollapsedSweep sweep(trace, cfgs, 1);
+    const CollapsedSweep sweep(trace, cfgs, {});
     EXPECT_EQ(sweep.mattsonPasses(), 1u);
     EXPECT_EQ(sweep.covered(), 2u);
     for (std::size_t i = 0; i < cfgs.size(); ++i) {
@@ -870,7 +870,7 @@ TEST(CollapsedSweep, ResultsAreJobsIndependent)
             cfgs.push_back(c);
         }
     }
-    const CollapsedSweep serial(trace, cfgs, 1);
+    const CollapsedSweep serial(trace, cfgs, {});
     EXPECT_EQ(serial.ladderPasses(), 2u);
     EXPECT_EQ(serial.partitionedPasses(), 0u);
 
@@ -879,7 +879,9 @@ TEST(CollapsedSweep, ResultsAreJobsIndependent)
     // so both groups run set-partitioned instead.
     for (const auto &[jobs, partitioned] :
          {std::pair{2u, 0u}, std::pair{4u, 2u}}) {
-        const CollapsedSweep parallel(trace, cfgs, jobs);
+        CollapseOptions options;
+        options.jobs = jobs;
+        const CollapsedSweep parallel(trace, cfgs, options);
         const std::string plan = "jobs=" + std::to_string(jobs);
         EXPECT_EQ(parallel.ladderPasses(), 2u) << plan;
         EXPECT_EQ(parallel.partitionedPasses(), partitioned) << plan;

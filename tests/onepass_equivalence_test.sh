@@ -8,7 +8,8 @@
 # collapse — is the engine under test.
 #
 # Usage: onepass_equivalence_test.sh <membw_sim> <fig4> <table7> \
-#            <table8> <multilevel_epin>
+#            <table8> <multilevel_epin> <table9> <sec53> \
+#            <ablation_stream_buffers>
 set -u
 
 SIM="$1"
@@ -16,6 +17,9 @@ FIG4="$2"
 TABLE7="$3"
 TABLE8="$4"
 EPIN="$5"
+TABLE9="$6"
+SEC53="$7"
+STREAMBUF="$8"
 DIR="$(mktemp -d)"
 trap 'rm -rf "$DIR"' EXIT
 cd "$DIR"
@@ -64,6 +68,9 @@ run_bench fig4 "$FIG4" --scale 0.02
 run_bench table7 "$TABLE7" --scale 0.05
 run_bench table8 "$TABLE8" --scale 0.05
 run_bench epin "$EPIN" --scale 0.05
+run_bench table9 "$TABLE9" --scale 0.05
+run_bench sec53 "$SEC53" --scale 0.05
+run_bench streambuf "$STREAMBUF" --scale 0.05
 
 # Collapsed engines must also stay jobs-independent end to end.
 "$FIG4" --scale 0.02 --jobs 4 --stable-json --json f4.json \

@@ -3,22 +3,22 @@
 # parts that run as separate tests.
 #
 # sweep: every membw_sim sweep-mode output (stdout, --stats-json with
-# --stable-json) and the fig4 bench report must be byte-identical at
-# --jobs 1 and --jobs 4 — including a run truncated by the
-# deterministic --sigterm-after cell-count trigger — and the --jobs
-# input contract must hold.
+# --stable-json) and the stdout and report of each of the nine trace
+# benches must be byte-identical at --jobs 1 and --jobs 4 — including
+# a run truncated by the deterministic --sigterm-after cell-count
+# trigger — and the --jobs input contract must hold.
 #
 # decompose: membw_decompose --experiment all must be byte-identical
 # at --jobs 1 and --jobs 4 and keep its flag contract, and on hosts
 # with enough hardware threads parallel decomposition cells must
-# actually run faster.
+# actually run faster in one of up to three alternating timed pairs.
 #
 # decompose_benches: the fig3/table1 bench reports, whose
 # decomposition cells share one pool, must be byte-identical at
 # --jobs 1 and --jobs 4.
 #
 # Usage: parallel_equivalence_test.sh sweep <membw_sim> \
-#            <fig4_traffic_curves>
+#            <trace bench>...  (the nine trace-driven benches)
 #        parallel_equivalence_test.sh decompose <membw_decompose>
 #        parallel_equivalence_test.sh decompose_benches \
 #            <fig3_decomposition> <table1_technique_effects>
@@ -62,7 +62,8 @@ bench_equivalence() {
 }
 
 sweep_part() {
-    local SIM="$1" FIG4="$2"
+    local SIM="$1"
+    shift
 
     # --- membw_sim sweep mode: jobs 1 vs jobs 4 --------------------
     SWEEP=(--workload Compress --scale 0.05 --sweep-sizes 1K,4K,16K,64K
@@ -104,7 +105,7 @@ sweep_part() {
     expect_exit 1 "$SIM" "${SWEEP[@]}" --scale 0
 
     # --- bench sweeps: jobs 1 vs jobs 4 ----------------------------
-    bench_equivalence "$FIG4"
+    bench_equivalence "$@"
 }
 
 decompose_part() {
@@ -137,15 +138,23 @@ decompose_part() {
     # --- wall-clock speedup (only meaningful on multi-core hosts) --
     # Times the 18 independent timing-model cells of --experiment all: a
     # collapsed membw_sim sweep is dominated by serial trace generation.
+    # Up to three alternating (--jobs 1, --jobs 4) pairs; the first
+    # pair that reaches the bound passes, so a quiet host runs one
+    # pair and a briefly busy one does not fail the check.
     CORES=$(nproc 2>/dev/null || echo 1)
     if [ "$CORES" -ge 4 ]; then
-        t_serial=$({ time -p "$DECOMP" "${DALL[@]}" --scale 0.5 --jobs 1 \
-            >/dev/null 2>&1; } 2>&1 | awk '/^real/ {print $2}')
-        t_par=$({ time -p "$DECOMP" "${DALL[@]}" --scale 0.5 --jobs 4 \
-            >/dev/null 2>&1; } 2>&1 | awk '/^real/ {print $2}')
-        awk -v s="$t_serial" -v p="$t_par" \
-            'BEGIN { exit !(p > 0 && s / p >= 1.5) }' ||
-            fail "decompose all --jobs 4 not faster than --jobs 1 ($t_serial vs $t_par s) on a $CORES-core host"
+        local pair t_serial t_par times=""
+        for pair in 1 2 3; do
+            t_serial=$({ time -p "$DECOMP" "${DALL[@]}" --scale 0.5 \
+                --jobs 1 >/dev/null 2>&1; } 2>&1 | awk '/^real/ {print $2}')
+            t_par=$({ time -p "$DECOMP" "${DALL[@]}" --scale 0.5 \
+                --jobs 4 >/dev/null 2>&1; } 2>&1 | awk '/^real/ {print $2}')
+            times="$times ($t_serial vs $t_par s)"
+            awk -v s="$t_serial" -v p="$t_par" \
+                'BEGIN { exit !(p > 0 && s / p >= 1.5) }' && break
+            [ "$pair" -eq 3 ] &&
+                fail "decompose all --jobs 4 not faster than --jobs 1 in 3 pairs:$times on a $CORES-core host"
+        done
     else
         echo "SKIP speedup check: only $CORES hardware thread(s)"
     fi
@@ -158,7 +167,7 @@ decompose_benches_part() {
 
 case "$MODE" in
     sweep)
-        [ $# -eq 2 ] || fail "sweep takes 2 binaries"
+        [ $# -eq 10 ] || fail "sweep takes membw_sim and 9 benches"
         sweep_part "$@" ;;
     decompose)
         [ $# -eq 1 ] || fail "decompose takes 1 binary"

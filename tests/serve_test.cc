@@ -3,12 +3,13 @@
  * Unit tests for the serving layer: artifact/result LRU caches
  * (keying, byte-bounded eviction, counters, spill) and the request
  * broker (coalescing under concurrency, busy backpressure, drain),
- * and the parallel decomposition cell runner against its serial
- * reference.
+ * the trace cell runner against standalone runs, and the parallel
+ * decomposition cell runner against its serial reference.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -25,6 +26,7 @@
 #include "common/log.hh"
 #include "cpu/core.hh"
 #include "dram/dram.hh"
+#include "exec/thread_pool.hh"
 #include "resilience/checkpoint.hh"
 #include "resilience/exit_codes.hh"
 #include "resilience/fault_injection.hh"
@@ -299,6 +301,183 @@ TEST(SweepService, PoolPlanMatchesJobsOneWithAndWithoutFaults)
         EXPECT_EQ(docs[0], docs[1]);
         EXPECT_EQ(docs[0].find("\"failed_cells\"") != std::string::npos,
                   *fault != '\0');
+    }
+}
+
+namespace {
+
+/** The mixed cell list of the TraceCells tests: a 3-level
+ * hierarchy, direct-mapped cells the ladder covers, a 2048-way fully
+ * associative cell and a sector cache, and MIN cells at 4 B and 32 B
+ * with write-allocate and write-validate. */
+std::vector<TraceCell>
+mixedCells()
+{
+    auto level = [](Bytes size, unsigned assoc, Bytes block) {
+        CacheConfig c;
+        c.size = size;
+        c.assoc = assoc;
+        c.blockBytes = block;
+        return c;
+    };
+    CacheConfig sector = level(64_KiB, 1, 64);
+    sector.sectorBytes = 16;
+    auto min = [](Bytes size, Bytes block, AllocPolicy alloc) {
+        MinCacheConfig c;
+        c.size = size;
+        c.blockBytes = block;
+        c.alloc = alloc;
+        return c;
+    };
+    return {std::vector{level(16_KiB, 1, 32), level(256_KiB, 4, 64),
+                        level(2_MiB, 8, 128)},
+            std::vector{level(1_KiB, 1, 32)},
+            std::vector{level(4_KiB, 1, 32)},
+            std::vector{level(16_KiB, 1, 32)},
+            std::vector{level(64_KiB, 0, 32)},
+            std::vector{sector},
+            min(4_KiB, 4, AllocPolicy::WriteAllocate),
+            min(16_KiB, 4, AllocPolicy::WriteValidate),
+            min(16_KiB, 32, AllocPolicy::WriteAllocate),
+            min(8_KiB, 32, AllocPolicy::WriteValidate)};
+}
+
+/** Every field of a TrafficResult, as its checkpoint bytes. */
+std::string
+trafficBytes(const TrafficResult &r)
+{
+    ChkWriter w;
+    saveTrafficResult(w, r);
+    return w.serialize();
+}
+
+void
+expectMinEqual(const MinCacheStats &a, const MinCacheStats &b)
+{
+    EXPECT_EQ(a.accesses, b.accesses);
+    EXPECT_EQ(a.hits, b.hits);
+    EXPECT_EQ(a.misses, b.misses);
+    EXPECT_EQ(a.bypasses, b.bypasses);
+    EXPECT_EQ(a.validates, b.validates);
+    EXPECT_EQ(a.requestBytes, b.requestBytes);
+    EXPECT_EQ(a.fetchBytes, b.fetchBytes);
+    EXPECT_EQ(a.writebackBytes, b.writebackBytes);
+    EXPECT_EQ(a.flushWritebackBytes, b.flushWritebackBytes);
+}
+
+} // namespace
+
+TEST(TraceCells, EveryCellEqualsItsStandaloneRun)
+{
+    WorkloadParams params;
+    params.scale = 0.05;
+    const Trace trace = makeWorkload("Compress")->trace(params);
+    ASSERT_TRUE(std::any_of(trace.begin(), trace.end(),
+                            [](const MemRef &r) { return r.isStore(); }));
+    const std::vector<TraceCell> cells = mixedCells();
+
+    std::vector<TrafficResult> refTraffic(cells.size());
+    std::vector<MinCacheStats> refMin(cells.size());
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        if (const auto *min = std::get_if<MinCacheConfig>(&cells[i]))
+            refMin[i] = runMinCache(trace, *min);
+        else
+            refTraffic[i] = runTrace(
+                trace, std::get<std::vector<CacheConfig>>(cells[i]));
+    }
+    // The fully associative cell evicts, so its recency order counts.
+    EXPECT_GT(refTraffic[4].l1.evictions, 0u);
+
+    ThreadPool pool(4);
+    for (bool noCollapse : {false, true}) {
+        for (unsigned jobs : {1u, 4u}) {
+            for (ThreadPool *onPool :
+                 {static_cast<ThreadPool *>(nullptr), &pool}) {
+                SCOPED_TRACE("noCollapse=" + std::to_string(noCollapse) +
+                             " jobs=" + std::to_string(jobs) +
+                             (onPool ? " pool" : ""));
+                TraceCellOptions opt;
+                opt.sweep.jobs = jobs;
+                opt.sweep.pool = onPool;
+                opt.noCollapse = noCollapse;
+                const TraceCellsOut out = traceCells(trace, cells, opt);
+                ASSERT_EQ(out.cells.size(), cells.size());
+                EXPECT_EQ(out.completed, cells.size());
+                for (std::size_t i = 0; i < cells.size(); ++i) {
+                    SCOPED_TRACE("cell " + std::to_string(i));
+                    if (std::holds_alternative<MinCacheConfig>(cells[i]))
+                        expectMinEqual(out.cells[i].mtc, refMin[i]);
+                    else
+                        EXPECT_EQ(trafficBytes(out.cells[i].traffic),
+                                  trafficBytes(refTraffic[i]));
+                }
+                // The direct-mapped cells (collapse slots 0-2) take
+                // the ladder; the fully associative cell over stores
+                // and the sector cache fall back to direct runs.
+                EXPECT_EQ(out.collapsed.covered(), noCollapse ? 0u : 3u);
+                for (std::size_t k = 0; k < 5; ++k)
+                    EXPECT_EQ(out.collapsed.route(k),
+                              !noCollapse && k < 3 ? CellRoute::Ladder
+                                                   : CellRoute::Direct);
+            }
+        }
+    }
+}
+
+TEST(TraceCells, OneNextUseTablePerMinBlockSize)
+{
+    WorkloadParams params;
+    params.scale = 0.02;
+    const Trace trace = makeWorkload("Compress")->trace(params);
+    const std::vector<TraceCell> cells = mixedCells();
+
+    ThreadPool pool(4);
+    for (bool noCollapse : {false, true}) {
+        std::mutex mutex;
+        std::vector<Bytes> calls;
+        TraceCellOptions opt;
+        opt.sweep.pool = &pool;
+        opt.noCollapse = noCollapse;
+        opt.nextUseProvider = [&](Bytes blockBytes) {
+            {
+                std::lock_guard<std::mutex> lock(mutex);
+                calls.push_back(blockBytes);
+            }
+            return makeNextUseTable(trace, blockBytes);
+        };
+        const TraceCellsOut out = traceCells(trace, cells, opt);
+        std::sort(calls.begin(), calls.end());
+        EXPECT_EQ(calls, (std::vector<Bytes>{4, 32}));
+        for (std::size_t i = 6; i < cells.size(); ++i)
+            expectMinEqual(
+                out.cells[i].mtc,
+                runMinCache(trace, std::get<MinCacheConfig>(cells[i])));
+    }
+}
+
+TEST(TraceCells, FaultPointIsKeyedByCellIndex)
+{
+    WorkloadParams params;
+    params.scale = 0.02;
+    const Trace trace = makeWorkload("Compress")->trace(params);
+    const std::vector<TraceCell> cells = mixedCells();
+
+    ThreadPool pool(4);
+    for (ThreadPool *onPool : {static_cast<ThreadPool *>(nullptr), &pool}) {
+        // 'cell:at=N' fails cell N-1, whatever its kind.
+        for (std::size_t victim : {std::size_t{2}, std::size_t{7}}) {
+            ASSERT_TRUE(
+                armFaultPlan("cell:at=" + std::to_string(victim + 1))
+                    .ok());
+            TraceCellOptions opt;
+            opt.sweep.pool = onPool;
+            opt.sweep.tolerateCellFailures = true;
+            const TraceCellsOut out = traceCells(trace, cells, opt);
+            disarmFaultPlan();
+            ASSERT_EQ(out.failedCells.size(), 1u);
+            EXPECT_EQ(out.failedCells[0].cell, victim);
+            EXPECT_EQ(out.completed, cells.size());
+        }
     }
 }
 
