@@ -2,8 +2,7 @@
  * @file
  * Throughput harness for the simulators themselves: Mrefs/s of the
  * functional cache per workload, serial and with --jobs identical
- * cells fanned through parallelSweep, the single-config
- * set-partitioned ladder kernel, the one-pass sweep engine
+ * cells fanned through parallelSweep, the one-pass sweep engine
  * against direct per-cell simulation, and the serial functional
  * cache on a 2048-way fully associative cell.  --json FILE writes
  * the BENCH_throughput.json document the CI throughput gate reads.
@@ -16,9 +15,6 @@
 #include "cache/cache.hh"
 #include "cache/hierarchy.hh"
 #include "exec/collapsed_sweep.hh"
-#include "exec/ladder_sweep.hh"
-#include "exec/time_partition.hh"
-#include "trace/block_stream.hh"
 #include "workloads/workload.hh"
 
 namespace {
@@ -75,51 +71,6 @@ serialMrefsOnce(const Trace &t, const CacheConfig &cfg,
                      : 0.0;
 }
 
-/**
- * One single-config pass through the set-partitioned ladder
- * kernel at @p jobs workers — the path membw_sim takes for a plain
- * run at --jobs N.  The decode side is timed too: a real run pays
- * it, so excluding it would inflate the speedup.  Like membw_sim,
- * the pass first attempts the fused-decode kernel (self-validating,
- * no eligibility pre-scan, no materialized BlockStream — every
- * generated workload qualifies); a trace with non-word references
- * aborts that attempt and decodes a stream instead.
- */
-double
-partitionedPassSeconds(const Trace &t, const CacheConfig &cfg,
-                       unsigned jobs)
-{
-    WallTimer timer;
-    PartitionOptions popt;
-    popt.jobs = jobs;
-    TrafficResult res;
-    if (!ladderKernelSupported(cfg) ||
-        partitionedLadderRunWord(t, cfg, popt, res) ==
-            WordRunOutcome::NotAllWord) {
-        const BlockStream stream = buildBlockStream(t, cfg.blockBytes);
-        if (auto r = partitionedLadderRun(stream, cfg, popt))
-            res = *r;
-    }
-    g_sink = g_sink + res.pinBytes;
-    return timer.seconds();
-}
-
-/** Same repetition scheme for the partitioned single-config rate. */
-double
-partitionedMrefsOnce(const Trace &t, const CacheConfig &cfg,
-                     unsigned jobs, double minSeconds)
-{
-    double total = 0;
-    std::size_t passes = 0;
-    while (total < minSeconds && passes < 64) {
-        total += partitionedPassSeconds(t, cfg, jobs);
-        ++passes;
-    }
-    return total > 0 ? static_cast<double>(t.size()) * passes /
-                           total / 1e6
-                     : 0.0;
-}
-
 /** Same repetition scheme for the parallelSweep aggregate rate. */
 double
 parallelMrefsOnce(const Trace &t, const CacheConfig &cfg,
@@ -154,15 +105,11 @@ runThroughputHarness(const std::string &jsonPath, unsigned jobs,
         std::size_t refs = 0;
         double serialMrefs = 0;
         double parallelMrefs = 0;
-        double partitionedMrefs = 0;
     };
 
     CacheConfig cfg;
     // Alpha 21064-class L1: 8 KiB direct-mapped, 32B blocks — the
-    // geometry of the paper's era.  In the compact kernel layout
-    // (ladder_kernel.hh) a direct-mapped set is one word, so the
-    // whole replica stays L1-resident while the per-reference
-    // simulator walks its full Cache bookkeeping.
+    // geometry of the paper's era.
     cfg.size = 8_KiB;
     cfg.assoc = 1;
     cfg.blockBytes = 32;
@@ -204,30 +151,14 @@ runThroughputHarness(const std::string &jsonPath, unsigned jobs,
             row.parallelMrefs = std::max(
                 row.parallelMrefs,
                 parallelMrefsOnce(t, cfg, jobs, min_runtime));
-        // Single-config parallel scaling: ONE configuration through
-        // the set-partitioned ladder kernel at `jobs` workers,
-        // against the serial per-reference simulator above.  This is
-        // the headline the CI throughput gate watches (>= 3x on at
-        // least two workloads).
-        for (int rep = 0; rep < reps; ++rep)
-            row.partitionedMrefs = std::max(
-                row.partitionedMrefs,
-                partitionedMrefsOnce(t, cfg, jobs, min_runtime));
         rows.push_back(row);
-        const double pspeed = row.serialMrefs > 0
-                                  ? row.partitionedMrefs /
-                                        row.serialMrefs
-                                  : 0.0;
         std::printf("%-10s %8zu refs | serial %7.2f Mrefs/s | "
-                    "jobs %u %7.2f Mrefs/s | speedup %.2fx | "
-                    "partitioned %7.2f Mrefs/s | speedup %.2fx | "
-                    "eff %.2f\n",
+                    "jobs %u %7.2f Mrefs/s | speedup %.2fx\n",
                     name, row.refs, row.serialMrefs, jobs,
                     row.parallelMrefs,
                     row.serialMrefs > 0
                         ? row.parallelMrefs / row.serialMrefs
-                        : 0.0,
-                    row.partitionedMrefs, pspeed, pspeed / jobs);
+                        : 0.0);
     }
 
     // One-pass sweep engine vs direct per-cell simulation over the
@@ -340,12 +271,6 @@ runThroughputHarness(const std::string &jsonPath, unsigned jobs,
         w.field("speedup", r.serialMrefs > 0
                                ? r.parallelMrefs / r.serialMrefs
                                : 0.0);
-        const double pspeed =
-            r.serialMrefs > 0 ? r.partitionedMrefs / r.serialMrefs
-                              : 0.0;
-        w.field("partitioned_mrefs_per_s", r.partitionedMrefs);
-        w.field("partitioned_speedup", pspeed);
-        w.field("scaling_efficiency", pspeed / jobs);
         w.endObject();
     }
     w.endArray();

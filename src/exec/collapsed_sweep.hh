@@ -22,10 +22,10 @@
  * traceCells() (serve/sweep_service.hh) constructs the planner
  * *before* its per-cell fan-out, then each cell either consumes its
  * precomputed TrafficResult or simulates directly.  The planner runs
- * one fan-out of its own over a single list of units: each group's
- * pass — fused, or as set-range parts when workers would otherwise
- * idle — plus the side units the caller needs before its cells
- * (traceCells' next-use tables).  Precomputed results are
+ * one fan-out of its own over a single list of units: one pass per
+ * group — a ladder group's pass is one fused filter cascade — plus
+ * the side units the caller needs before its cells (traceCells'
+ * next-use tables).  Precomputed results are
  * index-addressed, so cell accounting (ordering, --sigterm-after
  * truncation, stats publication) is unchanged.
  */
@@ -97,8 +97,7 @@ struct CollapseOptions
     /**
      * More units for the fan-out, run beside the group passes and
      * finished when the constructor returns (traceCells builds its
-     * next-use tables here).  Each takes a worker away from set
-     * partitioning.
+     * next-use tables here).
      */
     std::vector<std::function<void()>> sideUnits;
 };
@@ -111,11 +110,10 @@ class CollapsedSweep
 
     /**
      * Plan and run every collapsible group of @p configs over
-     * @p trace.  Every Mattson group and side unit takes one worker;
-     * when more than one worker per ladder group is left, each ladder
-     * group runs as set-range parts of the exact partitioned kernel
-     * (exec/time_partition.hh) over its share of them, otherwise as
-     * one fused pass.  Results are exact and the same at any jobs.
+     * @p trace.  Every side unit and every group is one unit of the
+     * fan-out: a Mattson group is one stack-distance pass, a ladder
+     * group one fused ladderSweep() cascade.  Results are exact and
+     * the same at any jobs.
      */
     CollapsedSweep(const Trace &trace,
                    const std::vector<CacheConfig> &configs,
@@ -155,17 +153,12 @@ class CollapsedSweep
     /** Ladder-kernel group passes run. */
     std::size_t ladderPasses() const { return ladderPasses_; }
 
-    /** Ladder passes that ran as set-range parts (a subset of
-     * ladderPasses()). */
-    std::size_t partitionedPasses() const { return partitionedPasses_; }
-
   private:
     std::vector<std::optional<TrafficResult>> results_;
     std::vector<CellRoute> routes_;
     std::size_t covered_ = 0;
     std::size_t mattsonPasses_ = 0;
     std::size_t ladderPasses_ = 0;
-    std::size_t partitionedPasses_ = 0;
 };
 
 } // namespace membw

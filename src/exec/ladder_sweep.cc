@@ -93,7 +93,7 @@ ladderSweep(const BlockStream &stream,
             sim.skipDirtyStores = sim.writeBack && laterWays >= sim.ways;
             laterWays = std::min(laterWays, sim.ways);
             sim.kernel = ladder::selectKernel(
-                sim.ways, /*filtered=*/false, /*readList=*/k > 0,
+                sim.ways, /*readList=*/k > 0,
                 /*emit=*/k + 1 < chain.size());
         }
     }

@@ -380,9 +380,6 @@ renderSweepStatsJson(const SweepRequest &req, std::size_t traceRefs,
         w.field("ladder_passes",
                 static_cast<std::uint64_t>(
                     o.collapsed.ladderPasses()));
-        w.field("partitioned_passes",
-                static_cast<std::uint64_t>(
-                    o.collapsed.partitionedPasses()));
         w.field("mattson_passes",
                 static_cast<std::uint64_t>(
                     o.collapsed.mattsonPasses()));

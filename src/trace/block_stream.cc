@@ -29,8 +29,8 @@ buildBlockStream(const Trace &trace, Bytes blockBytes)
     // Raw-pointer stores into the pre-sized arrays: the three
     // per-reference push_backs (capacity check each) were a
     // measurable fraction of a decode that otherwise runs at memory
-    // speed, and this loop sits on the timed path of every
-    // partitioned pass.
+    // speed, and this loop sits on the timed path of every ladder
+    // pass.
     std::uint64_t *const bnOut = s.blockNum.data();
     std::uint8_t *const stOut = s.isStore.data();
     std::uint16_t *const szOut = s.size.data();

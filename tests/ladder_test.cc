@@ -20,7 +20,6 @@
 #include "common/rng.hh"
 #include "exec/collapsed_sweep.hh"
 #include "exec/ladder_sweep.hh"
-#include "exec/time_partition.hh"
 #include "serve/sweep_service.hh"
 #include "trace/block_stream.hh"
 #include "trace/trace.hh"
@@ -341,19 +340,6 @@ TEST(LadderSweep, TopOfAddressSpaceTagsStayDistinct)
     const auto cfgs =
         plainPolicyGrid(1_KiB, 4, {1u, 2u, 4u, 8u, 16u});
     expectLadderMatchesDirect(trace, 4, cfgs, "top");
-
-    // The same trace through the set-partitioned word kernels.
-    const auto serial = ladderSweep(buildBlockStream(trace, 4), cfgs);
-    PartitionOptions opts;
-    opts.jobs = 2;
-    opts.parts = 4;
-    for (std::size_t i = 0; i < cfgs.size(); ++i) {
-        TrafficResult word;
-        ASSERT_EQ(partitionedLadderRunWord(trace, cfgs[i], opts, word),
-                  WordRunOutcome::Done);
-        expectStatsEqual(word.l1, serial[i].l1,
-                         "word " + cfgs[i].describe());
-    }
 }
 
 // ---------------------------------------------------------------
@@ -484,166 +470,6 @@ TEST(LadderSweep, CascadeGuardsTheChainsWhereSkippingIsUnsafe)
     // A one-config group replays every reference once.
     EXPECT_EQ(expectLadderMatchesDirect(trace, 32, {twin}, "single"),
               stream.refs);
-}
-
-// ---------------------------------------------------------------
-// Set-partitioned parallel kernel
-// ---------------------------------------------------------------
-
-TEST(TimePartition, PartitionedMatchesSerialAtAnyPartsAndJobs)
-{
-    const Trace trace = randomTrace(31, 16000);
-    const BlockStream stream = buildBlockStream(trace, 32);
-    CacheConfig cfg;
-    cfg.size = 16_KiB;
-    cfg.assoc = 4;
-    cfg.blockBytes = 32;
-
-    const auto serial = ladderSweep(stream, {cfg});
-    for (unsigned parts : {1u, 2u, 3u, 4u, 8u}) {
-        for (unsigned jobs : {1u, 4u}) {
-            PartitionOptions opts;
-            opts.jobs = jobs;
-            opts.parts = parts;
-            const auto part =
-                partitionedLadderRun(stream, cfg, opts);
-            ASSERT_TRUE(part.has_value());
-            const std::string label = "parts=" +
-                                      std::to_string(parts) +
-                                      " jobs=" +
-                                      std::to_string(jobs);
-            EXPECT_EQ(part->pinBytes, serial[0].pinBytes) << label;
-            expectStatsEqual(part->l1, serial[0].l1, label);
-        }
-    }
-}
-
-TEST(TimePartition, FusedWordRunMatchesSerialAtAnyPartsAndJobs)
-{
-    // The fused-decode kernels replay the MemRef array directly; the
-    // result must be byte-identical to the decoded-stream serial
-    // kernel at every partition/jobs combination.
-    const Trace trace = randomTrace(53, 16000);
-    const BlockStream stream = buildBlockStream(trace, 32);
-    CacheConfig cfg;
-    cfg.size = 16_KiB;
-    cfg.assoc = 4;
-    cfg.blockBytes = 32;
-
-    const auto serial = ladderSweep(stream, {cfg});
-    for (unsigned parts : {1u, 2u, 3u, 4u, 8u}) {
-        for (unsigned jobs : {1u, 4u}) {
-            PartitionOptions opts;
-            opts.jobs = jobs;
-            opts.parts = parts;
-            TrafficResult word;
-            ASSERT_EQ(
-                partitionedLadderRunWord(trace, cfg, opts, word),
-                WordRunOutcome::Done);
-            const std::string label = "word parts=" +
-                                      std::to_string(parts) +
-                                      " jobs=" +
-                                      std::to_string(jobs);
-            EXPECT_EQ(word.pinBytes, serial[0].pinBytes) << label;
-            expectStatsEqual(word.l1, serial[0].l1, label);
-        }
-    }
-}
-
-TEST(TimePartition, FusedWordRunMatchesSerialAcrossPolicyGrid)
-{
-    // Every supported policy point (write-back/-through crossed with
-    // allocate/no-allocate) through the word kernels,
-    // including the store-counting totals reconstruction.
-    const Trace trace = randomTrace(59, 12000);
-    const std::vector<CacheConfig> cfgs = policyGrid(32);
-    const BlockStream stream = buildBlockStream(trace, 32);
-    PartitionOptions opts;
-    opts.jobs = 4;
-
-    const auto serial = ladderSweep(stream, cfgs);
-    for (std::size_t i = 0; i < cfgs.size(); ++i) {
-        TrafficResult word;
-        ASSERT_EQ(
-            partitionedLadderRunWord(trace, cfgs[i], opts, word),
-            WordRunOutcome::Done);
-        expectStatsEqual(word.l1, serial[i].l1, cfgs[i].describe());
-    }
-}
-
-TEST(TimePartition, FusedWordRunRejectsNonWordTraces)
-{
-    CacheConfig cfg;
-    cfg.size = 8_KiB;
-    cfg.assoc = 4;
-    cfg.blockBytes = 32;
-    PartitionOptions opts;
-    opts.jobs = 2;
-    opts.parts = 4; // filtered workers must reject too
-    TrafficResult word;
-
-    Trace wide = randomTrace(61, 500);
-    wide.append(64, 8, RefKind::Store); // double word
-    EXPECT_EQ(partitionedLadderRunWord(wide, cfg, opts, word),
-              WordRunOutcome::NotAllWord);
-
-    Trace misaligned = randomTrace(67, 500);
-    misaligned.append(2, 4, RefKind::Load); // word size, bad align
-    EXPECT_EQ(partitionedLadderRunWord(misaligned, cfg, opts, word),
-              WordRunOutcome::NotAllWord);
-
-    const Trace ok = randomTrace(71, 500);
-    opts.cancel = [] { return true; }; // cancelled before any cell
-    EXPECT_EQ(partitionedLadderRunWord(ok, cfg, opts, word),
-              WordRunOutcome::Interrupted);
-}
-
-TEST(TimePartition, SweepFormMatchesSerialAcrossPolicyGrid)
-{
-    // Multi-config partitioned sweep (auto parts) against the serial
-    // kernel over the whole policy grid;
-    // also pins the parts clamp on a 1-set (fully-degenerate) shape.
-    const Trace trace = randomTrace(37, 12000);
-    const std::vector<CacheConfig> cfgs = policyGrid(32);
-    const BlockStream stream = buildBlockStream(trace, 32);
-
-    const auto serial = ladderSweep(stream, cfgs);
-    PartitionOptions opts;
-    opts.jobs = 4;
-    const auto part = partitionedLadderSweep(stream, cfgs, opts);
-    ASSERT_TRUE(part.has_value());
-    ASSERT_EQ(part->size(), serial.size());
-    for (std::size_t i = 0; i < cfgs.size(); ++i) {
-        expectStatsEqual((*part)[i].l1, serial[i].l1,
-                         cfgs[i].describe());
-    }
-
-    CacheConfig oneSet; // 1 set: cannot split, must clamp to serial
-    oneSet.size = 256;
-    oneSet.assoc = 8;
-    oneSet.blockBytes = 32;
-    ASSERT_TRUE(ladderKernelSupported(oneSet));
-    EXPECT_EQ(partitionPartsFor(oneSet, 4, 0, 1), 1u);
-    const auto one = partitionedLadderRun(stream, oneSet, opts);
-    ASSERT_TRUE(one.has_value());
-    expectStatsEqual(one->l1, ladderSweep(stream, {oneSet})[0].l1,
-                     "one-set clamp");
-}
-
-TEST(TimePartition, InterruptReportsNoResults)
-{
-    const Trace trace = randomTrace(41, 2000);
-    const BlockStream stream = buildBlockStream(trace, 32);
-    CacheConfig cfg;
-    cfg.size = 8_KiB;
-    cfg.assoc = 4;
-    cfg.blockBytes = 32;
-    PartitionOptions opts;
-    opts.jobs = 1;
-    opts.parts = 4;
-    opts.cancel = [] { return true; }; // cancelled before any cell
-    EXPECT_FALSE(
-        partitionedLadderRun(stream, cfg, opts).has_value());
 }
 
 // ---------------------------------------------------------------
@@ -872,19 +698,15 @@ TEST(CollapsedSweep, ResultsAreJobsIndependent)
     }
     const CollapsedSweep serial(trace, cfgs, {});
     EXPECT_EQ(serial.ladderPasses(), 2u);
-    EXPECT_EQ(serial.partitionedPasses(), 0u);
 
-    // Two ladder groups (one per block size): jobs 2 fans the groups
-    // across the workers; jobs 4 leaves workers idle under fan-out,
-    // so both groups run set-partitioned instead.
-    for (const auto &[jobs, partitioned] :
-         {std::pair{2u, 0u}, std::pair{4u, 2u}}) {
+    // Two ladder groups (one per block size), each one fused pass at
+    // any jobs; extra workers stay idle.
+    for (unsigned jobs : {2u, 4u}) {
         CollapseOptions options;
         options.jobs = jobs;
         const CollapsedSweep parallel(trace, cfgs, options);
         const std::string plan = "jobs=" + std::to_string(jobs);
         EXPECT_EQ(parallel.ladderPasses(), 2u) << plan;
-        EXPECT_EQ(parallel.partitionedPasses(), partitioned) << plan;
         ASSERT_EQ(serial.covered(), parallel.covered()) << plan;
         for (std::size_t i = 0; i < cfgs.size(); ++i) {
             ASSERT_TRUE(serial.has(i));

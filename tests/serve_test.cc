@@ -264,8 +264,8 @@ TEST(ArtifactCache, ThrowingBuilderFailsEveryWaiterAndLeavesNoEntry)
 TEST(SweepService, PoolPlanMatchesJobsOneWithAndWithoutFaults)
 {
     // Two ladder groups and the next-use table on a 4-worker pool:
-    // the groups run as set-range parts beside the table build.  The
-    // stable bytes, and the failed cells under an injected fault on
+    // the groups' passes run beside the table build.  The stable
+    // bytes, and the failed cells under an injected fault on
     // a ladder cell (index 1) and on an MTC cell (index 7), must equal
     // the serial run's.
     WorkloadParams params;
@@ -294,7 +294,6 @@ TEST(SweepService, PoolPlanMatchesJobsOneWithAndWithoutFaults)
             const SweepOutcome o = executeSweep(req, trace, eo);
             disarmFaultPlan();
             EXPECT_EQ(o.collapsed.ladderPasses(), 2u);
-            EXPECT_EQ(o.collapsed.partitionedPasses(), onPool ? 2u : 0u);
             EXPECT_EQ(o.nFailed, *fault ? 1u : 0u);
             docs.push_back(renderSweepStatsJson(req, trace.size(), o));
         }

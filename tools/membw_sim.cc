@@ -40,9 +40,7 @@
 #include "common/table.hh"
 #include "exec/collapsed_sweep.hh"
 #include "exec/ladder_sweep.hh"
-#include "exec/parallel_sweep.hh"
 #include "exec/thread_pool.hh"
-#include "exec/time_partition.hh"
 #include "mtc/min_cache.hh"
 #include "obs/build_info.hh"
 #include "obs/emit.hh"
@@ -59,7 +57,6 @@
 #include "resilience/fault_injection.hh"
 #include "resilience/signals.hh"
 #include "serve/sweep_service.hh"
-#include "trace/block_stream.hh"
 #include "trace/trace_io.hh"
 #include "workloads/workload.hh"
 
@@ -890,64 +887,29 @@ main(int argc, char **argv)
 
         const std::size_t total = trace.size();
 
-        // Single-config parallel fast path: with spare workers and no
-        // per-reference obligations, the hierarchy phase runs the
-        // exact set-partitioned ladder kernel (time_partition.hh)
-        // instead of the per-reference loop below — byte-identical
-        // output at any --jobs value.  Flags that observe or persist
-        // per-reference state need the loop and keep the serial path.
+        // Single-config fast path: with no per-reference obligations
+        // the hierarchy phase is one fused ladder pass through a
+        // one-config CollapsedSweep instead of the per-reference loop
+        // below, with byte-identical output.  Flags that observe or
+        // persist per-reference state need the loop.  A trace outside
+        // the ladder regime (block-spanning references) is left
+        // uncovered and takes the loop too.
         const bool perRefState =
             !o.checkpoint.empty() || !o.resume.empty() ||
             o.sigtermAfter != 0 || o.statsEvery != 0 ||
             !o.profileOut.empty() || !o.faultInject.empty();
-        if (state.phase == phaseHierarchy && o.jobs > 1 &&
-            !perRefState && !o.haveL2 && ladderKernelSupported(o.l1)) {
-            // All-word traces (the QPT recording invariant — every
-            // generated workload qualifies) replay fused straight
-            // off the MemRef array; the fused kernels validate the
-            // invariant inline, so the attempt needs no eligibility
-            // pre-scan and a trace with non-word references aborts
-            // it at the first violation, falling back to a decoded
-            // BlockStream.  Both are byte-identical to the serial
-            // loop.
-            MEMBW_SPAN("phase.hierarchy.partitioned");
-            PartitionOptions popt;
-            popt.jobs = o.jobs;
-            popt.cancel = [] { return shutdownRequested(); };
-            std::optional<TrafficResult> res;
-            bool eligible = false;
-            TrafficResult word;
-            switch (partitionedLadderRunWord(trace, o.l1, popt,
-                                             word)) {
-            case WordRunOutcome::Done:
-                eligible = true;
-                res = word;
-                break;
-            case WordRunOutcome::Interrupted:
-                eligible = true;
-                break;
-            case WordRunOutcome::NotAllWord: {
-                const BlockStream stream =
-                    buildBlockStream(trace, o.l1.blockBytes);
-                if (ladderCollapsible(stream, {o.l1})) {
-                    eligible = true;
-                    res = partitionedLadderRun(stream, o.l1, popt);
-                }
-                break;
-            }
-            }
-            if (eligible) {
-                emitLinef("membw_sim: set-partitioned hierarchy "
-                          "pass across %u workers (%u partitions)",
-                          o.jobs,
-                          partitionPartsFor(o.l1, o.jobs, 0, 1));
-                if (!res) {
-                    emitLinef("\n%s received: partitioned pass "
-                              "abandoned, shutting down",
+        if (state.phase == phaseHierarchy && !perRefState &&
+            !o.haveL2 && ladderKernelSupported(o.l1)) {
+            const CollapsedSweep one(trace, {o.l1}, CollapseOptions{});
+            if (one.has(0)) {
+                emitLinef("membw_sim: one-pass ladder hierarchy pass");
+                if (shutdownRequested()) {
+                    emitLinef("\n%s received: ladder pass abandoned, "
+                              "shutting down",
                               shutdownSignalName());
                     return exitInterrupted;
                 }
-                state.hierResult = *res;
+                state.hierResult = one.result(0);
                 state.phase = phaseMtc;
                 state.cursor = 0;
             }
