@@ -1,14 +1,13 @@
 #!/usr/bin/env bash
-# End-to-end check of membw_sim's single-config ladder path: a plain
-# single-configuration run takes one fused ladder pass (a one-config
-# CollapsedSweep) and must be byte-identical — stdout and
-# --stable-json stats — to the per-reference loop, which
-# --stats-every forces (the heartbeat goes to stderr only).  Ditto
-# for a sweep at --jobs 4 against --jobs 1.  Also checks that the
-# per-reference flags (--sigterm-after, --checkpoint/--resume) force
-# the per-reference loop and keep their exact semantics at --jobs 4,
-# and that a saved-and-loaded trace gives the results of the
-# generated one.
+# End-to-end determinism check of membw_sim at --jobs 4 against
+# --jobs 1: a sweep routed through CollapsedSweep must be
+# byte-identical — stdout and --stable-json stats — at either value,
+# and a saved-and-loaded trace must give the results of the
+# generated one, for a single config and for a sweep.  Also checks
+# that the per-reference flags (--sigterm-after, --checkpoint/
+# --resume) keep their exact semantics at any --jobs value, and that
+# a single-config run interrupted at --jobs 1 still writes partial
+# stats flagged interrupted.
 #
 # Usage: partition_equivalence_test.sh <membw_sim>
 set -u
@@ -32,64 +31,22 @@ expect_exit() {
         fail "expected exit $want from '$*', got $got"
 }
 
-# --- single config: ladder pass vs per-reference loop --------------
-# Two ladder configs: a plain write-back one, and a write-through
-# no-allocate one with the MTC phase riding along.  Write-validate is
-# outside the ladder regime, so its plain run keeps the loop, and
-# must say nothing about a ladder pass.
-ANNOUNCE="one-pass ladder hierarchy pass"
-LOOP=(--stats-every 1000000000)
-check_loop() { # name flags...
-    local name="$1"
-    shift
-    "$SIM" "$@" "${LOOP[@]}" --jobs 1 --stats-json "$name.ref.json" \
-        > "$name.ref.txt" 2> "$name.ref.err" ||
-        fail "$name per-reference run failed"
-    "$SIM" "$@" --jobs 4 --stats-json "$name.p4.json" \
-        > "$name.p4.txt" 2> "$name.p4.err" ||
-        fail "$name --jobs 4 failed"
-    ! grep -q "$ANNOUNCE" "$name.ref.err" ||
-        fail "$name --stats-every took the ladder pass"
-    cmp -s "$name.ref.txt" "$name.p4.txt" ||
-        fail "$name stdout differs: ladder pass vs per-reference loop"
-    cmp -s "$name.ref.json" "$name.p4.json" ||
-        fail "$name stats JSON differs: ladder pass vs per-reference loop"
-}
-check_single() { # name flags...
-    check_loop "$@"
-    # The --jobs 4 run must actually have taken the ladder pass,
-    # otherwise this test is vacuous (the announce goes to stderr so
-    # stdout stays byte-identical).
-    grep -q "$ANNOUNCE" "$1.p4.err" ||
-        fail "$1 --jobs 4 did not take the ladder pass"
-}
-
-check_single plain --workload Swm --scale 0.05 --size 64K --assoc 4 \
-    --block 32 --stable-json
-check_single wtwna --workload Compress --scale 0.05 --size 16K \
-    --assoc 8 --block 32 --write wt --alloc wna --mtc --stable-json
-check_loop wv --workload Compress --scale 0.05 --size 16K \
-    --assoc 8 --block 32 --write wb --alloc wv --mtc --stable-json
-! grep -q "$ANNOUNCE" wv.p4.err ||
-    fail "wv --jobs 4 took the ladder pass"
-
 # --- loaded traces take the generated-trace path -------------------
-# A saved trace, loaded back, must give the results of the trace it
-# was generated from, through both the single-config ladder pass and
-# the sweep plan at --jobs 4.  --scale is repeated on the loaded
-# runs so the manifests differ only in the workload field, which
-# names the trace file; stdout differs only in its trace-source line.
+# A saved trace, loaded back at --jobs 4, must give the results of
+# the trace it was generated from, for a single config and for a
+# sweep.  --scale is repeated on the loaded runs so the manifests
+# differ only in the workload field, which names the trace file;
+# stdout differs only in its trace-source line.
 GEN=(--workload Li --scale 0.05)
 "$SIM" "${GEN[@]}" --save-trace t.mbwt > /dev/null 2>&1 ||
     fail "trace save failed"
 check_loaded() { # name flags...
     local name="$1"
     shift
-    "$SIM" "${GEN[@]}" "$@" "${LOOP[@]}" --jobs 1 \
-        --stats-json "$name.g1.json" > "$name.g1.txt" 2>/dev/null ||
-        fail "generated $name failed"
+    "$SIM" "${GEN[@]}" "$@" --jobs 1 --stats-json "$name.g1.json" \
+        > "$name.g1.txt" 2>/dev/null || fail "generated $name failed"
     "$SIM" --load-trace t.mbwt --scale 0.05 "$@" --jobs 4 \
-        --stats-json "$name.l4.json" > "$name.l4.txt" 2> "$name.l4.err" ||
+        --stats-json "$name.l4.json" > "$name.l4.txt" 2>/dev/null ||
         fail "loaded $name --jobs 4 failed"
     diff <(sed 's/"workload": "t\.mbwt"/"workload": "Li"/' \
                "$name.l4.json") "$name.g1.json" > /dev/null ||
@@ -99,8 +56,6 @@ check_loaded() { # name flags...
         fail "loaded $name --jobs 4 stdout differs from generated --jobs 1"
 }
 check_loaded single --size 64K --assoc 4 --block 32 --stable-json
-grep -q "$ANNOUNCE" single.l4.err ||
-    fail "loaded single --jobs 4 did not take the ladder pass"
 check_loaded sweep --sweep-sizes 4K,64K --sweep-blocks 32 --stable-json
 
 # --- sweep mode: --jobs 4 vs --jobs 1 ------------------------------
@@ -115,30 +70,30 @@ cmp -s w1.txt w4.txt ||
 cmp -s w1.json w4.json ||
     fail "sweep stats differ between --jobs 1 and --jobs 4"
 
-# --- per-reference flags force the per-reference loop --------------
+# --- per-reference flags ------------------------------------------
 # --sigterm-after must drain at exactly the same reference at any
-# --jobs value (the ladder pass has no per-reference clock, so the
-# flag routes both runs through the loop).
+# --jobs value, and the drained run must leave its partial stats.
 RUN=(--workload Swm --scale 0.05 --size 64K --assoc 4 --block 32
      --stable-json)
+"$SIM" "${RUN[@]}" --jobs 1 --stats-json plain.json > /dev/null 2>&1 ||
+    fail "uninterrupted --jobs 1 run failed"
 expect_exit 3 "$SIM" "${RUN[@]}" --jobs 1 --sigterm-after 20000 \
     --stats-json g1.json
+grep -q '"interrupted": true' g1.json 2>/dev/null ||
+    fail "interrupted --jobs 1 run left no partial stats flagged interrupted"
 expect_exit 3 "$SIM" "${RUN[@]}" --jobs 4 --sigterm-after 20000 \
     --stats-json g4.json
 cmp -s g1.json g4.json ||
     fail "interrupted partial stats differ between --jobs 1 and 4"
 
 # A run killed mid-flight and resumed at --jobs 4 must reproduce the
-# uninterrupted per-reference stats byte for byte (resume state only
-# exists for the per-reference loop; --resume forces it).
+# uninterrupted stats byte for byte.
 expect_exit 3 "$SIM" "${RUN[@]}" --jobs 4 --checkpoint ck.bin \
     --sigterm-after 20000
 "$SIM" "${RUN[@]}" --jobs 4 --resume ck.bin \
     --stats-json resumed.json > /dev/null 2>&1 ||
     fail "resumed --jobs 4 run failed"
-cmp -s resumed.json plain.ref.json 2>/dev/null || {
-    # plain.ref.json was the Swm 64K/4/32 per-reference run above.
+cmp -s resumed.json plain.json ||
     fail "resumed --jobs 4 stats differ from uninterrupted run"
-}
 
 echo "PASS"

@@ -39,7 +39,6 @@
 #include "common/stats.hh"
 #include "common/table.hh"
 #include "exec/collapsed_sweep.hh"
-#include "exec/ladder_sweep.hh"
 #include "exec/thread_pool.hh"
 #include "mtc/min_cache.hh"
 #include "obs/build_info.hh"
@@ -886,34 +885,6 @@ main(int argc, char **argv)
         });
 
         const std::size_t total = trace.size();
-
-        // Single-config fast path: with no per-reference obligations
-        // the hierarchy phase is one fused ladder pass through a
-        // one-config CollapsedSweep instead of the per-reference loop
-        // below, with byte-identical output.  Flags that observe or
-        // persist per-reference state need the loop.  A trace outside
-        // the ladder regime (block-spanning references) is left
-        // uncovered and takes the loop too.
-        const bool perRefState =
-            !o.checkpoint.empty() || !o.resume.empty() ||
-            o.sigtermAfter != 0 || o.statsEvery != 0 ||
-            !o.profileOut.empty() || !o.faultInject.empty();
-        if (state.phase == phaseHierarchy && !perRefState &&
-            !o.haveL2 && ladderKernelSupported(o.l1)) {
-            const CollapsedSweep one(trace, {o.l1}, CollapseOptions{});
-            if (one.has(0)) {
-                emitLinef("membw_sim: one-pass ladder hierarchy pass");
-                if (shutdownRequested()) {
-                    emitLinef("\n%s received: ladder pass abandoned, "
-                              "shutting down",
-                              shutdownSignalName());
-                    return exitInterrupted;
-                }
-                state.hierResult = one.result(0);
-                state.phase = phaseMtc;
-                state.cursor = 0;
-            }
-        }
 
         // Phase 0: the functional hierarchy, reference by reference.
         if (state.phase == phaseHierarchy) {
